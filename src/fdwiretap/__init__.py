@@ -5,9 +5,9 @@ from .channel import (ChannelRealization, SystemParams, db2lin, draw_channels,
                       lin2db, perturb_csi, trial_seed)
 from .errors import (ConfigError, DegenerateChannel, DimensionMismatch,
                      FdWiretapError, InfeasibleStart, NonPositiveDefinite,
-                     NumericalTrouble, UnknownStrategy, WrongDimension)
+                     UnknownStrategy, WrongDimension)
 from .system_model import (BidirectionalDesign, SecrecyReport, TransmitDesign,
-                           secrecy_rates, secrecy_rates_bidirectional)
+                           secrecy_rates)
 from .bcd import (init_optimal_beam, init_random, init_uniform, optimize,
                   optimize_bidirectional)
 from .waterfill import Allocation, SubcarrierGains
@@ -20,11 +20,11 @@ __all__ = [
     "Allocation", "BidirectionalDesign", "ChannelRealization", "ConfigError",
     "DegenerateChannel", "DimensionMismatch", "ExperimentConfig",
     "ExperimentResult", "FdWiretapError", "InfeasibleStart",
-    "NonPositiveDefinite", "NumericalTrouble", "SecrecyReport",
+    "NonPositiveDefinite", "SecrecyReport",
     "SubcarrierGains", "SystemParams", "TransmitDesign", "UnknownStrategy",
     "WrongDimension", "db2lin", "draw_channels", "init_optimal_beam",
     "init_random", "init_uniform", "lin2db", "optimize",
     "optimize_bidirectional", "perturb_csi", "run_experiment",
-    "secrecy_rates", "secrecy_rates_bidirectional", "trial_seed",
+    "secrecy_rates", "trial_seed",
     "__version__",
 ]

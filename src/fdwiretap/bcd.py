@@ -8,6 +8,18 @@ the transmit covariances (a concave log-det-plus-linear program handed to
 closed form Q = R^{-1}.  Alternating the blocks increases the surrogate
 monotonically, and after every auxiliary update the surrogate equals the
 true unclamped objective.
+
+One optimizer serves the one-directional and the two-node system.  It
+works on the two-node design of :mod:`fdwiretap.system_model`, one rate
+direction (a->b, b->a) at a time: each active direction owns its receiver
+and Eve log-det terms, its auxiliary pair (Q, T) and its surrogate
+constants.  A block that is neither free nor nonzero contributes nothing
+and is left out, and a direction whose information block is left out is
+inactive.  An inactive direction's secrecy difference and its surrogate
+are identically zero, so dropping its terms keeps the objective and the
+monotone ascent of block successive upper-bound minimization (Razaviyayn,
+Hong & Luo, SIAM J. Optim. 2013).  The one-directional system is the a->b
+direction with Alice not jamming and Bob sending no information.
 """
 
 from dataclasses import dataclass, field
@@ -20,17 +32,22 @@ from .errors import DegenerateChannel
 from .maxdet import Congruence, CongruenceDiag, DiagCongruence, ScaledTrace
 from .system_model import BidirectionalDesign, SecrecyReport, TransmitDesign
 
+#: Blocks of the two-node design, in the order of the solver's variables.
+BLOCKS = ("X_a", "W_a", "X_b", "W_b")
+
 
 @dataclass(eq=False)
 class BcdState:
-    """Optimizer state: current design, auxiliaries and objective history.
+    """Optimizer state: auxiliaries and objective history.
 
-    ``objective_trace`` holds the surrogate objective in nats after every
-    outer iteration and is non-decreasing along the run.
+    ``aux_Q`` and ``aux_T`` map each active direction's link name ('ab',
+    'ba') to its (N, M, M) auxiliary stack.  ``objective_trace`` holds the
+    surrogate objective in nats after every outer iteration and is
+    non-decreasing along the run.
     """
 
-    aux_Q: np.ndarray
-    aux_T: np.ndarray
+    aux_Q: dict
+    aux_T: dict
     objective_trace: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
@@ -39,106 +56,187 @@ class BcdState:
 
 
 # ---------------------------------------------------------------------------
-# Affine covariance maps shared by the subproblem builder.
+# Auxiliary updates and surrogate evaluation.
 
 
-def _sigma_b_maps(params: SystemParams, ch: ChannelRealization, n: int):
-    """Variable-dependent part of Bob's interference covariance."""
+def _rx_dim(params: SystemParams, node: str) -> int:
+    return params.M_ar if node == "a" else params.M_br
+
+
+def update_auxiliaries(params: SystemParams, ch: ChannelRealization,
+                       design) -> tuple[dict, dict]:
+    """Closed-form block update of every active direction tx->rx:
+    Q = Sigma_rx^{-1} and T = (Sigma_e + H_{tx,e} X_tx H_{tx,e}^H)^{-1}.
+
+    Returns (Q, T), each a dict from the direction's link name ('ab', 'ba')
+    to an (N, M, M) stack.  A one-directional design has only 'ab'.
+    """
+    nodes = design.nodes()
+    active = nodes.active()
+    aux_q = {tx + rx: [] for tx, rx in active}
+    aux_t = {tx + rx: [] for tx, rx in active}
+    for n in range(params.N):
+        se = system_model.sigma_eve(params, ch, nodes, n)
+        for tx, rx in active:
+            aux_q[tx + rx].append(linalg.psd_inverse(
+                system_model.sigma_node_bidirectional(params, ch, nodes, rx, n)))
+            h = ch.link(tx + "e", n)
+            aux_t[tx + rx].append(linalg.psd_inverse(
+                linalg.hermitize(se + h @ nodes.info(tx)[n] @ h.conj().T)))
+    return ({d: np.array(q) for d, q in aux_q.items()},
+            {d: np.array(t) for d, t in aux_t.items()})
+
+
+def surrogate_objective(params: SystemParams, ch: ChannelRealization,
+                        design, aux_q: dict, aux_t: dict) -> float:
+    """Surrogate objective in nats, including the tightness constants.
+
+    With the auxiliaries at their closed-form optimum this equals the
+    unclamped secrecy objective exactly.
+    """
+    nodes = design.nodes()
+    active = nodes.active()
+    total = 0.0
+    for n in range(params.N):
+        se = system_model.sigma_eve(params, ch, nodes, n)
+        received, leaked = [], []
+        for tx, rx in active:
+            x = nodes.info(tx)[n]
+            s_rx = system_model.sigma_node_bidirectional(params, ch, nodes,
+                                                         rx, n)
+            h = ch.link(tx + rx, n)
+            g = ch.link(tx + "e", n)
+            total += linalg.logdet(linalg.hermitize(s_rx + h @ x @ h.conj().T))
+            received.append(s_rx)
+            leaked.append(linalg.hermitize(se + g @ x @ g.conj().T))
+        total += len(active) * linalg.logdet(se)
+        for (tx, rx), s_rx in zip(active, received):
+            total -= linalg.inner(aux_q[tx + rx][n], s_rx)
+        for (tx, rx), r_e in zip(active, leaked):
+            total -= linalg.inner(aux_t[tx + rx][n], r_e)
+        total += sum([linalg.logdet(aux_q[tx + rx][n]) for tx, rx in active]
+                     + [linalg.logdet(aux_t[tx + rx][n]) for tx, rx in active])
+        total += sum(_rx_dim(params, rx) + params.M_e for _, rx in active)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# The covariance subproblem.
+
+
+def _node_maps(params: SystemParams, ch: ChannelRealization,
+               view: BidirectionalDesign, node: str, n: int) -> list:
+    """Design-dependent part of a node's interference covariance, as
+    ((block, subcarrier), map) pairs."""
+    partner = "b" if node == "a" else "a"
     maps = []
-    d_corr = params.D_corr["b"]
+    if view.jam(partner) is not None:
+        maps.append(((f"W_{partner}", n),
+                     Congruence(ch.link(partner + node, n))))
+    own = [b for b in (f"X_{node}", f"W_{node}") if getattr(view, b) is not None]
+    d_corr = params.D_corr[node]
     if np.any(d_corr):
-        maps.append((f"W{n}", ScaledTrace(d_corr, params.M_bt)))
-    kappa = params.kappa["b"][n]
+        for b in own:
+            maps.append(((b, n), ScaledTrace(d_corr, getattr(view, b).shape[-1])))
+    # One distortion map serves every block it couples, so the solver
+    # forms its adjoint once.
+    kappa = params.kappa[node][n]
     if kappa > 0:
-        h_n = ch.link("bb", n)
+        dist = DiagCongruence(ch.link(node + node, n), kappa)
         for m in range(params.N):
-            maps.append((f"W{m}", DiagCongruence(h_n, kappa)))
-    beta = params.beta["b"][n]
+            for b in own:
+                maps.append(((b, m), dist))
+    beta = params.beta[node][n]
     if beta > 0:
         for m in range(params.N):
-            maps.append((f"W{m}", CongruenceDiag(ch.link("bb", m), beta)))
+            dist = CongruenceDiag(ch.link(node + node, m), beta)
+            for b in own:
+                maps.append(((b, m), dist))
     return maps
 
 
-def _sigma_e_maps(ch: ChannelRealization, n: int):
-    return [(f"W{n}", Congruence(ch.link("be", n)))]
+def _eve_maps(ch: ChannelRealization, view: BidirectionalDesign, n: int) -> list:
+    return [((f"W_{node}", n), Congruence(ch.link(node + "e", n)))
+            for node in ("a", "b") if view.jam(node) is not None]
 
 
-def _fold(maps, const, free: set, fixed: dict):
-    """Partial-evaluate fixed variables of an affine expression."""
-    out_maps = []
-    for name, lmap in maps:
-        if name in free:
-            out_maps.append((name, lmap))
-        else:
-            const = const + lmap.apply(fixed[name])
-    return out_maps, linalg.hermitize(const)
+def _point(view: BidirectionalDesign) -> dict:
+    """Every present block entry, keyed by (block, subcarrier)."""
+    return {(b, n): m for b in BLOCKS if getattr(view, b) is not None
+            for n, m in enumerate(getattr(view, b))}
 
 
-def _design_point(design: TransmitDesign) -> dict:
-    point = {}
-    for n, x in enumerate(design.X):
-        point[f"X{n}"] = x
-    for n, w in enumerate(design.W):
-        point[f"W{n}"] = w
-    return point
+def _set_point(view: BidirectionalDesign, point: dict) -> None:
+    for (block, n), value in point.items():
+        getattr(view, block)[n] = value
 
 
-def _one_directional_problem(params: SystemParams, ch: ChannelRealization,
-                             aux_q: np.ndarray, aux_t: np.ndarray,
-                             design: TransmitDesign, free_x: bool,
-                             free_w: bool) -> maxdet.MaxDetProblem:
-    n_sub = params.N
-    free = set()
-    variables = []
-    if free_x:
-        variables += [(f"X{n}", params.M_a) for n in range(n_sub)]
-    if free_w:
-        variables += [(f"W{n}", params.M_bt) for n in range(n_sub)]
-    free = {name for name, _ in variables}
-    fixed = _design_point(design)
-
+def _subproblem(params: SystemParams, ch: ChannelRealization,
+                view: BidirectionalDesign, free: set, aux_q: dict,
+                aux_t: dict, budgets: dict) -> maxdet.MaxDetProblem:
+    """The concave covariance subproblem at fixed auxiliaries: free blocks
+    are variables, the other present blocks are folded into constants."""
+    fixed = _point(view)
+    variables = [(key, m.shape[0]) for key, m in fixed.items()
+                 if key[0] in free]
+    names = {key for key, _ in variables}
+    active = view.active()
     logdet_terms = []
-    linear = {name: np.zeros((dim, dim), complex) for name, dim in variables}
+    linear = {key: np.zeros((dim, dim), complex) for key, dim in variables}
     offset = 0.0
-    eye_b = np.eye(params.M_br, dtype=complex)
+
+    def fold(maps, const, weight=1.0):
+        out_maps = []
+        for key, lmap in maps:
+            if key in names:
+                out_maps.append((key, lmap))
+            else:
+                const = const + lmap.apply(fixed[key])
+        return maxdet.LogDetTerm(const=linalg.hermitize(const), maps=out_maps,
+                                 weight=weight)
+
+    def add_linear(maps, aux):
+        nonlocal offset
+        for key, lmap in maps:
+            coeff = lmap.adjoint(aux)
+            if key in names:
+                linear[key] = linear[key] + coeff
+            else:
+                offset -= linalg.inner(coeff, fixed[key])
+
     eye_e = np.eye(params.M_e, dtype=complex)
-    for n in range(n_sub):
-        sb_maps = _sigma_b_maps(params, ch, n)
-        se_maps = _sigma_e_maps(ch, n)
-        nb = params.noise["b"][n]
+    for n in range(params.N):
         ne = params.noise["e"][n]
-        # log| Sigma_b + H_ab X H_ab^H |
-        maps, const = _fold(sb_maps + [(f"X{n}", Congruence(ch.link("ab", n)))],
-                            nb * eye_b, free, fixed)
-        logdet_terms.append(maxdet.LogDetTerm(const=const, maps=maps))
-        # log| Sigma_e |
-        maps, const = _fold(se_maps, ne * eye_e, free, fixed)
-        logdet_terms.append(maxdet.LogDetTerm(const=const, maps=maps))
-        # -tr(Q Sigma_b)
-        offset -= nb * linalg.real_trace(aux_q[n])
-        for name, lmap in sb_maps:
-            coeff = lmap.adjoint(aux_q[n])
-            if name in free:
-                linear[name] = linear[name] + coeff
-            else:
-                offset -= linalg.inner(coeff, fixed[name])
-        # -tr(T (Sigma_e + H_ae X H_ae^H))
-        offset -= ne * linalg.real_trace(aux_t[n])
-        for name, lmap in se_maps + [(f"X{n}", Congruence(ch.link("ae", n)))]:
-            coeff = lmap.adjoint(aux_t[n])
-            if name in free:
-                linear[name] = linear[name] + coeff
-            else:
-                offset -= linalg.inner(coeff, fixed[name])
-        offset += (linalg.logdet(aux_q[n]) + linalg.logdet(aux_t[n])
-                   + params.M_br + params.M_e)
+        se_maps = _eve_maps(ch, view, n)
+        rx_maps = [_node_maps(params, ch, view, rx, n) for _, rx in active]
+        # log| Sigma_rx + H X_tx H^H | per direction, then log| Sigma_e |
+        # once for every direction.
+        for (tx, rx), maps in zip(active, rx_maps):
+            theta = ((f"X_{tx}", n), Congruence(ch.link(tx + rx, n)))
+            logdet_terms.append(fold(maps + [theta], params.noise[rx][n]
+                                     * np.eye(_rx_dim(params, rx), dtype=complex)))
+        logdet_terms.append(fold(se_maps, ne * eye_e, float(len(active))))
+        # -tr(Q Sigma_rx) per direction, then -tr(T (Sigma_e + Theta_e)).
+        for (tx, rx), maps in zip(active, rx_maps):
+            offset -= params.noise[rx][n] * linalg.real_trace(aux_q[tx + rx][n])
+            add_linear(maps, aux_q[tx + rx][n])
+        for tx, rx in active:
+            offset -= ne * linalg.real_trace(aux_t[tx + rx][n])
+            theta_e = ((f"X_{tx}", n), Congruence(ch.link(tx + "e", n)))
+            add_linear(se_maps + [theta_e], aux_t[tx + rx][n])
+        # The offset's rounding moves the solver's line-search decisions, so
+        # this summation order is part of the reproduced results.
+        offset += sum([linalg.logdet(aux_q[tx + rx][n]) for tx, rx in active]
+                      + [linalg.logdet(aux_t[tx + rx][n]) for tx, rx in active]
+                      + [_rx_dim(params, rx) for _, rx in active]
+                      + [params.M_e] * len(active))
 
     constraints = []
-    if free_x:
-        constraints.append((tuple(f"X{n}" for n in range(n_sub)), params.X_max))
-    if free_w:
-        constraints.append((tuple(f"W{n}" for n in range(n_sub)), params.W_max))
+    for node in ("a", "b"):
+        group = tuple(key for key, _ in variables
+                      if key[0] in (f"X_{node}", f"W_{node}"))
+        if group:
+            constraints.append((group, budgets[node]))
     return maxdet.MaxDetProblem(
         variables=variables,
         logdet_terms=logdet_terms,
@@ -146,50 +244,6 @@ def _one_directional_problem(params: SystemParams, ch: ChannelRealization,
         constraints=constraints,
         offset=offset,
     )
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary updates and surrogate evaluation.
-
-
-def update_auxiliaries(params: SystemParams, ch: ChannelRealization,
-                       design: TransmitDesign) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form block update: Q = Sigma_b^{-1}, T = (Sigma_e + Theta_e)^{-1}."""
-    aux_q = np.zeros((params.N, params.M_br, params.M_br), complex)
-    aux_t = np.zeros((params.N, params.M_e, params.M_e), complex)
-    for n in range(params.N):
-        aux_q[n] = linalg.psd_inverse(
-            system_model.sigma_bob(params, ch, design, n))
-        h_ae = ch.link("ae", n)
-        se = system_model.sigma_eve(params, ch, design, n)
-        aux_t[n] = linalg.psd_inverse(
-            linalg.hermitize(se + h_ae @ design.X[n] @ h_ae.conj().T))
-    return aux_q, aux_t
-
-
-def surrogate_objective(params: SystemParams, ch: ChannelRealization,
-                        design: TransmitDesign, aux_q: np.ndarray,
-                        aux_t: np.ndarray) -> float:
-    """Surrogate objective in nats, including the tightness constants.
-
-    With the auxiliaries at their closed-form optimum this equals the
-    unclamped secrecy objective exactly.
-    """
-    total = 0.0
-    for n in range(params.N):
-        sb = system_model.sigma_bob(params, ch, design, n)
-        se = system_model.sigma_eve(params, ch, design, n)
-        h_ab = ch.link("ab", n)
-        h_ae = ch.link("ae", n)
-        theta_b = h_ab @ design.X[n] @ h_ab.conj().T
-        theta_e = h_ae @ design.X[n] @ h_ae.conj().T
-        total += linalg.logdet(linalg.hermitize(sb + theta_b))
-        total += linalg.logdet(se)
-        total -= linalg.inner(aux_q[n], sb)
-        total -= linalg.inner(aux_t[n], linalg.hermitize(se + theta_e))
-        total += linalg.logdet(aux_q[n]) + linalg.logdet(aux_t[n])
-        total += params.M_br + params.M_e
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +357,21 @@ def _random_covariance(rng: np.random.Generator, dim: int,
 
 @dataclass(eq=False)
 class BcdResult:
-    design: TransmitDesign
+    design: TransmitDesign | BidirectionalDesign
     report: SecrecyReport
     state: BcdState
 
 
-def _design_from_point(design: TransmitDesign, point: dict) -> None:
-    for name, value in point.items():
-        n = int(name[1:])
-        if name.startswith("X"):
-            design.X[n] = value
-        else:
-            design.W[n] = value
+def _active_view(design: BidirectionalDesign, free: set) -> BidirectionalDesign:
+    """The design without the blocks that are neither free nor nonzero;
+    the view shares the design's arrays."""
+    blocks = {b: getattr(design, b) for b in BLOCKS}
+    return BidirectionalDesign(**{
+        b: m if m is not None and (b in free or np.any(m)) else None
+        for b, m in blocks.items()})
 
 
-def _extrapolate(params, ch, design, prob, point, prev_point, f_new, state,
-                 setter=_design_from_point,
-                 aux_fn=None, surrogate_fn=None):
+def _extrapolate(params, ch, view, prob, point, prev_point, f_new, state):
     """Safeguarded extrapolation along the last block-update displacement.
 
     Alternating updates contract linearly near the optimum, so stepping
@@ -328,28 +380,70 @@ def _extrapolate(params, ch, design, prob, point, prev_point, f_new, state,
     when the tight surrogate improves, which preserves the monotone
     objective trace.
     """
-    aux_fn = aux_fn or update_auxiliaries
-    surrogate_fn = surrogate_fn or surrogate_objective
     best_point, best_f, best_aux = point, f_new, None
     for theta in (1.0, 3.0, 9.0):
-        cand = {name: point[name] + theta * (point[name] - prev_point[name])
-                for name in point}
+        cand = {key: point[key] + theta * (point[key] - prev_point[key])
+                for key in point}
         cand = maxdet.project_feasible(prob, cand)
-        trial = design.copy()
-        setter(trial, cand)
-        aux = aux_fn(params, ch, trial)
-        args = aux if isinstance(aux, tuple) else (aux,)
-        f_cand = surrogate_fn(params, ch, trial, *args)
+        trial = view.copy()
+        _set_point(trial, cand)
+        aux = update_auxiliaries(params, ch, trial)
+        f_cand = surrogate_objective(params, ch, trial, *aux)
         if f_cand <= best_f:
             break
         best_point, best_f, best_aux = cand, f_cand, aux
     if best_aux is not None:
-        setter(design, best_point)
-        if isinstance(best_aux, tuple):
-            state.aux_Q, state.aux_T = best_aux
-        else:
-            state.aux_Q, state.aux_T = best_aux["Qb"], best_aux["Tae"]
-    return best_point, best_f, best_aux
+        _set_point(view, best_point)
+        state.aux_Q, state.aux_T = best_aux
+    return best_point, best_f
+
+
+def _ascend(params: SystemParams, ch: ChannelRealization, design,
+            free: set, budgets: dict, outer_tol: float, max_outer: int,
+            inner_tol: float, inner_max_iter: int) -> BcdState:
+    """Alternate the covariance subproblem over the ``free`` blocks with the
+    closed-form auxiliary updates, updating ``design`` in place.
+
+    ``budgets`` maps each node to the trace budget of its free blocks.  The
+    auxiliaries are refreshed from the initial design before the first
+    subproblem so the surrogate starts tight.
+    """
+    view = _active_view(design.nodes(), free)
+    aux_q, aux_t = update_auxiliaries(params, ch, view)
+    state = BcdState(aux_Q=aux_q, aux_T=aux_t)
+    f_cur = surrogate_objective(params, ch, view, aux_q, aux_t)
+    state.objective_trace.append(f_cur)
+    if not free:
+        state.converged = True
+        state.status = "Converged"
+        return state
+    prev_point = None
+    for _ in range(max_outer):
+        state.iterations += 1
+        prob = _subproblem(params, ch, view, free, state.aux_Q, state.aux_T,
+                           budgets)
+        point = {key: getattr(view, key[0])[key[1]]
+                 for key, _ in prob.variables}
+        point, inner_report = maxdet.solve(prob, point,
+                                           max_iter=inner_max_iter,
+                                           tol=inner_tol)
+        state.inner_reports.append(inner_report)
+        _set_point(view, point)
+        state.aux_Q, state.aux_T = update_auxiliaries(params, ch, view)
+        f_new = surrogate_objective(params, ch, view, state.aux_Q,
+                                    state.aux_T)
+        if prev_point is not None:
+            point, f_new = _extrapolate(params, ch, view, prob, point,
+                                        prev_point, f_new, state)
+        prev_point = point
+        state.objective_trace.append(f_new)
+        if abs(f_new - f_cur) < outer_tol * (1.0 + abs(f_new)):
+            state.converged = True
+            state.status = "Converged"
+            return state
+        f_cur = f_new
+    state.status = "StalledBelowTolerance"
+    return state
 
 
 def optimize(params: SystemParams, ch: ChannelRealization,
@@ -357,54 +451,19 @@ def optimize(params: SystemParams, ch: ChannelRealization,
              max_outer: int = 50, inner_tol: float = 1e-6,
              inner_max_iter: int = 200, optimize_x: bool = True,
              optimize_w: bool = True) -> BcdResult:
-    """Alternate the transmit-covariance subproblem with the closed-form
-    auxiliary updates until the surrogate objective stabilizes.
+    """One-directional design: alternate the transmit-covariance subproblem
+    with the closed-form auxiliary updates until the surrogate objective
+    stabilizes.
 
-    The auxiliaries are refreshed from the initial design before the first
-    subproblem so the surrogate starts tight.  Blocks can be frozen
+    X and W are budgeted by X_max and W_max.  Blocks can be frozen
     (``optimize_x`` / ``optimize_w``) for the half-duplex and equal-power
     comparison strategies.
     """
     design = (init or init_uniform(params)).copy()
-    aux_q, aux_t = update_auxiliaries(params, ch, design)
-    state = BcdState(aux_Q=aux_q, aux_T=aux_t)
-    f_cur = surrogate_objective(params, ch, design, aux_q, aux_t)
-    state.objective_trace.append(f_cur)
-    if optimize_x or optimize_w:
-        prev_point = None
-        for _ in range(max_outer):
-            state.iterations += 1
-            prob = _one_directional_problem(params, ch, state.aux_Q,
-                                            state.aux_T, design,
-                                            optimize_x, optimize_w)
-            full = _design_point(design)
-            point = {name: full[name] for name, _ in prob.variables}
-            point, inner_report = maxdet.solve(prob, point,
-                                               max_iter=inner_max_iter,
-                                               tol=inner_tol)
-            state.inner_reports.append(inner_report)
-            _design_from_point(design, point)
-            state.aux_Q, state.aux_T = update_auxiliaries(params, ch, design)
-            f_new = surrogate_objective(params, ch, design, state.aux_Q,
-                                        state.aux_T)
-            if prev_point is not None:
-                point, f_new, _ = _extrapolate(params, ch, design, prob,
-                                               point, prev_point, f_new,
-                                               state)
-            prev_point = point
-            state.objective_trace.append(f_new)
-            gap = abs(f_new - f_cur)
-            if gap < outer_tol * (1.0 + abs(f_new)):
-                state.converged = True
-                state.status = "Converged"
-                f_cur = f_new
-                break
-            f_cur = f_new
-        else:
-            state.status = "StalledBelowTolerance"
-    else:
-        state.converged = True
-        state.status = "Converged"
+    free = {b for b, on in (("X_a", optimize_x), ("W_b", optimize_w)) if on}
+    state = _ascend(params, ch, design, free,
+                    {"a": params.X_max, "b": params.W_max},
+                    outer_tol, max_outer, inner_tol, inner_max_iter)
     report = system_model.secrecy_rates(params, ch, design)
     return BcdResult(design=design, report=report, state=state)
 
@@ -423,198 +482,6 @@ def benchmark_best(params: SystemParams, ch: ChannelRealization,
     return best
 
 
-# ---------------------------------------------------------------------------
-# Bidirectional variant.
-
-
-def _bi_point(design: BidirectionalDesign) -> dict:
-    point = {}
-    for n in range(design.X_a.shape[0]):
-        point[f"Xa{n}"] = design.X_a[n]
-        point[f"Wa{n}"] = design.W_a[n]
-        point[f"Xb{n}"] = design.X_b[n]
-        point[f"Wb{n}"] = design.W_b[n]
-    return point
-
-
-def _bi_from_point(design: BidirectionalDesign, point: dict) -> None:
-    arrays = {"Xa": design.X_a, "Wa": design.W_a,
-              "Xb": design.X_b, "Wb": design.W_b}
-    for name, value in point.items():
-        arrays[name[:2]][int(name[2:])] = value
-
-
-def _sigma_node_maps(params: SystemParams, ch: ChannelRealization,
-                     node: str, n: int):
-    """Variable-dependent part of a FD node's interference covariance."""
-    if node == "a":
-        si_link, cross_link, partner_w = "aa", "ba", "Wb"
-        own = ("Xa", "Wa")
-        dim_own = params.M_at
-    else:
-        si_link, cross_link, partner_w = "bb", "ab", "Wa"
-        own = ("Xb", "Wb")
-        dim_own = params.M_bt
-    maps = [(f"{partner_w}{n}", Congruence(ch.link(cross_link, n)))]
-    d_corr = params.D_corr[node]
-    if np.any(d_corr):
-        for key in own:
-            maps.append((f"{key}{n}", ScaledTrace(d_corr, dim_own)))
-    kappa = params.kappa[node][n]
-    if kappa > 0:
-        h_n = ch.link(si_link, n)
-        for m in range(params.N):
-            for key in own:
-                maps.append((f"{key}{m}", DiagCongruence(h_n, kappa)))
-    beta = params.beta[node][n]
-    if beta > 0:
-        for m in range(params.N):
-            h_m = ch.link(si_link, m)
-            for key in own:
-                maps.append((f"{key}{m}", CongruenceDiag(h_m, beta)))
-    return maps
-
-
-def _sigma_e_bi_maps(ch: ChannelRealization, n: int):
-    return [(f"Wa{n}", Congruence(ch.link("ae", n))),
-            (f"Wb{n}", Congruence(ch.link("be", n)))]
-
-
-def update_auxiliaries_bidirectional(params: SystemParams,
-                                     ch: ChannelRealization,
-                                     design: BidirectionalDesign) -> dict:
-    """Closed-form auxiliary updates for both directions."""
-    aux = {"Qb": np.zeros((params.N, params.M_br, params.M_br), complex),
-           "Qa": np.zeros((params.N, params.M_ar, params.M_ar), complex),
-           "Tae": np.zeros((params.N, params.M_e, params.M_e), complex),
-           "Tbe": np.zeros((params.N, params.M_e, params.M_e), complex)}
-    for n in range(params.N):
-        aux["Qb"][n] = linalg.psd_inverse(
-            system_model.sigma_node_bidirectional(params, ch, design, "b", n))
-        aux["Qa"][n] = linalg.psd_inverse(
-            system_model.sigma_node_bidirectional(params, ch, design, "a", n))
-        se = system_model.sigma_eve_bidirectional(params, ch, design, n)
-        h_ae = ch.link("ae", n)
-        h_be = ch.link("be", n)
-        aux["Tae"][n] = linalg.psd_inverse(linalg.hermitize(
-            se + h_ae @ design.X_a[n] @ h_ae.conj().T))
-        aux["Tbe"][n] = linalg.psd_inverse(linalg.hermitize(
-            se + h_be @ design.X_b[n] @ h_be.conj().T))
-    return aux
-
-
-def surrogate_objective_bidirectional(params: SystemParams,
-                                      ch: ChannelRealization,
-                                      design: BidirectionalDesign,
-                                      aux: dict) -> float:
-    total = 0.0
-    for n in range(params.N):
-        sb = system_model.sigma_node_bidirectional(params, ch, design, "b", n)
-        sa = system_model.sigma_node_bidirectional(params, ch, design, "a", n)
-        se = system_model.sigma_eve_bidirectional(params, ch, design, n)
-        h_ab = ch.link("ab", n)
-        h_ba = ch.link("ba", n)
-        h_ae = ch.link("ae", n)
-        h_be = ch.link("be", n)
-        total += linalg.logdet(linalg.hermitize(
-            sb + h_ab @ design.X_a[n] @ h_ab.conj().T))
-        total += linalg.logdet(linalg.hermitize(
-            sa + h_ba @ design.X_b[n] @ h_ba.conj().T))
-        total += 2.0 * linalg.logdet(se)
-        total -= linalg.inner(aux["Qb"][n], sb)
-        total -= linalg.inner(aux["Qa"][n], sa)
-        total -= linalg.inner(aux["Tae"][n], linalg.hermitize(
-            se + h_ae @ design.X_a[n] @ h_ae.conj().T))
-        total -= linalg.inner(aux["Tbe"][n], linalg.hermitize(
-            se + h_be @ design.X_b[n] @ h_be.conj().T))
-        total += (linalg.logdet(aux["Qb"][n]) + linalg.logdet(aux["Qa"][n])
-                  + linalg.logdet(aux["Tae"][n]) + linalg.logdet(aux["Tbe"][n]))
-        total += params.M_br + params.M_ar + 2 * params.M_e
-    return total
-
-
-def _bidirectional_problem(params: SystemParams, ch: ChannelRealization,
-                           aux: dict, design: BidirectionalDesign,
-                           free_keys: set) -> maxdet.MaxDetProblem:
-    n_sub = params.N
-    dims = {"Xa": params.M_at, "Wa": params.M_at,
-            "Xb": params.M_bt, "Wb": params.M_bt}
-    variables = [(f"{key}{n}", dims[key]) for key in ("Xa", "Wa", "Xb", "Wb")
-                 if key in free_keys for n in range(n_sub)]
-    free = {name for name, _ in variables}
-    fixed = _bi_point(design)
-
-    logdet_terms = []
-    linear = {name: np.zeros((dim, dim), complex) for name, dim in variables}
-    offset = 0.0
-    eye = {"a": np.eye(params.M_ar, dtype=complex),
-           "b": np.eye(params.M_br, dtype=complex),
-           "e": np.eye(params.M_e, dtype=complex)}
-
-    def add_linear(maps, aux_mat):
-        nonlocal offset
-        for name, lmap in maps:
-            coeff = lmap.adjoint(aux_mat)
-            if name in free:
-                linear[name] = linear[name] + coeff
-            else:
-                offset -= linalg.inner(coeff, fixed[name])
-
-    for n in range(n_sub):
-        na = params.noise["a"][n]
-        nb = params.noise["b"][n]
-        ne = params.noise["e"][n]
-        sb_maps = _sigma_node_maps(params, ch, "b", n)
-        sa_maps = _sigma_node_maps(params, ch, "a", n)
-        se_maps = _sigma_e_bi_maps(ch, n)
-        theta_ab = [(f"Xa{n}", Congruence(ch.link("ab", n)))]
-        theta_ba = [(f"Xb{n}", Congruence(ch.link("ba", n)))]
-        theta_ae = [(f"Xa{n}", Congruence(ch.link("ae", n)))]
-        theta_be = [(f"Xb{n}", Congruence(ch.link("be", n)))]
-
-        maps, const = _fold(sb_maps + theta_ab, nb * eye["b"], free, fixed)
-        logdet_terms.append(maxdet.LogDetTerm(const=const, maps=maps))
-        maps, const = _fold(sa_maps + theta_ba, na * eye["a"], free, fixed)
-        logdet_terms.append(maxdet.LogDetTerm(const=const, maps=maps))
-        maps, const = _fold(se_maps, ne * eye["e"], free, fixed)
-        logdet_terms.append(maxdet.LogDetTerm(const=const, maps=maps,
-                                              weight=2.0))
-
-        offset -= nb * linalg.real_trace(aux["Qb"][n])
-        add_linear(sb_maps, aux["Qb"][n])
-        offset -= na * linalg.real_trace(aux["Qa"][n])
-        add_linear(sa_maps, aux["Qa"][n])
-        offset -= ne * linalg.real_trace(aux["Tae"][n])
-        add_linear(se_maps + theta_ae, aux["Tae"][n])
-        offset -= ne * linalg.real_trace(aux["Tbe"][n])
-        add_linear(se_maps + theta_be, aux["Tbe"][n])
-        offset += (linalg.logdet(aux["Qb"][n]) + linalg.logdet(aux["Qa"][n])
-                   + linalg.logdet(aux["Tae"][n]) + linalg.logdet(aux["Tbe"][n]))
-        offset += params.M_br + params.M_ar + 2 * params.M_e
-
-    constraints = []
-    group_a = tuple(name for name, _ in variables if name[1] == "a")
-    group_b = tuple(name for name, _ in variables if name[1] == "b")
-    if group_a:
-        constraints.append((group_a, params.P_A_max))
-    if group_b:
-        constraints.append((group_b, params.P_B_max))
-    return maxdet.MaxDetProblem(
-        variables=variables,
-        logdet_terms=logdet_terms,
-        linear_terms={k: linalg.hermitize(v) for k, v in linear.items()},
-        constraints=constraints,
-        offset=offset,
-    )
-
-
-@dataclass(eq=False)
-class BcdBidirectionalResult:
-    design: BidirectionalDesign
-    report: SecrecyReport
-    state: BcdState
-
-
 def init_uniform_bidirectional(params: SystemParams) -> BidirectionalDesign:
     """Full-budget uniform information covariances, zero jamming."""
     design = BidirectionalDesign.zeros(params)
@@ -631,10 +498,10 @@ def optimize_bidirectional(params: SystemParams, ch: ChannelRealization,
                            outer_tol: float = 1e-4, max_outer: int = 50,
                            inner_tol: float = 1e-6, inner_max_iter: int = 200,
                            jam_a: bool = True, jam_b: bool = True,
-                           tx_a: bool = True, tx_b: bool = True
-                           ) -> BcdBidirectionalResult:
-    """Bidirectional block coordinate ascent over up to four covariance sets.
+                           tx_a: bool = True, tx_b: bool = True) -> BcdResult:
+    """Two-node block coordinate ascent over up to four covariance sets.
 
+    Node A's blocks share the budget P_A_max and node B's share P_B_max.
     ``jam_a`` / ``jam_b`` control whether each node's jamming covariances
     are optimized; disabled jammers stay at their initial value (zero for
     the default initialization).  ``tx_a`` / ``tx_b`` likewise freeze a
@@ -642,56 +509,10 @@ def optimize_bidirectional(params: SystemParams, ch: ChannelRealization,
     initial value is zero.
     """
     design = (init or init_uniform_bidirectional(params)).copy()
-    free_keys = set()
-    if tx_a:
-        free_keys.add("Xa")
-    if tx_b:
-        free_keys.add("Xb")
-    if jam_a:
-        free_keys.add("Wa")
-    if jam_b:
-        free_keys.add("Wb")
-    aux = update_auxiliaries_bidirectional(params, ch, design)
-    state = BcdState(aux_Q=aux["Qb"], aux_T=aux["Tae"])
-    f_cur = surrogate_objective_bidirectional(params, ch, design, aux)
-    state.objective_trace.append(f_cur)
-    if not free_keys:
-        state.converged = True
-        state.status = "Converged"
-        report = system_model.secrecy_rates_bidirectional(params, ch, design)
-        return BcdBidirectionalResult(design=design, report=report,
-                                      state=state)
-    prev_point = None
-    for _ in range(max_outer):
-        state.iterations += 1
-        prob = _bidirectional_problem(params, ch, aux, design, free_keys)
-        full = _bi_point(design)
-        point = {name: full[name] for name, _ in prob.variables}
-        point, inner_report = maxdet.solve(prob, point,
-                                           max_iter=inner_max_iter,
-                                           tol=inner_tol)
-        state.inner_reports.append(inner_report)
-        _bi_from_point(design, point)
-        aux = update_auxiliaries_bidirectional(params, ch, design)
-        state.aux_Q, state.aux_T = aux["Qb"], aux["Tae"]
-        f_new = surrogate_objective_bidirectional(params, ch, design, aux)
-        if prev_point is not None:
-            point, f_new, aux_best = _extrapolate(
-                params, ch, design, prob, point, prev_point, f_new, state,
-                setter=_bi_from_point,
-                aux_fn=update_auxiliaries_bidirectional,
-                surrogate_fn=surrogate_objective_bidirectional)
-            if aux_best is not None:
-                aux = aux_best
-        prev_point = point
-        state.objective_trace.append(f_new)
-        gap = abs(f_new - f_cur)
-        if gap < outer_tol * (1.0 + abs(f_new)):
-            state.converged = True
-            state.status = "Converged"
-            break
-        f_cur = f_new
-    else:
-        state.status = "StalledBelowTolerance"
-    report = system_model.secrecy_rates_bidirectional(params, ch, design)
-    return BcdBidirectionalResult(design=design, report=report, state=state)
+    flags = dict(X_a=tx_a, W_a=jam_a, X_b=tx_b, W_b=jam_b)
+    free = {b for b in BLOCKS if flags[b]}
+    state = _ascend(params, ch, design, free,
+                    {"a": params.P_A_max, "b": params.P_B_max},
+                    outer_tol, max_outer, inner_tol, inner_max_iter)
+    report = system_model.secrecy_rates(params, ch, design)
+    return BcdResult(design=design, report=report, state=state)

@@ -62,14 +62,13 @@ class SystemParams:
     W_max: float = 1.0
     P_A_max: float = 1.0
     P_B_max: float = 1.0
-    d: int = 1
     M_at: int | None = None
     M_ar: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "M_at", self.M_at or self.M_a)
         object.__setattr__(self, "M_ar", self.M_ar or self.M_a)
-        for name in ("M_a", "M_bt", "M_br", "M_e", "N", "d", "M_at", "M_ar"):
+        for name in ("M_a", "M_bt", "M_br", "M_e", "N", "M_at", "M_ar"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         eta = dict(self.eta)
@@ -104,14 +103,12 @@ class SystemParams:
                 raise ConfigError(f"{name} must be > 0")
         if self.K_R < 0:
             raise ConfigError("K_R must be >= 0")
-        if self.d > min(self.M_a, self.M_br):
-            raise ConfigError("d must not exceed min(M_a, M_br)")
 
     @classmethod
     def from_db(cls, *, M_a=4, M_bt=4, M_br=4, M_e=4, N=4, K_R=10.0,
                 eta_db=-20.0, noise_db=-30.0, kappa_db=None, beta_db=None,
                 x_max_db=0.0, w_max_db=0.0, p_a_max_db=0.0, p_b_max_db=0.0,
-                d=1, M_at=None, M_ar=None, D_corr=None) -> "SystemParams":
+                M_at=None, M_ar=None, D_corr=None) -> "SystemParams":
         """Build params from dB-valued powers, matching the default setup:
         4 antennas everywhere, 4 subcarriers, K_R = 10, -20 dB pathloss,
         -30 dB noise and distortion, 0 dB budgets.
@@ -126,7 +123,7 @@ class SystemParams:
             beta={"a": beta, "b": beta},
             X_max=db2lin(x_max_db), W_max=db2lin(w_max_db),
             P_A_max=db2lin(p_a_max_db), P_B_max=db2lin(p_b_max_db),
-            d=d, M_at=M_at, M_ar=M_ar,
+            M_at=M_at, M_ar=M_ar,
             D_corr=D_corr or {},
         )
 

@@ -5,6 +5,7 @@ trial failed numerically (partial results are still written).
 """
 
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -62,12 +63,7 @@ def sweep(config_path, param, values, outdir):
         vals = [float(v) for v in values.split(",")]
         if not vals:
             raise ConfigError("sweep needs at least one value")
-        cfg = harness.ExperimentConfig(
-            params=cfg.params, strategies=cfg.strategies, trials=cfg.trials,
-            master_seed=cfg.master_seed, sweep_param=param, sweep_values=vals,
-            outer_tol=cfg.outer_tol, max_outer=cfg.max_outer,
-            inner_tol=cfg.inner_tol, inner_max_iter=cfg.inner_max_iter,
-            restarts=cfg.restarts, label=cfg.label)
+        cfg = dataclasses.replace(cfg, sweep_param=param, sweep_values=vals)
     except (ConfigError, UnknownStrategy, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)

@@ -27,11 +27,6 @@ class InfeasibleStart(FdWiretapError):
     """The initial point handed to the solver violates the constraints."""
 
 
-class NumericalTrouble(FdWiretapError):
-    """The solver could not make progress (line search failure or a
-    factorization breakdown)."""
-
-
 class ConfigError(FdWiretapError):
     """An experiment configuration is invalid; the message names the field."""
 

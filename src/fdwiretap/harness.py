@@ -9,7 +9,8 @@ invariant, so repeated runs are byte-identical.
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +19,7 @@ import yaml
 from . import bcd, system_model
 from .channel import (SystemParams, db2lin, draw_channels, perturb_csi,
                       trial_seed)
-from .errors import ConfigError, UnknownStrategy
-
-ONE_DIRECTIONAL_STRATEGIES = (
-    "Optimal-FD", "Optimal-HD", "Equal-FD", "Equal-HD",
-    "Equal-X/Optimal-W", "Equal-W/Optimal-X",
-)
-BIDIRECTIONAL_STRATEGIES = (
-    "Both-FD/No-Jam", "Both-FD/Bob-Jam", "Both-FD/Both-Jam",
-    "Both-HD/No-Jam", "Bob-FD/Bob-Jam",
-)
-STRATEGIES = ONE_DIRECTIONAL_STRATEGIES + BIDIRECTIONAL_STRATEGIES
+from .errors import ConfigError, FdWiretapError, UnknownStrategy
 
 #: Recognized sweep parameter names and how they update the base params.
 SWEEPABLE = ("W_max_db", "X_max_db", "kappa_beta_db", "noise_db",
@@ -49,7 +40,6 @@ class ExperimentConfig:
     max_outer: int = 50
     inner_tol: float = 1e-6
     inner_max_iter: int = 200
-    restarts: int = 20
     label: str = "experiment"
 
     def __post_init__(self):
@@ -69,7 +59,7 @@ class ExperimentConfig:
         raw = dict(raw)
         param_keys = ("M_a", "M_bt", "M_br", "M_e", "N", "K_R", "eta_db",
                       "noise_db", "kappa_db", "beta_db", "x_max_db",
-                      "w_max_db", "p_a_max_db", "p_b_max_db", "d",
+                      "w_max_db", "p_a_max_db", "p_b_max_db",
                       "M_at", "M_ar")
         param_args = {k: raw.pop(k) for k in param_keys if k in raw}
         try:
@@ -78,7 +68,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         known = {"strategies", "trials", "master_seed", "sweep_param",
                  "sweep_values", "outer_tol", "max_outer", "inner_tol",
-                 "inner_max_iter", "restarts", "label"}
+                 "inner_max_iter", "label"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unrecognized config keys: {sorted(unknown)}")
@@ -186,6 +176,101 @@ def _csi_variance(sweep_param: str, sweep_value) -> float:
     return 0.0 if np.isneginf(value) else db2lin(value)
 
 
+# ---------------------------------------------------------------------------
+# Strategies.
+
+
+def _same(params: SystemParams) -> SystemParams:
+    return params
+
+
+def _node_budgets(params: SystemParams) -> SystemParams:
+    """The one-directional design under the per-node budgets."""
+    return params.with_updates(X_max=params.P_A_max, W_max=params.P_B_max)
+
+
+def _half_duplex(params: SystemParams) -> SystemParams:
+    """No node transmits while it receives, so no residual SI."""
+    return params.with_updates(kappa={"a": 0.0, "b": 0.0},
+                               beta={"a": 0.0, "b": 0.0}, D_corr={})
+
+
+def _sum_rate(report: system_model.SecrecyReport) -> float:
+    return report.I_sum
+
+
+def _time_shared(report: system_model.SecrecyReport) -> float:
+    """Each direction has the channel half the time, so the sum is half of
+    each direction's clamped secrecy rate."""
+    fwd = float(np.maximum(report.I_ab - report.I_ae, 0.0).sum())
+    rev = float(np.maximum(report.I_ba - report.I_be, 0.0).sum())
+    return 0.5 * (fwd + rev)
+
+
+def _equal_power(with_jamming: bool):
+    return lambda params: bcd.init_uniform(params, with_jamming=with_jamming)
+
+
+def _two_node(params: SystemParams) -> system_model.BidirectionalDesign:
+    return bcd.init_uniform_bidirectional(params)
+
+
+@dataclass(frozen=True, eq=False)
+class Strategy:
+    """How a strategy designs its covariances and scores them.
+
+    ``init`` builds the starting design from the mapped parameters: a
+    one-directional ``TransmitDesign`` (blocks 'X', 'W') or a two-node
+    ``BidirectionalDesign`` (blocks 'X_a', 'W_a', 'X_b', 'W_b').  Each entry
+    of ``runs`` is one optimizer run over the named free blocks; with no run
+    the starting design is the answer.  Several runs time-share the
+    channel: each starts with the other runs' blocks silent.  ``params``
+    maps the system parameters for both the design and the evaluation, and
+    ``score`` turns the secrecy report into the row's bits.
+    """
+
+    init: Callable
+    runs: tuple = ()
+    params: Callable = _same
+    score: Callable = _sum_rate
+
+
+STRATEGY_TABLE = {
+    "Optimal-FD": Strategy(_equal_power(False), runs=({"X", "W"},)),
+    "Optimal-HD": Strategy(_equal_power(False), runs=({"X"},)),
+    "Equal-FD": Strategy(_equal_power(True)),
+    "Equal-HD": Strategy(_equal_power(False)),
+    "Equal-X/Optimal-W": Strategy(_equal_power(True), runs=({"W"},)),
+    "Equal-W/Optimal-X": Strategy(_equal_power(True), runs=({"X"},)),
+    "Both-FD/No-Jam": Strategy(_two_node, runs=({"X_a", "X_b"},)),
+    "Both-FD/Bob-Jam": Strategy(_two_node, runs=({"X_a", "X_b", "W_b"},)),
+    "Both-FD/Both-Jam": Strategy(_two_node,
+                                 runs=({"X_a", "W_a", "X_b", "W_b"},)),
+    "Both-HD/No-Jam": Strategy(_two_node, runs=({"X_a"}, {"X_b"}),
+                               params=_half_duplex, score=_time_shared),
+    "Bob-FD/Bob-Jam": Strategy(_equal_power(False), runs=({"X", "W"},),
+                               params=_node_budgets),
+}
+STRATEGIES = tuple(STRATEGY_TABLE)
+
+
+def _strategy(name: str) -> Strategy:
+    try:
+        return STRATEGY_TABLE[name]
+    except KeyError:
+        raise UnknownStrategy(f"unknown strategy '{name}'") from None
+
+
+def _optimize(params: SystemParams, ch, init, free: set, opt_kwargs: dict):
+    """One optimizer run over the ``free`` blocks of ``init``."""
+    if isinstance(init, system_model.TransmitDesign):
+        return bcd.optimize(params, ch, init=init, optimize_x="X" in free,
+                            optimize_w="W" in free, **opt_kwargs)
+    return bcd.optimize_bidirectional(
+        params, ch, init=init, tx_a="X_a" in free, jam_a="W_a" in free,
+        tx_b="X_b" in free, jam_b="W_b" in free, **opt_kwargs)
+
+
 def strategy_dispatch(name: str, params: SystemParams, ch,
                       opts: dict | None = None):
     """Run one strategy on one channel realization.
@@ -194,119 +279,31 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
     whatever channel the caller chooses (the estimation channel here, the
     true channel in the CSI study).
     """
+    spec = _strategy(name)
     opts = dict(opts or {})
     opt_kwargs = {k: opts[k] for k in ("outer_tol", "max_outer", "inner_tol",
                                        "inner_max_iter") if k in opts}
-    if name == "Optimal-FD":
-        result = bcd.optimize(params, ch, **opt_kwargs)
-    elif name == "Optimal-HD":
-        result = bcd.optimize(params, ch, optimize_w=False, **opt_kwargs)
-    elif name == "Equal-FD":
-        design = bcd.init_uniform(params, with_jamming=True)
-        return design, 0, "Converged"
-    elif name == "Equal-HD":
-        design = bcd.init_uniform(params, with_jamming=False)
-        return design, 0, "Converged"
-    elif name == "Equal-X/Optimal-W":
-        init = bcd.init_uniform(params, with_jamming=True)
-        result = bcd.optimize(params, ch, init=init, optimize_x=False,
-                              **opt_kwargs)
-    elif name == "Equal-W/Optimal-X":
-        init = bcd.init_uniform(params, with_jamming=True)
-        result = bcd.optimize(params, ch, init=init, optimize_w=False,
-                              **opt_kwargs)
-    elif name == "Both-FD/No-Jam":
-        result = bcd.optimize_bidirectional(params, ch, jam_a=False,
-                                            jam_b=False, **opt_kwargs)
-    elif name == "Both-FD/Bob-Jam":
-        result = bcd.optimize_bidirectional(params, ch, jam_a=False,
-                                            jam_b=True, **opt_kwargs)
-    elif name == "Both-FD/Both-Jam":
-        result = bcd.optimize_bidirectional(params, ch, jam_a=True,
-                                            jam_b=True, **opt_kwargs)
-    elif name == "Bob-FD/Bob-Jam":
-        # One-directional proposed design with the per-node budgets.
-        p = params.with_updates(X_max=params.P_A_max, W_max=params.P_B_max)
-        result = bcd.optimize(p, ch, **opt_kwargs)
-    elif name == "Both-HD/No-Jam":
-        return _both_hd_no_jam(params, ch, opt_kwargs)
-    else:
-        raise UnknownStrategy(f"unknown strategy '{name}'")
-    return result.design, result.state.iterations, result.state.status
-
-
-def _both_hd_no_jam(params: SystemParams, ch, opt_kwargs):
-    """Bidirectional half-duplex baseline: the two directions are optimized
-    as separate interference-free links and time-share the channel, so each
-    direction contributes half its standalone secrecy rate."""
-    fwd = params.with_updates(X_max=params.P_A_max, W_max=params.P_B_max,
-                              kappa={"a": 0.0, "b": 0.0},
-                              beta={"a": 0.0, "b": 0.0}, D_corr={})
-    res_fwd = bcd.optimize(fwd, ch, optimize_w=False, **opt_kwargs)
-    swapped = _swap_direction_params(params)
-    res_rev = bcd.optimize(swapped, _swap_direction_channels(params, ch),
-                           optimize_w=False, **opt_kwargs)
-    design = system_model.BidirectionalDesign.zeros(params)
-    design.X_a[:] = res_fwd.design.X
-    design.X_b[:] = res_rev.design.X
-    iters = res_fwd.state.iterations + res_rev.state.iterations
-    return design, iters, res_fwd.state.status
-
-
-def _evaluate_both_hd(params: SystemParams, design, eval_ch) -> float:
-    """Score the time-shared half-duplex baseline.
-
-    Each direction gets the channel half the time with no concurrent
-    transmission, so the sum is half of each direction's standalone
-    (jamming-free, SI-free) secrecy rate.
-    """
-    fwd = params.with_updates(X_max=params.P_A_max, W_max=params.P_B_max,
-                              kappa={"a": 0.0, "b": 0.0},
-                              beta={"a": 0.0, "b": 0.0}, D_corr={})
-    d_fwd = system_model.TransmitDesign.zeros(fwd)
-    d_fwd.X[:] = design.X_a
-    fwd_bits = system_model.secrecy_rates(fwd, eval_ch, d_fwd).I_sum
-    rev_params = _swap_direction_params(params)
-    rev_ch = _swap_direction_channels(params, eval_ch)
-    d_rev = system_model.TransmitDesign.zeros(rev_params)
-    d_rev.X[:] = design.X_b
-    rev_bits = system_model.secrecy_rates(rev_params, rev_ch, d_rev).I_sum
-    return 0.5 * (fwd_bits + rev_bits)
-
-
-def _swap_direction_params(params: SystemParams) -> SystemParams:
-    return params.with_updates(
-        M_a=params.M_bt, M_at=params.M_bt, M_ar=params.M_bt,
-        M_bt=params.M_at, M_br=params.M_ar,
-        X_max=params.P_B_max, W_max=params.P_A_max,
-        kappa={"a": 0.0, "b": 0.0}, beta={"a": 0.0, "b": 0.0}, D_corr={},
-        noise={"a": params.noise["b"], "b": params.noise["a"],
-               "e": params.noise["e"]},
-        d=1)
-
-
-def _swap_direction_channels(params: SystemParams, ch):
-    from .channel import ChannelRealization
-    h = dict(ch.H)
-    h["ab"], h["ba"] = ch.H["ba"], ch.H["ab"]
-    h["ae"], h["be"] = ch.H["be"], ch.H["ae"]
-    h["bb"], h["aa"] = ch.H["aa"], ch.H["bb"]
-    return ChannelRealization(H=h, seed=ch.seed)
+    params = spec.params(params)
+    design = spec.init(params)
+    iters, statuses = 0, []
+    for free in spec.runs:
+        init = design.copy()
+        for other in spec.runs:
+            if other is not free:
+                for block in other:
+                    getattr(init, block)[:] = 0.0
+        result = _optimize(params, ch, init, free, opt_kwargs)
+        for block in free:
+            getattr(design, block)[:] = getattr(result.design, block)
+        iters += result.state.iterations
+        statuses.append(result.state.status)
+    return design, iters, statuses[0] if statuses else "Converged"
 
 
 def _evaluate(name: str, params: SystemParams, design, eval_ch) -> float:
-    if name == "Both-HD/No-Jam":
-        return _evaluate_both_hd(params, design, eval_ch)
-    if isinstance(design, system_model.BidirectionalDesign):
-        report = system_model.secrecy_rates_bidirectional(params, eval_ch,
-                                                          design)
-    else:
-        eval_params = params
-        if name == "Bob-FD/Bob-Jam":
-            eval_params = params.with_updates(X_max=params.P_A_max,
-                                              W_max=params.P_B_max)
-        report = system_model.secrecy_rates(eval_params, eval_ch, design)
-    return report.I_sum
+    spec = _strategy(name)
+    return spec.score(system_model.secrecy_rates(spec.params(params),
+                                                 eval_ch, design))
 
 
 def run_trial(cfg: ExperimentConfig, sweep_value, trial: int) -> list:
@@ -328,7 +325,7 @@ def run_trial(cfg: ExperimentConfig, sweep_value, trial: int) -> list:
             design, iters, status = strategy_dispatch(name, params, ch_est,
                                                       opts)
             bits = _evaluate(name, params, design, ch_true)
-        except Exception:
+        except (FdWiretapError, np.linalg.LinAlgError):
             rows.append(TrialRow(strategy=name,
                                  sweep_value=float(sweep_value), trial=trial,
                                  seed=seed, bits=float("nan"), iters=0,
@@ -353,7 +350,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "sweep_values": [float(v) for v in cfg.sweep_values],
         "outer_tol": cfg.outer_tol, "max_outer": cfg.max_outer,
         "inner_tol": cfg.inner_tol, "inner_max_iter": cfg.inner_max_iter,
-        "restarts": cfg.restarts,
     }
     return ExperimentResult(config_echo=echo, master_seed=cfg.master_seed,
                             trial_rows=trial_rows)

@@ -19,36 +19,93 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     """Average a matrix with its conjugate transpose.
 
     Re-enforced after arithmetic compositions so accumulated drift does not
-    break downstream PSD checks.
+    break downstream PSD checks.  A stack of matrices is hermitized matrix
+    by matrix.
     """
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.all(np.abs(m - m.conj().T) <= tol * max(1.0, np.abs(m).max())))
 
 
-def logdet(m: np.ndarray) -> float:
-    """Natural-log determinant of a Hermitian positive definite matrix.
+def _diag_logdet(chol: np.ndarray) -> float:
+    return 2.0 * float(np.log(chol.diagonal().real).sum())
 
-    Computed via Cholesky factorization, never via an explicit determinant.
-    Raises NonPositiveDefinite if the factorization fails.
+
+def _same_kind(ms: list) -> list:
+    """Index lists of the matrices that share a shape and a dtype.
+
+    numpy's stacked factorizations treat each matrix of a stack exactly as
+    a call of its own would, so such a group can be factored in one call.
     """
+    groups = {}
+    for i, m in enumerate(ms):
+        groups.setdefault((m.shape, m.dtype), []).append(i)
+    return list(groups.values())
+
+
+def cholesky_logdets(ms: list) -> tuple[list, list]:
+    """Lower Cholesky factors and natural-log determinants of Hermitian
+    positive definite matrices, factoring matrices of one shape in one
+    stacked call.
+
+    The log-determinants come from the factors' diagonals, never from an
+    explicit determinant.  Raises NonPositiveDefinite if a factorization
+    fails.
+    """
+    chols = [None] * len(ms)
+    for idx in _same_kind(ms):
+        try:
+            stack = np.linalg.cholesky(np.array([ms[i] for i in idx]))
+        except np.linalg.LinAlgError as exc:
+            raise NonPositiveDefinite("a matrix is not positive definite") from exc
+        for i, chol in zip(idx, stack):
+            chols[i] = chol
+    return chols, [_diag_logdet(chol) for chol in chols]
+
+
+def eighs(ms: list) -> list:
+    """(eigenvalues, eigenvectors) of the Hermitian part of each matrix in a
+    list, decomposing matrices of one shape in one stacked call."""
+    out = [None] * len(ms)
+    for idx in _same_kind(ms):
+        vals, vecs = np.linalg.eigh(hermitize(np.array([ms[i] for i in idx])))
+        for i, pair in zip(idx, zip(vals, vecs)):
+            out[i] = pair
+    return out
+
+
+def from_eighs(vals: list, vecs: list) -> list:
+    """The Hermitian matrix V diag(w) V^H of each eigenpair set (w, V),
+    forming the products of one shape in one stacked matmul."""
+    out = [None] * len(vecs)
+    for idx in _same_kind(vecs):
+        v = np.array([vecs[i] for i in idx])
+        w = np.array([vals[i] for i in idx])
+        prods = hermitize((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2))
+        for i, m in zip(idx, prods):
+            out[i] = m
+    return out
+
+
+def logdet(m: np.ndarray) -> float:
+    """Natural-log determinant of a Hermitian positive definite matrix, from
+    its Cholesky factor.  Raises NonPositiveDefinite if the factorization
+    fails."""
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefinite("matrix is not positive definite") from exc
-    return 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
+    return _diag_logdet(chol)
 
 
-def logdet_stack(ms: np.ndarray) -> np.ndarray:
-    """Natural-log determinants of a stack of Hermitian PD matrices."""
-    try:
-        chol = np.linalg.cholesky(ms)
-    except np.linalg.LinAlgError as exc:
-        raise NonPositiveDefinite("a matrix in the stack is not PD") from exc
-    diag = np.real(np.diagonal(chol, axis1=-2, axis2=-1))
-    return 2.0 * np.sum(np.log(diag), axis=-1)
+def cholesky_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of L L^H from its lower Cholesky factor L, whose upper
+    triangle is not read.  Not re-symmetrized."""
+    eye = np.eye(chol.shape[0], dtype=complex)
+    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (chol, eye))
+    return potrs(chol, eye, lower=True)[0]
 
 
 def psd_inverse(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
@@ -58,13 +115,11 @@ def psd_inverse(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     covariances (e.g. vanishing jamming power with small noise).
     """
     a = m if ridge == 0.0 else m + ridge * np.eye(m.shape[0])
-    try:
-        cho = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NonPositiveDefinite("matrix + ridge*I is not positive definite") from exc
-    inv = scipy.linalg.cho_solve(cho, np.eye(a.shape[0], dtype=complex),
-                                 check_finite=False)
-    return hermitize(inv)
+    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
+    chol, info = potrf(a, lower=True, clean=False)
+    if info > 0:
+        raise NonPositiveDefinite("matrix + ridge*I is not positive definite")
+    return hermitize(cholesky_inverse(chol))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -118,9 +173,9 @@ def min_eigenvalue(m: np.ndarray) -> float:
 
 
 def real_trace(m: np.ndarray) -> float:
-    return float(np.real(np.trace(m)))
+    return float(m.trace().real)
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
     """Real inner product Re tr(a^H b) on the space of complex matrices."""
-    return float(np.real(np.sum(np.conj(a) * b)))
+    return float((a.conj() * b).sum().real)

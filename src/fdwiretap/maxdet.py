@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .errors import InfeasibleStart, NonPositiveDefinite
@@ -36,18 +35,32 @@ class LinearMap:
         raise NotImplementedError
 
 
+class _Channel(LinearMap):
+    """A map built on a channel matrix H; H^H is formed once."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "H_h", self.H.conj().T)
+
+
+def _diag_matrix(d: np.ndarray) -> np.ndarray:
+    """Complex diagonal matrix with the real diagonal ``d``."""
+    out = np.zeros((d.size, d.size), complex)
+    out.flat[::d.size + 1] = d
+    return out
+
+
 @dataclass(frozen=True, eq=False)
-class Congruence(LinearMap):
+class Congruence(_Channel):
     """V -> scale * H V H^H."""
 
     H: np.ndarray
     scale: float = 1.0
 
     def apply(self, v):
-        return self.scale * (self.H @ v @ self.H.conj().T)
+        return self.scale * (self.H @ v @ self.H_h)
 
     def adjoint(self, g):
-        return self.scale * (self.H.conj().T @ g @ self.H)
+        return self.scale * (self.H_h @ g @ self.H)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,35 +79,35 @@ class ScaledTrace(LinearMap):
 
 
 @dataclass(frozen=True, eq=False)
-class DiagCongruence(LinearMap):
+class DiagCongruence(_Channel):
     """V -> scale * H diag(V) H^H (transmit-distortion shape)."""
 
     H: np.ndarray
     scale: float = 1.0
 
     def apply(self, v):
-        d = np.real(np.diagonal(v))
-        return self.scale * ((self.H * d) @ self.H.conj().T)
+        d = v.diagonal().real
+        return self.scale * ((self.H * d) @ self.H_h)
 
     def adjoint(self, g):
-        inner = self.H.conj().T @ g @ self.H
-        return self.scale * np.diag(np.real(np.diagonal(inner))).astype(complex)
+        inner = self.H_h @ g @ self.H
+        return self.scale * _diag_matrix(inner.diagonal().real)
 
 
 @dataclass(frozen=True, eq=False)
-class CongruenceDiag(LinearMap):
+class CongruenceDiag(_Channel):
     """V -> scale * diag(H V H^H) (receive-distortion shape)."""
 
     H: np.ndarray
     scale: float = 1.0
 
     def apply(self, v):
-        full = self.H @ v @ self.H.conj().T
-        return self.scale * np.diag(np.real(np.diagonal(full))).astype(complex)
+        full = self.H @ v @ self.H_h
+        return self.scale * _diag_matrix(full.diagonal().real)
 
     def adjoint(self, g):
-        d = np.real(np.diagonal(g))
-        return self.scale * ((self.H.conj().T * d) @ self.H)
+        d = g.diagonal().real
+        return self.scale * ((self.H_h * d) @ self.H)
 
 
 # ---------------------------------------------------------------------------
@@ -169,38 +182,6 @@ def _term_matrix(term: LogDetTerm, point: dict) -> np.ndarray:
     return linalg.hermitize(y)
 
 
-def objective_value(prob: MaxDetProblem, point: dict) -> float:
-    """Objective at a feasible point (includes the constant offset)."""
-    total = prob.offset
-    for term in prob.logdet_terms:
-        total += term.weight * linalg.logdet(_term_matrix(term, point))
-    for name, coeff in prob.linear_terms.items():
-        total -= linalg.inner(coeff, point[name])
-    return total
-
-
-def objective_gradient(prob: MaxDetProblem, point: dict) -> dict:
-    """Hermitian gradient of the objective with respect to each variable."""
-    grads = {name: -prob.linear_terms[name].astype(complex, copy=True)
-             if name in prob.linear_terms
-             else np.zeros((dim, dim), complex)
-             for name, dim in prob.variables}
-    for term in prob.logdet_terms:
-        y_inv = linalg.psd_inverse(_term_matrix(term, point))
-        for name, lmap in term.maps:
-            grads[name] = grads[name] + term.weight * lmap.adjoint(y_inv)
-    return {name: linalg.hermitize(g) for name, g in grads.items()}
-
-
-def _chol_logdet(y: np.ndarray) -> tuple:
-    try:
-        chol, low = scipy.linalg.cho_factor(y, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NonPositiveDefinite("log-det argument not PD") from exc
-    ld = 2.0 * float(np.sum(np.log(np.real(np.diagonal(chol)))))
-    return (chol, low), ld
-
-
 def _term_delta(term: LogDetTerm, direction: dict) -> np.ndarray:
     """Change of the term matrix along a direction (the map part only)."""
     y = np.zeros_like(term.const)
@@ -225,16 +206,17 @@ def _eval_state(prob: MaxDetProblem, point: dict,
         total -= linalg.inner(coeff, point[name])
     if y_mats is None:
         y_mats = [_term_matrix(term, point) for term in prob.logdet_terms]
-    logdets = []
-    for term, y in zip(prob.logdet_terms, y_mats):
-        factor, ld = _chol_logdet(y)
-        logdets.append(ld)
+    chols, logdets = linalg.cholesky_logdets(y_mats)
+    for term, chol, ld in zip(prob.logdet_terms, chols, logdets):
         total += term.weight * ld
-        y_inv = scipy.linalg.cho_solve(
-            factor, np.eye(y.shape[0], dtype=complex), check_finite=False)
-        y_inv = linalg.hermitize(y_inv)
+        y_inv = linalg.hermitize(linalg.cholesky_inverse(chol))
+        # A map object listed for several variables has one adjoint.
+        adjoints = {}
         for name, lmap in term.maps:
-            grads[name] = grads[name] + term.weight * lmap.adjoint(y_inv)
+            adj = adjoints.get(id(lmap))
+            if adj is None:
+                adj = adjoints[id(lmap)] = term.weight * lmap.adjoint(y_inv)
+            grads[name] = grads[name] + adj
     grads = {name: linalg.hermitize(g) for name, g in grads.items()}
     return total, grads, y_mats, logdets
 
@@ -246,18 +228,13 @@ def _eval_state(prob: MaxDetProblem, point: dict,
 def _clip_to_budget(vals: np.ndarray, budget: float) -> np.ndarray:
     """Project eigenvalues onto {p >= 0, sum p <= budget}."""
     clipped = np.maximum(vals, 0.0)
-    total = clipped.sum()
-    if total <= budget:
+    if clipped.sum() <= budget:
         return clipped
     # Water-level shift: find theta with sum max(vals - theta, 0) = budget.
     srt = np.sort(vals)[::-1]
-    csum = np.cumsum(srt)
-    k = np.arange(1, srt.size + 1)
-    theta_cand = (csum - budget) / k
-    valid = theta_cand < srt  # largest k with srt[k-1] > theta
-    k_star = int(np.max(k[valid]))
-    theta = float((csum[k_star - 1] - budget) / k_star)
-    return np.maximum(vals - theta, 0.0)
+    theta = (srt.cumsum() - budget) / np.arange(1, srt.size + 1)
+    k_star = np.flatnonzero(theta < srt)[-1]  # largest k with srt[k] > theta
+    return np.maximum(vals - theta[k_star], 0.0)
 
 
 def project_feasible(prob: MaxDetProblem, point: dict) -> dict:
@@ -267,21 +244,20 @@ def project_feasible(prob: MaxDetProblem, point: dict) -> dict:
     the projection to an eigenvalue problem per variable plus a joint
     water-level clip per constraint group.
     """
-    out = {}
-    grouped = set()
+    grouped = [name for group, _ in prob.constraints for name in group]
+    eig = dict(zip(grouped, linalg.eighs([point[name] for name in grouped])))
+    new_vals = {}
     for group, budget in prob.constraints:
-        eigs = []
-        for name in group:
-            vals, vecs = np.linalg.eigh(linalg.hermitize(point[name]))
-            eigs.append((name, vals, vecs))
-            grouped.add(name)
-        stacked = np.concatenate([vals for _, vals, _ in eigs])
+        stacked = np.concatenate([eig[name][0] for name in group])
         clipped = _clip_to_budget(stacked, budget)
         pos = 0
-        for name, vals, vecs in eigs:
-            new_vals = clipped[pos:pos + vals.size]
-            pos += vals.size
-            out[name] = linalg.hermitize((vecs * new_vals) @ vecs.conj().T)
+        for name in group:
+            size = eig[name][0].size
+            new_vals[name] = clipped[pos:pos + size]
+            pos += size
+    out = dict(zip(grouped, linalg.from_eighs(
+        [new_vals[name] for name in grouped],
+        [eig[name][1] for name in grouped])))
     for name, _ in prob.variables:
         if name not in grouped:
             out[name] = linalg.psd_clip(point[name])
@@ -310,7 +286,7 @@ def _stationarity_residual(prob: MaxDetProblem, point: dict, grads: dict) -> flo
     sq = 0.0
     for name, _ in prob.variables:
         diff = point[name] - projected[name]
-        sq += float(np.real(np.sum(np.conj(diff) * diff)))
+        sq += linalg.inner(diff, diff)
     return float(np.sqrt(sq))
 
 
@@ -367,17 +343,15 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         step = 1.0
         accepted = False
         for _ in range(40):
+            y_cand = [y0 + step * yd for y0, yd in zip(y_cur, y_dir)]
             try:
-                f_cand = f_cur + step * lin_delta
-                y_cand = []
-                for term, y0, ld0, yd in zip(prob.logdet_terms, y_cur,
-                                             ld_cur, y_dir):
-                    y = y0 + step * yd
-                    _, ld = _chol_logdet(y)
-                    f_cand += term.weight * (ld - ld0)
-                    y_cand.append(y)
+                lds = linalg.cholesky_logdets(y_cand)[1]
             except NonPositiveDefinite:
                 f_cand = -np.inf
+            else:
+                f_cand = f_cur + step * lin_delta
+                for term, ld0, ld in zip(prob.logdet_terms, ld_cur, lds):
+                    f_cand += term.weight * (ld - ld0)
             if f_cand >= f_cur + 1e-4 * step * slope:
                 accepted = True
                 break
@@ -395,40 +369,16 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         for name, _ in prob.variables:
             s = new_point[name] - point[name]
             y = grads[name] - new_grads[name]
-            ss += float(np.real(np.sum(np.conj(s) * s)))
-            sy += float(np.real(np.sum(np.conj(s) * y)))
+            ss += linalg.inner(s, s)
+            sy += linalg.inner(s, y)
         alpha = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-16 else 1.0
         point, grads, f_cur = new_point, new_grads, f_cand
         trace.append(f_cur)
         residual = _stationarity_residual(prob, point, grads)
     point = project_feasible(prob, point)
-    f_final = objective_value(prob, point)
+    f_final = _eval_state(prob, point)[0]
     trace.append(f_final)
     report = SolverReport(objective=f_final, iterations=iters,
                           residual=residual, status=status,
                           objective_trace=trace)
     return point, report
-
-
-# ---------------------------------------------------------------------------
-# Complexity reporting.
-
-
-def complexity_from_dims(n: float, n_y: float, n_f: float,
-                         gamma: float = 1.0) -> float:
-    """Per-iteration FLOP-order estimate gamma*sqrt(n)*(n^2 + n_y^2)*n_f^2."""
-    return float(gamma * np.sqrt(n) * (n ** 2 + n_y ** 2) * n_f ** 2)
-
-
-def complexity_estimate(prob: MaxDetProblem, gamma: float = 1.0) -> float:
-    """FLOP-order estimate for one interior-point iteration on ``prob``.
-
-    The scalar variable space counts d^2 real parameters per Hermitian d x d
-    variable; the determinant space sums the log-det term dimensions; the
-    constraint space sums the variable PSD blocks plus one slack per trace
-    budget.  Reporting only, not a runtime guarantee.
-    """
-    n = sum(dim ** 2 for _, dim in prob.variables)
-    n_y = sum(term.const.shape[0] for term in prob.logdet_terms)
-    n_f = sum(dim for _, dim in prob.variables) + len(prob.constraints)
-    return complexity_from_dims(n, n_y, n_f, gamma)

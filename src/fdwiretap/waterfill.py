@@ -65,7 +65,8 @@ def gains_from_system(params: SystemParams, ch: ChannelRealization,
     for n in range(params.N):
         h_ab = ch.link("ab", n)[:, 0]
         h_ae = ch.link("ae", n)[:, 0]
-        sb_inv = linalg.psd_inverse(system_model.sigma_bob(params, ch, design, n))
+        sb_inv = linalg.psd_inverse(
+            system_model.sigma_node_bidirectional(params, ch, design, "b", n))
         se_inv = linalg.psd_inverse(system_model.sigma_eve(params, ch, design, n))
         alpha[n] = float(np.real(h_ab.conj() @ sb_inv @ h_ab))
         beta[n] = float(np.real(h_ae.conj() @ se_inv @ h_ae))

@@ -33,8 +33,6 @@ def test_invalid_params_rejected():
         small_params(N=0)
     with pytest.raises(ConfigError):
         small_params(x_max_db=0.0).with_updates(X_max=-1.0)
-    with pytest.raises(ConfigError):
-        small_params(d=3)
 
 
 def test_channel_shapes():
@@ -64,7 +62,7 @@ def test_rayleigh_variance_moment():
     # eta_ab = -20 dB = 0.01; over 1e5 elements the sample variance
     # should land within 5%
     p = SystemParams.from_db(M_a=10, M_bt=2, M_br=10, M_e=2, N=100,
-                             eta_db=-20.0, d=1)
+                             eta_db=-20.0)
     ch = draw_channels(p, 7)
     h = ch.H["ab"].ravel()
     assert h.size == 10000

@@ -2,6 +2,7 @@ import numpy as np
 from click.testing import CliRunner
 
 from fdwiretap import bcd, cli
+from fdwiretap.errors import NonPositiveDefinite
 
 CONFIG = """\
 M_a: 2
@@ -47,7 +48,7 @@ def test_run_numerical_failure_exits_3(tmp_path, monkeypatch):
         "strategies: [Equal-FD, Equal-HD]", "strategies: [Optimal-FD]"))
 
     def boom(*args, **kwargs):
-        raise FloatingPointError("synthetic failure")
+        raise NonPositiveDefinite("synthetic failure")
 
     monkeypatch.setattr(bcd, "optimize", boom)
     outdir = tmp_path / "out"

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fdwiretap import bcd, harness
+from fdwiretap import bcd, harness, system_model
 from fdwiretap.channel import SystemParams, db2lin, draw_channels
-from fdwiretap.errors import ConfigError, UnknownStrategy
+from fdwiretap.errors import ConfigError, NonPositiveDefinite, UnknownStrategy
 from fdwiretap.harness import (ExperimentConfig, ExperimentResult, TrialRow,
                                emit_results, load_results, run_experiment,
                                run_trial, strategy_dispatch)
@@ -168,7 +168,7 @@ def test_failed_trial_marks_result(monkeypatch):
     cfg = desk_config(strategies=["Optimal-FD"], trials=1)
 
     def boom(*args, **kwargs):
-        raise FloatingPointError("synthetic failure")
+        raise NonPositiveDefinite("synthetic failure")
 
     monkeypatch.setattr(bcd, "optimize", boom)
     rows = run_trial(cfg, 0.0, 0)
@@ -176,6 +176,19 @@ def test_failed_trial_marks_result(monkeypatch):
     assert np.isnan(rows[0].bits)
     res = ExperimentResult(config_echo={}, master_seed=0, trial_rows=rows)
     assert res.any_failed()
+
+
+def test_programming_error_propagates_from_trial(monkeypatch):
+    """Only numerical failures become NumericalTrouble rows; a bug in a
+    strategy is raised, not written to trials.csv as data."""
+    cfg = desk_config(strategies=["Optimal-FD"], trials=1)
+
+    def bug(*args, **kwargs):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(bcd, "optimize", bug)
+    with pytest.raises(TypeError):
+        run_trial(cfg, 0.0, 0)
 
 
 # --- strategy semantics -----------------------------------------------------
@@ -201,13 +214,16 @@ def test_bob_fd_matches_one_directional_at_default_budgets():
     np.testing.assert_allclose(d1.W, d2.W, atol=1e-12)
 
 
-def test_swap_channels_is_involutive():
+def test_both_hd_no_jam_bits_on_fixed_seed():
+    """The reverse link runs as the b->a direction of the two-node model;
+    the value was recorded when it ran as a one-directional optimization on
+    swapped parameters and channels."""
     p = SystemParams.from_db(**DESK)
     ch = draw_channels(p, 3)
-    back = harness._swap_direction_channels(
-        p, harness._swap_direction_channels(p, ch))
-    for link in ch.H:
-        np.testing.assert_array_equal(back.H[link], ch.H[link])
+    design, iters, status = strategy_dispatch("Both-HD/No-Jam", p, ch, OPTS)
+    bits = harness._evaluate("Both-HD/No-Jam", p, design, ch)
+    assert abs(bits - 4.921625392371903) <= 1e-12
+    assert (iters, status) == (8, "Converged")
 
 
 def test_both_hd_no_jam_is_half_of_standalone_links():
@@ -217,9 +233,14 @@ def test_both_hd_no_jam_is_half_of_standalone_links():
     bits = harness._evaluate("Both-HD/No-Jam", p, design, ch)
     assert bits > 0
     assert np.all(design.W_a == 0) and np.all(design.W_b == 0)
-    # Doubling only the forward allocation does not change the reverse half.
-    half = harness._evaluate_both_hd(p, design, ch)
-    assert bits == pytest.approx(half)
+    # Each direction alone, without residual SI, scores its own half.
+    hd = p.with_updates(kappa={"a": 0.0, "b": 0.0}, beta={"a": 0.0, "b": 0.0})
+    halves = []
+    for info in ("X_a", "X_b"):
+        alone = system_model.BidirectionalDesign.zeros(p)
+        getattr(alone, info)[:] = getattr(design, info)
+        halves.append(0.5 * system_model.secrecy_rates(hd, ch, alone).I_sum)
+    assert bits == pytest.approx(sum(halves), abs=1e-12)
 
 
 def test_hd_strategies_carry_no_jamming():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fdwiretap import linalg
@@ -40,6 +41,41 @@ def test_logdet_rejects_indefinite():
         linalg.logdet(np.diag([1.0, -1.0]).astype(complex))
 
 
+def test_cholesky_logdets_match_one_call_each():
+    """Stacked factoring gives bitwise the factors and log-dets of one
+    call per matrix, for lists that mix sizes."""
+    rng = np.random.default_rng(3)
+    ms = [random_pd(rng, dim) for dim in (2, 3, 2, 1, 3, 2)]
+    chols, lds = linalg.cholesky_logdets(ms)
+    for m, chol, ld in zip(ms, chols, lds):
+        np.testing.assert_array_equal(chol, np.linalg.cholesky(m))
+        assert ld == linalg.logdet(m)
+
+
+def test_cholesky_logdets_reject_indefinite_member():
+    rng = np.random.default_rng(4)
+    ms = [random_pd(rng, 2), np.diag([1.0, -1.0]).astype(complex)]
+    with pytest.raises(NonPositiveDefinite):
+        linalg.cholesky_logdets(ms)
+
+
+def test_eighs_and_from_eighs_match_one_call_each():
+    """Stacked eigen-decomposition of the Hermitian parts and stacked
+    reconstruction give bitwise the results of one call per matrix."""
+    rng = np.random.default_rng(5)
+    ms = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+          for dim in (2, 3, 2, 3, 1)]
+    pairs = linalg.eighs(ms)
+    shifted = [vals - 0.5 for vals, _ in pairs]
+    rebuilt = linalg.from_eighs(shifted, [vecs for _, vecs in pairs])
+    for m, (vals, vecs), w, out in zip(ms, pairs, shifted, rebuilt):
+        one_vals, one_vecs = np.linalg.eigh(linalg.hermitize(m))
+        np.testing.assert_array_equal(vals, one_vals)
+        np.testing.assert_array_equal(vecs, one_vecs)
+        np.testing.assert_array_equal(
+            out, linalg.hermitize((one_vecs * w) @ one_vecs.conj().T))
+
+
 def test_psd_inverse_identity():
     np.testing.assert_allclose(linalg.psd_inverse(np.eye(2, dtype=complex)),
                                np.eye(2), atol=1e-12)
@@ -63,6 +99,18 @@ def test_psd_inverse_ridge():
     m = np.zeros((2, 2), dtype=complex)
     out = linalg.psd_inverse(m, ridge=2.0)
     np.testing.assert_allclose(out, 0.5 * np.eye(2), atol=1e-12)
+
+
+def test_psd_inverse_matches_scipy_cho_solve():
+    """The direct LAPACK calls reproduce scipy's cho_factor/cho_solve."""
+    rng = np.random.default_rng(6)
+    for dim in (1, 2, 4):
+        m = random_pd(rng, dim)
+        ref = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(m, lower=True, check_finite=False),
+            np.eye(dim, dtype=complex), check_finite=False)
+        np.testing.assert_array_equal(linalg.psd_inverse(m),
+                                      linalg.hermitize(ref))
 
 
 def test_logdet_inverse_negation():

@@ -5,9 +5,8 @@ from fdwiretap import linalg, maxdet
 from fdwiretap.errors import InfeasibleStart
 from fdwiretap.maxdet import (Congruence, CongruenceDiag, DiagCongruence,
                               LogDetTerm, MaxDetProblem, ScaledTrace,
-                              SolverStatus, complexity_estimate,
-                              complexity_from_dims, objective_gradient,
-                              objective_value, project_feasible, solve)
+                              SolverStatus, _eval_state, project_feasible,
+                              solve)
 
 
 def scalar_problem(a, q, budget=50.0):
@@ -190,7 +189,7 @@ def test_gradient_against_finite_differences():
     rng = np.random.default_rng(8)
     point = {"v": 0.3 * np.eye(2, dtype=complex),
              "w": 0.25 * np.eye(2, dtype=complex)}
-    grads = objective_gradient(prob, point)
+    _, grads, _, _ = _eval_state(prob, point)
     for name in ("v", "w"):
         d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         d = linalg.hermitize(d)
@@ -199,9 +198,34 @@ def test_gradient_against_finite_differences():
         dn = dict(point)
         up[name] = point[name] + eps * d
         dn[name] = point[name] - eps * d
-        fd = (objective_value(prob, up) - objective_value(prob, dn)) / (2 * eps)
+        fd = (_eval_state(prob, up)[0] - _eval_state(prob, dn)[0]) / (2 * eps)
         an = linalg.inner(grads[name], d)
         assert fd == pytest.approx(an, rel=1e-4)
+
+
+def test_shared_map_object_gives_the_same_gradient():
+    """A map object listed for several variables has its adjoint formed
+    once; the gradient is bitwise that of distinct map objects."""
+    rng = np.random.default_rng(9)
+    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    c = linalg.hermitize(np.eye(2) * 0.4)
+
+    def problem(maps):
+        return MaxDetProblem(
+            variables=[("v", 2), ("w", 2)],
+            logdet_terms=[LogDetTerm(const=c, maps=maps, weight=1.5)],
+            constraints=[(("v", "w"), 2.0)])
+
+    shared = DiagCongruence(h, scale=0.3)
+    point = {"v": 0.3 * np.eye(2, dtype=complex),
+             "w": np.diag([0.1, 0.2]).astype(complex)}
+    f1, g1, _, _ = _eval_state(problem([("v", shared), ("w", shared)]), point)
+    f2, g2, _, _ = _eval_state(problem([("v", DiagCongruence(h, scale=0.3)),
+                                        ("w", DiagCongruence(h, scale=0.3))]),
+                               point)
+    assert f1 == f2
+    for name in ("v", "w"):
+        np.testing.assert_array_equal(g1[name], g2[name])
 
 
 def test_infeasible_start_rejected():
@@ -265,27 +289,3 @@ def test_adjoint_consistency():
         rhs = linalg.inner(v, m.adjoint(g))
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
-
-def test_complexity_formula():
-    assert complexity_from_dims(4, 2, 3) == pytest.approx(360.0)
-    assert complexity_from_dims(4, 2, 0) == pytest.approx(0.0)
-
-
-def test_complexity_default_setup_dims():
-    # four subcarriers, 4x4 variables for both blocks, one 4-dim logdet pair
-    # per subcarrier, two budget groups
-    variables = [(f"X{n}", 4) for n in range(4)] + [(f"W{n}", 4) for n in range(4)]
-    terms = []
-    for n in range(4):
-        terms.append(LogDetTerm(const=np.eye(4, dtype=complex), maps=[]))
-        terms.append(LogDetTerm(const=np.eye(4, dtype=complex), maps=[]))
-    prob = MaxDetProblem(
-        variables=variables, logdet_terms=terms,
-        constraints=[(tuple(f"X{n}" for n in range(4)), 1.0),
-                     (tuple(f"W{n}" for n in range(4)), 1.0)])
-    n = sum(dim ** 2 for _, dim in prob.variables)
-    n_y = sum(t.const.shape[0] for t in prob.logdet_terms)
-    n_f = sum(dim for _, dim in prob.variables) + len(prob.constraints)
-    assert (n, n_y, n_f) == (128, 32, 34)
-    assert complexity_estimate(prob) == pytest.approx(
-        complexity_from_dims(128, 32, 34))

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from fdwiretap import linalg, system_model
+from fdwiretap import linalg
 from fdwiretap.channel import ChannelRealization, SystemParams, draw_channels
 from fdwiretap.system_model import (BidirectionalDesign, TransmitDesign,
-                                    secrecy_rates,
-                                    secrecy_rates_bidirectional, sigma_bob,
-                                    sigma_eve, sigma_node_bidirectional)
+                                    secrecy_rates, sigma_eve,
+                                    sigma_node_bidirectional)
 
 
 def small_params(**kw):
@@ -14,6 +13,10 @@ def small_params(**kw):
                 kappa_db=-30.0, beta_db=-30.0)
     base.update(kw)
     return SystemParams.from_db(**base)
+
+
+def sigma_bob(p, ch, d, n):
+    return sigma_node_bidirectional(p, ch, d, "b", n)
 
 
 def random_design(params, seed, x_frac=1.0, w_frac=1.0):
@@ -270,7 +273,7 @@ def test_sigma_eve_bidirectional_both_zero():
     p = small_params()
     ch = draw_channels(p, 0)
     d = BidirectionalDesign.zeros(p)
-    out = system_model.sigma_eve_bidirectional(p, ch, d, 0)
+    out = sigma_eve(p, ch, d, 0)
     np.testing.assert_allclose(out, p.noise["e"][0] * np.eye(p.M_e),
                                atol=1e-15)
 
@@ -285,20 +288,9 @@ def test_bidirectional_report_structure():
         d.X_a[n] = 0.2 * g @ g.conj().T
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         d.X_b[n] = 0.2 * g @ g.conj().T
-    rep = secrecy_rates_bidirectional(p, ch, d)
+    rep = secrecy_rates(p, ch, d)
     assert rep.I_ba is not None and rep.I_be is not None
     expect = (np.maximum(rep.I_ab - rep.I_ae, 0.0)
               + np.maximum(rep.I_ba - rep.I_be, 0.0))
     np.testing.assert_allclose(rep.I_sec, expect, atol=0.0)
     assert rep.I_sum >= 0.0
-
-
-def test_precoder_recovery():
-    p = small_params()
-    d = random_design(p, 40)
-    vs = system_model.precoders_from_covariances(d, d=1)
-    assert len(vs) == p.N
-    for v, x in zip(vs, d.X):
-        assert v.shape == (p.M_a, 1)
-        # rank-1 approximation energy cannot exceed the trace
-        assert np.real(np.trace(v @ v.conj().T)) <= np.real(np.trace(x)) + 1e-9

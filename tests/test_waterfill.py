@@ -188,7 +188,7 @@ def test_gains_direct_quadratic_form():
     d.W[:] = w
     for n in range(2):
         h = ch.H["ab"][n][:, 0]
-        sb = system_model.sigma_bob(p, ch, d, n)
+        sb = system_model.sigma_node_bidirectional(p, ch, d, "b", n)
         direct = float(np.real(h.conj() @ np.linalg.solve(sb, h)))
         assert gains.alpha[n] == pytest.approx(direct, abs=1e-12)
         he = ch.H["ae"][n][:, 0]
