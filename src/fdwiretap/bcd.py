@@ -12,8 +12,11 @@ true unclamped objective.
 One optimizer serves the one-directional and the two-node system.  It
 works on the two-node design of :mod:`fdwiretap.system_model`, one rate
 direction (a->b, b->a) at a time: each active direction owns its receiver
-and Eve log-det terms, its auxiliary pair (Q, T) and its surrogate
-constants.  A block that is neither free nor nonzero contributes nothing
+log-det term, its auxiliary pair (Q, T) and its surrogate constants, and
+Eve's log-det term counts once per active direction.  The free blocks,
+whole (N, M, M) stacks, are the subproblem's variables, and its terms
+apply the operators :mod:`fdwiretap.system_model` defines, so the
+subproblem's size does not grow with N.  A block that is neither free nor nonzero contributes nothing
 and is left out, and a direction whose information block is left out is
 inactive.  An inactive direction's secrecy difference and its surrogate
 are identically zero, so dropping its terms keeps the objective and the
@@ -22,14 +25,13 @@ Hong & Luo, SIAM J. Optim. 2013).  The one-directional system is the a->b
 direction with Alice not jamming and Bob sending no information.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg, maxdet, system_model
 from .channel import ChannelRealization, SystemParams
 from .errors import DegenerateChannel
-from .maxdet import Congruence, CongruenceDiag, DiagCongruence, ScaledTrace
 from .system_model import BidirectionalDesign, SecrecyReport, TransmitDesign
 
 #: Blocks of the two-node design, in the order of the solver's variables.
@@ -59,8 +61,9 @@ class BcdState:
 # Auxiliary updates and surrogate evaluation.
 
 
-def _rx_dim(params: SystemParams, node: str) -> int:
-    return params.M_ar if node == "a" else params.M_br
+def _dim_sum(stack: np.ndarray) -> int:
+    """The trace of the identity stack shaped like ``stack``."""
+    return stack.shape[0] * stack.shape[-1]
 
 
 def update_auxiliaries(params: SystemParams, ch: ChannelRealization,
@@ -72,19 +75,14 @@ def update_auxiliaries(params: SystemParams, ch: ChannelRealization,
     to an (N, M, M) stack.  A one-directional design has only 'ab'.
     """
     nodes = design.nodes()
-    active = nodes.active()
-    aux_q = {tx + rx: [] for tx, rx in active}
-    aux_t = {tx + rx: [] for tx, rx in active}
-    for n in range(params.N):
-        se = system_model.sigma_eve(params, ch, nodes, n)
-        for tx, rx in active:
-            aux_q[tx + rx].append(linalg.psd_inverse(
-                system_model.sigma_node_bidirectional(params, ch, nodes, rx, n)))
-            h = ch.link(tx + "e", n)
-            aux_t[tx + rx].append(linalg.psd_inverse(
-                linalg.hermitize(se + h @ nodes.info(tx)[n] @ h.conj().T)))
-    return ({d: np.array(q) for d, q in aux_q.items()},
-            {d: np.array(t) for d, t in aux_t.items()})
+    se = system_model.sigma_eve(params, ch, nodes)
+    aux_q, aux_t = {}, {}
+    for tx, rx in nodes.active():
+        aux_q[tx + rx] = linalg.psd_inverse(
+            system_model.sigma_node_bidirectional(params, ch, nodes, rx))
+        aux_t[tx + rx] = linalg.psd_inverse(
+            system_model.with_signal(ch, nodes, tx, "e", se))
+    return aux_q, aux_t
 
 
 def surrogate_objective(params: SystemParams, ch: ChannelRealization,
@@ -95,28 +93,17 @@ def surrogate_objective(params: SystemParams, ch: ChannelRealization,
     unclamped secrecy objective exactly.
     """
     nodes = design.nodes()
-    active = nodes.active()
+    se = system_model.sigma_eve(params, ch, nodes)
     total = 0.0
-    for n in range(params.N):
-        se = system_model.sigma_eve(params, ch, nodes, n)
-        received, leaked = [], []
-        for tx, rx in active:
-            x = nodes.info(tx)[n]
-            s_rx = system_model.sigma_node_bidirectional(params, ch, nodes,
-                                                         rx, n)
-            h = ch.link(tx + rx, n)
-            g = ch.link(tx + "e", n)
-            total += linalg.logdet(linalg.hermitize(s_rx + h @ x @ h.conj().T))
-            received.append(s_rx)
-            leaked.append(linalg.hermitize(se + g @ x @ g.conj().T))
-        total += len(active) * linalg.logdet(se)
-        for (tx, rx), s_rx in zip(active, received):
-            total -= linalg.inner(aux_q[tx + rx][n], s_rx)
-        for (tx, rx), r_e in zip(active, leaked):
-            total -= linalg.inner(aux_t[tx + rx][n], r_e)
-        total += sum([linalg.logdet(aux_q[tx + rx][n]) for tx, rx in active]
-                     + [linalg.logdet(aux_t[tx + rx][n]) for tx, rx in active])
-        total += sum(_rx_dim(params, rx) + params.M_e for _, rx in active)
+    for tx, rx in nodes.active():
+        q, t = aux_q[tx + rx], aux_t[tx + rx]
+        s_rx = system_model.sigma_node_bidirectional(params, ch, nodes, rx)
+        received = system_model.with_signal(ch, nodes, tx, rx, s_rx)
+        leaked = system_model.with_signal(ch, nodes, tx, "e", se)
+        total += linalg.logdet(received).sum() + linalg.logdet(se).sum()
+        total -= linalg.inner(q, s_rx) + linalg.inner(t, leaked)
+        total += (linalg.logdet(q).sum() + linalg.logdet(t).sum()
+                  + _dim_sum(q) + _dim_sum(t))
     return total
 
 
@@ -124,123 +111,57 @@ def surrogate_objective(params: SystemParams, ch: ChannelRealization,
 # The covariance subproblem.
 
 
-def _node_maps(params: SystemParams, ch: ChannelRealization,
-               view: BidirectionalDesign, node: str, n: int) -> list:
-    """Design-dependent part of a node's interference covariance, as
-    ((block, subcarrier), map) pairs."""
-    partner = "b" if node == "a" else "a"
-    maps = []
-    if view.jam(partner) is not None:
-        maps.append(((f"W_{partner}", n),
-                     Congruence(ch.link(partner + node, n))))
-    own = [b for b in (f"X_{node}", f"W_{node}") if getattr(view, b) is not None]
-    d_corr = params.D_corr[node]
-    if np.any(d_corr):
-        for b in own:
-            maps.append(((b, n), ScaledTrace(d_corr, getattr(view, b).shape[-1])))
-    # One distortion map serves every block it couples, so the solver
-    # forms its adjoint once.
-    kappa = params.kappa[node][n]
-    if kappa > 0:
-        dist = DiagCongruence(ch.link(node + node, n), kappa)
-        for m in range(params.N):
-            for b in own:
-                maps.append(((b, m), dist))
-    beta = params.beta[node][n]
-    if beta > 0:
-        for m in range(params.N):
-            dist = CongruenceDiag(ch.link(node + node, m), beta)
-            for b in own:
-                maps.append(((b, m), dist))
-    return maps
-
-
-def _eve_maps(ch: ChannelRealization, view: BidirectionalDesign, n: int) -> list:
-    return [((f"W_{node}", n), Congruence(ch.link(node + "e", n)))
-            for node in ("a", "b") if view.jam(node) is not None]
-
-
-def _point(view: BidirectionalDesign) -> dict:
-    """Every present block entry, keyed by (block, subcarrier)."""
-    return {(b, n): m for b in BLOCKS if getattr(view, b) is not None
-            for n, m in enumerate(getattr(view, b))}
-
-
-def _set_point(view: BidirectionalDesign, point: dict) -> None:
-    for (block, n), value in point.items():
-        getattr(view, block)[n] = value
-
-
 def _subproblem(params: SystemParams, ch: ChannelRealization,
                 view: BidirectionalDesign, free: set, aux_q: dict,
                 aux_t: dict, budgets: dict) -> maxdet.MaxDetProblem:
-    """The concave covariance subproblem at fixed auxiliaries: free blocks
-    are variables, the other present blocks are folded into constants."""
-    fixed = _point(view)
-    variables = [(key, m.shape[0]) for key, m in fixed.items()
-                 if key[0] in free]
-    names = {key for key, _ in variables}
-    active = view.active()
-    logdet_terms = []
-    linear = {key: np.zeros((dim, dim), complex) for key, dim in variables}
+    """The concave covariance subproblem at fixed auxiliaries: the free
+    blocks are the variables, and the other present blocks are folded into
+    the constants."""
+    variables = [(b, getattr(view, b).shape[-1]) for b in BLOCKS
+                 if b in free and getattr(view, b) is not None]
+    linear = {b: np.zeros_like(getattr(view, b)) for b, _ in variables}
     offset = 0.0
 
-    def fold(maps, const, weight=1.0):
-        out_maps = []
-        for key, lmap in maps:
-            if key in names:
-                out_maps.append((key, lmap))
-            else:
-                const = const + lmap.apply(fixed[key])
-        return maxdet.LogDetTerm(const=linalg.hermitize(const), maps=out_maps,
-                                 weight=weight)
+    def split(rx, pairs):
+        """The covariance over the fixed blocks, and the free pairs."""
+        fixed = [(b, op) for b, op in pairs if b not in linear]
+        return (system_model.covariance(params, view, rx, fixed),
+                [(b, op) for b, op in pairs if b in linear])
 
-    def add_linear(maps, aux):
+    def add_linear(rx, pairs, aux):
+        """-tr(aux * covariance) as linear terms plus an offset."""
         nonlocal offset
-        for key, lmap in maps:
-            coeff = lmap.adjoint(aux)
-            if key in names:
-                linear[key] = linear[key] + coeff
-            else:
-                offset -= linalg.inner(coeff, fixed[key])
+        const, maps = split(rx, pairs)
+        offset -= linalg.inner(aux, const)
+        for b, op in maps:
+            linear[b] = linear[b] + op.adjoint(aux)
 
-    eye_e = np.eye(params.M_e, dtype=complex)
-    for n in range(params.N):
-        ne = params.noise["e"][n]
-        se_maps = _eve_maps(ch, view, n)
-        rx_maps = [_node_maps(params, ch, view, rx, n) for _, rx in active]
-        # log| Sigma_rx + H X_tx H^H | per direction, then log| Sigma_e |
-        # once for every direction.
-        for (tx, rx), maps in zip(active, rx_maps):
-            theta = ((f"X_{tx}", n), Congruence(ch.link(tx + rx, n)))
-            logdet_terms.append(fold(maps + [theta], params.noise[rx][n]
-                                     * np.eye(_rx_dim(params, rx), dtype=complex)))
-        logdet_terms.append(fold(se_maps, ne * eye_e, float(len(active))))
-        # -tr(Q Sigma_rx) per direction, then -tr(T (Sigma_e + Theta_e)).
-        for (tx, rx), maps in zip(active, rx_maps):
-            offset -= params.noise[rx][n] * linalg.real_trace(aux_q[tx + rx][n])
-            add_linear(maps, aux_q[tx + rx][n])
-        for tx, rx in active:
-            offset -= ne * linalg.real_trace(aux_t[tx + rx][n])
-            theta_e = ((f"X_{tx}", n), Congruence(ch.link(tx + "e", n)))
-            add_linear(se_maps + [theta_e], aux_t[tx + rx][n])
-        # The offset's rounding moves the solver's line-search decisions, so
-        # this summation order is part of the reproduced results.
-        offset += sum([linalg.logdet(aux_q[tx + rx][n]) for tx, rx in active]
-                      + [linalg.logdet(aux_t[tx + rx][n]) for tx, rx in active]
-                      + [_rx_dim(params, rx) for _, rx in active]
-                      + [params.M_e] * len(active))
-
+    eve = system_model.interference(params, ch, view, "e")
+    active = view.active()
+    logdet_terms = []
+    for tx, rx in active:
+        q, t = aux_q[tx + rx], aux_t[tx + rx]
+        pairs = system_model.interference(params, ch, view, rx)
+        # log|Sigma_rx + H X_tx H^H| - tr(Q Sigma_rx)
+        # - tr(T (Sigma_e + H_e X_tx H_e^H)) + log|Q| + log|T| + dims.
+        logdet_terms.append(maxdet.LogDetTerm(
+            *split(rx, pairs + [system_model.signal(ch, tx, rx)])))
+        add_linear(rx, pairs, q)
+        add_linear("e", eve + [system_model.signal(ch, tx, "e")], t)
+        offset += (linalg.logdet(q).sum() + linalg.logdet(t).sum()
+                   + _dim_sum(q) + _dim_sum(t))
+    # log|Sigma_e| once for every active direction.
+    logdet_terms.append(maxdet.LogDetTerm(*split("e", eve),
+                                          weight=float(len(active))))
     constraints = []
     for node in ("a", "b"):
-        group = tuple(key for key, _ in variables
-                      if key[0] in (f"X_{node}", f"W_{node}"))
+        group = tuple(b for b, _ in variables if b[-1] == node)
         if group:
             constraints.append((group, budgets[node]))
     return maxdet.MaxDetProblem(
         variables=variables,
         logdet_terms=logdet_terms,
-        linear_terms={k: linalg.hermitize(v) for k, v in linear.items()},
+        linear_terms={b: linalg.hermitize(c) for b, c in linear.items()},
         constraints=constraints,
         offset=offset,
     )
@@ -371,31 +292,27 @@ def _active_view(design: BidirectionalDesign, free: set) -> BidirectionalDesign:
         for b, m in blocks.items()})
 
 
-def _extrapolate(params, ch, view, prob, point, prev_point, f_new, state):
+def _extrapolate(params, ch, view, prob, point, prev_point, f_new, aux):
     """Safeguarded extrapolation along the last block-update displacement.
 
     Alternating updates contract linearly near the optimum, so stepping
     past the new iterate along (point - prev_point) and projecting back
     often recovers several iterations at once.  A candidate is kept only
     when the tight surrogate improves, which preserves the monotone
-    objective trace.
+    objective trace.  Returns the best (point, surrogate, auxiliaries).
     """
-    best_point, best_f, best_aux = point, f_new, None
+    best = point, f_new, aux
     for theta in (1.0, 3.0, 9.0):
-        cand = {key: point[key] + theta * (point[key] - prev_point[key])
-                for key in point}
+        cand = {b: point[b] + theta * (point[b] - prev_point[b])
+                for b in point}
         cand = maxdet.project_feasible(prob, cand)
-        trial = view.copy()
-        _set_point(trial, cand)
+        trial = replace(view, **cand)
         aux = update_auxiliaries(params, ch, trial)
         f_cand = surrogate_objective(params, ch, trial, *aux)
-        if f_cand <= best_f:
+        if f_cand <= best[1]:
             break
-        best_point, best_f, best_aux = cand, f_cand, aux
-    if best_aux is not None:
-        _set_point(view, best_point)
-        state.aux_Q, state.aux_T = best_aux
-    return best_point, best_f
+        best = cand, f_cand, aux
+    return best
 
 
 def _ascend(params: SystemParams, ch: ChannelRealization, design,
@@ -422,19 +339,19 @@ def _ascend(params: SystemParams, ch: ChannelRealization, design,
         state.iterations += 1
         prob = _subproblem(params, ch, view, free, state.aux_Q, state.aux_T,
                            budgets)
-        point = {key: getattr(view, key[0])[key[1]]
-                 for key, _ in prob.variables}
-        point, inner_report = maxdet.solve(prob, point,
-                                           max_iter=inner_max_iter,
-                                           tol=inner_tol)
+        point, inner_report = maxdet.solve(
+            prob, {b: getattr(view, b) for b, _ in prob.variables},
+            max_iter=inner_max_iter, tol=inner_tol)
         state.inner_reports.append(inner_report)
-        _set_point(view, point)
-        state.aux_Q, state.aux_T = update_auxiliaries(params, ch, view)
-        f_new = surrogate_objective(params, ch, view, state.aux_Q,
-                                    state.aux_T)
+        trial = replace(view, **point)
+        aux = update_auxiliaries(params, ch, trial)
+        f_new = surrogate_objective(params, ch, trial, *aux)
         if prev_point is not None:
-            point, f_new = _extrapolate(params, ch, view, prob, point,
-                                        prev_point, f_new, state)
+            point, f_new, aux = _extrapolate(params, ch, view, prob, point,
+                                             prev_point, f_new, aux)
+        for b, value in point.items():
+            getattr(view, b)[:] = value
+        state.aux_Q, state.aux_T = aux
         prev_point = point
         state.objective_trace.append(f_new)
         if abs(f_new - f_cur) < outer_tol * (1.0 + abs(f_new)):
@@ -486,8 +403,8 @@ def init_uniform_bidirectional(params: SystemParams) -> BidirectionalDesign:
     """Full-budget uniform information covariances, zero jamming."""
     design = BidirectionalDesign.zeros(params)
     for n in range(params.N):
-        design.X_a[n] = (params.P_A_max / (params.N * params.M_at)
-                         ) * np.eye(params.M_at)
+        design.X_a[n] = (params.P_A_max / (params.N * params.M_a)
+                         ) * np.eye(params.M_a)
         design.X_b[n] = (params.P_B_max / (params.N * params.M_bt)
                          ) * np.eye(params.M_bt)
     return design

@@ -42,9 +42,11 @@ def _per_subcarrier(value, n: int, name: str) -> np.ndarray:
 class SystemParams:
     """Antenna counts, noise/distortion coefficients and power budgets.
 
-    Per-subcarrier fields (noise, kappa, beta) are length-N arrays; scalar
-    inputs are broadcast.  ``kappa``/``beta`` and the CSI-error correlation
-    matrices ``D_corr`` may be zero, everything else must be positive.
+    ``M_a`` counts Alice's transmit antennas and ``M_ar`` (default ``M_a``)
+    her receive antennas; Bob has ``M_bt`` and ``M_br``.  Per-subcarrier
+    fields (noise, kappa, beta) are length-N arrays; scalar inputs are
+    broadcast.  ``kappa``/``beta`` and the CSI-error correlation matrices
+    ``D_corr`` may be zero, everything else must be positive.
     """
 
     M_a: int
@@ -62,13 +64,11 @@ class SystemParams:
     W_max: float = 1.0
     P_A_max: float = 1.0
     P_B_max: float = 1.0
-    M_at: int | None = None
     M_ar: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "M_at", self.M_at or self.M_a)
         object.__setattr__(self, "M_ar", self.M_ar or self.M_a)
-        for name in ("M_a", "M_bt", "M_br", "M_e", "N", "M_at", "M_ar"):
+        for name in ("M_a", "M_bt", "M_br", "M_e", "N", "M_ar"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
         eta = dict(self.eta)
@@ -105,14 +105,24 @@ class SystemParams:
             raise ConfigError("K_R must be >= 0")
 
     @classmethod
-    def from_db(cls, *, M_a=4, M_bt=4, M_br=4, M_e=4, N=4, K_R=10.0,
+    def from_db(cls, *, M_a=None, M_bt=4, M_br=4, M_e=4, N=4, K_R=10.0,
                 eta_db=-20.0, noise_db=-30.0, kappa_db=None, beta_db=None,
                 x_max_db=0.0, w_max_db=0.0, p_a_max_db=0.0, p_b_max_db=0.0,
                 M_at=None, M_ar=None, D_corr=None) -> "SystemParams":
         """Build params from dB-valued powers, matching the default setup:
         4 antennas everywhere, 4 subcarriers, K_R = 10, -20 dB pathloss,
         -30 dB noise and distortion, 0 dB budgets.
+
+        ``M_at`` is another name for Alice's transmit antenna count ``M_a``;
+        giving both with different values is a ConfigError.
         """
+        if M_at is not None:
+            if M_a is not None and M_a != M_at:
+                raise ConfigError(f"M_a={M_a} and M_at={M_at} both set "
+                                  "Alice's transmit antenna count")
+            M_a = M_at
+        if M_a is None:
+            M_a = 4
         kappa = 0.0 if kappa_db is None else db2lin(kappa_db)
         beta = 0.0 if beta_db is None else db2lin(beta_db)
         return cls(
@@ -123,7 +133,7 @@ class SystemParams:
             beta={"a": beta, "b": beta},
             X_max=db2lin(x_max_db), W_max=db2lin(w_max_db),
             P_A_max=db2lin(p_a_max_db), P_B_max=db2lin(p_b_max_db),
-            M_at=M_at, M_ar=M_ar,
+            M_ar=M_ar,
             D_corr=D_corr or {},
         )
 
@@ -139,7 +149,7 @@ def link_shape(params: SystemParams, link: str) -> tuple[int, int]:
         "bb": (params.M_br, params.M_bt),
         "be": (params.M_e, params.M_bt),
         "ba": (params.M_ar, params.M_bt),
-        "aa": (params.M_ar, params.M_at),
+        "aa": (params.M_ar, params.M_a),
     }[link]
 
 

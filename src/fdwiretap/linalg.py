@@ -3,7 +3,9 @@
 All covariance matrices in the model are Hermitian positive semidefinite;
 these helpers keep them that way under floating-point drift and give the
 rest of the code a single place for log-determinants, PSD-safe inverses
-and dominant eigenvectors with a deterministic phase convention.
+and dominant eigenvectors with a deterministic phase convention.  Every
+helper that takes a matrix also takes a stack of matrices along leading
+axes.
 """
 
 import numpy as np
@@ -25,101 +27,51 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.all(np.abs(m - m.conj().T) <= tol * max(1.0, np.abs(m).max())))
-
-
-def _diag_logdet(chol: np.ndarray) -> float:
-    return 2.0 * float(np.log(chol.diagonal().real).sum())
-
-
-def _same_kind(ms: list) -> list:
-    """Index lists of the matrices that share a shape and a dtype.
-
-    numpy's stacked factorizations treat each matrix of a stack exactly as
-    a call of its own would, so such a group can be factored in one call.
-    """
-    groups = {}
-    for i, m in enumerate(ms):
-        groups.setdefault((m.shape, m.dtype), []).append(i)
-    return list(groups.values())
-
-
-def cholesky_logdets(ms: list) -> tuple[list, list]:
-    """Lower Cholesky factors and natural-log determinants of Hermitian
-    positive definite matrices, factoring matrices of one shape in one
-    stacked call.
-
-    The log-determinants come from the factors' diagonals, never from an
-    explicit determinant.  Raises NonPositiveDefinite if a factorization
-    fails.
-    """
-    chols = [None] * len(ms)
-    for idx in _same_kind(ms):
-        try:
-            stack = np.linalg.cholesky(np.array([ms[i] for i in idx]))
-        except np.linalg.LinAlgError as exc:
-            raise NonPositiveDefinite("a matrix is not positive definite") from exc
-        for i, chol in zip(idx, stack):
-            chols[i] = chol
-    return chols, [_diag_logdet(chol) for chol in chols]
-
-
-def eighs(ms: list) -> list:
-    """(eigenvalues, eigenvectors) of the Hermitian part of each matrix in a
-    list, decomposing matrices of one shape in one stacked call."""
-    out = [None] * len(ms)
-    for idx in _same_kind(ms):
-        vals, vecs = np.linalg.eigh(hermitize(np.array([ms[i] for i in idx])))
-        for i, pair in zip(idx, zip(vals, vecs)):
-            out[i] = pair
-    return out
-
-
-def from_eighs(vals: list, vecs: list) -> list:
-    """The Hermitian matrix V diag(w) V^H of each eigenpair set (w, V),
-    forming the products of one shape in one stacked matmul."""
-    out = [None] * len(vecs)
-    for idx in _same_kind(vecs):
-        v = np.array([vecs[i] for i in idx])
-        w = np.array([vals[i] for i in idx])
-        prods = hermitize((v * w[:, None, :]) @ v.conj().swapaxes(-1, -2))
-        for i, m in zip(idx, prods):
-            out[i] = m
-    return out
-
-
-def logdet(m: np.ndarray) -> float:
-    """Natural-log determinant of a Hermitian positive definite matrix, from
-    its Cholesky factor.  Raises NonPositiveDefinite if the factorization
+def cholesky(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a Hermitian positive definite matrix, or of
+    each matrix of a stack.  Raises NonPositiveDefinite if a factorization
     fails."""
     try:
-        chol = np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NonPositiveDefinite("matrix is not positive definite") from exc
-    return _diag_logdet(chol)
+
+
+def cholesky_logdet(chol: np.ndarray):
+    """Natural-log determinant of L L^H from its Cholesky factor L; for a
+    stack of factors, the array of per-matrix log-determinants."""
+    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
+
+
+def logdet(m: np.ndarray):
+    """Natural-log determinant of a Hermitian positive definite matrix, or
+    the per-matrix log-determinants of a stack, from the Cholesky factors,
+    never from an explicit determinant.  Raises NonPositiveDefinite if a
+    factorization fails."""
+    return cholesky_logdet(cholesky(m))
 
 
 def cholesky_inverse(chol: np.ndarray) -> np.ndarray:
     """Inverse of L L^H from its lower Cholesky factor L, whose upper
-    triangle is not read.  Not re-symmetrized."""
-    eye = np.eye(chol.shape[0], dtype=complex)
-    potrs, = scipy.linalg.get_lapack_funcs(("potrs",), (chol, eye))
-    return potrs(chol, eye, lower=True)[0]
+    triangle is not read, or the inverse of each matrix of a stack.  Not
+    re-symmetrized."""
+    flat = chol.reshape((-1,) + chol.shape[-2:])
+    eye = np.eye(chol.shape[-1], dtype=complex)
+    out = np.empty(flat.shape, complex)
+    for i, c in enumerate(flat):
+        out[i] = scipy.linalg.lapack.zpotrs(c, eye, lower=True)[0]
+    return out.reshape(chol.shape)
 
 
 def psd_inverse(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Inverse of (m + ridge*I) through a Cholesky factorization.
+    """Inverse of (m + ridge*I), or of each matrix of a stack, through a
+    Cholesky factorization.
 
     The optional ridge restores positive definiteness of near-singular
     covariances (e.g. vanishing jamming power with small noise).
     """
-    a = m if ridge == 0.0 else m + ridge * np.eye(m.shape[0])
-    potrf, = scipy.linalg.get_lapack_funcs(("potrf",), (a,))
-    chol, info = potrf(a, lower=True, clean=False)
-    if info > 0:
-        raise NonPositiveDefinite("matrix + ridge*I is not positive definite")
-    return hermitize(cholesky_inverse(chol))
+    a = m if ridge == 0.0 else m + ridge * np.eye(m.shape[-1])
+    return hermitize(cholesky_inverse(cholesky(a)))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -154,28 +106,38 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray, bool]:
     return lam, _fix_phase(vecs[:, -1]), True
 
 
-def dominant_eigenvector(m: np.ndarray) -> np.ndarray:
-    """Unit-norm eigenvector of the largest eigenvalue of a Hermitian matrix."""
-    return dominant_eigenpair(m)[1]
-
-
 def psd_clip(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Project a Hermitian matrix onto the PSD cone by eigenvalue clipping."""
+    """Project a Hermitian matrix, or each matrix of a stack, onto the PSD
+    cone by eigenvalue clipping."""
     vals, vecs = np.linalg.eigh(hermitize(m))
-    if vals[0] >= floor:
+    if vals.min() >= floor:
         return hermitize(m)
-    vals = np.maximum(vals, floor)
-    return hermitize((vecs * vals) @ vecs.conj().T)
+    return from_eigh(np.maximum(vals, floor), vecs)
+
+
+def from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix V diag(w) V^H of eigenpairs (w, V), or of each
+    set of a stack."""
+    return hermitize((vecs * vals[..., None, :])
+                     @ vecs.conj().swapaxes(-1, -2))
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(hermitize(m))[0])
+    """Smallest eigenvalue of a Hermitian matrix or of a whole stack."""
+    return float(np.linalg.eigvalsh(hermitize(m)).min())
 
 
 def real_trace(m: np.ndarray) -> float:
-    return float(m.trace().real)
+    """Real part of the trace of a matrix, summed over a stack."""
+    return float(m.diagonal(axis1=-2, axis2=-1).real.sum())
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product Re tr(a^H b) on the space of complex matrices."""
-    return float((a.conj() * b).sum().real)
+    """Real inner product Re tr(a^H b) on the space of complex matrices,
+    summed over a stack.
+
+    Each matrix is summed on its own and the stack in order after, so a
+    stack gives the bits of one call per matrix added up in order; the
+    solver's line-search decisions depend on that rounding.
+    """
+    return float((a.conj() * b).sum(axis=(-2, -1)).real.sum())

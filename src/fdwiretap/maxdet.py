@@ -5,7 +5,10 @@ Solves problems of the form
     maximize   sum_t w_t * log|C_t + sum_v A_tv(V_v)|  -  sum_v tr(C_v V_v)
     subject to V_v >= 0,   sum_{v in g} tr(V_v) <= budget_g,
 
-where every A_tv is a Hermitian-preserving linear map.  The method is a
+where every A_tv is a Hermitian-preserving linear map.  A variable's value
+may carry leading axes: an (N, M, M) stack is one variable, its trace is
+summed over the stack, and a term whose constant is a stack contributes the
+sum of its per-matrix log-determinants.  The method is a
 monotone spectral projected gradient ascent: the feasible set admits an
 exact Euclidean projection (per-variable eigendecomposition plus a joint
 water-level clip of the eigenvalues against each trace budget), Barzilai-
@@ -35,23 +38,16 @@ class LinearMap:
         raise NotImplementedError
 
 
-class _Channel(LinearMap):
-    """A map built on a channel matrix H; H^H is formed once."""
+class ChannelMap(LinearMap):
+    """A map built on a channel matrix or stack H; H^H is formed once."""
 
     def __post_init__(self):
-        object.__setattr__(self, "H_h", self.H.conj().T)
-
-
-def _diag_matrix(d: np.ndarray) -> np.ndarray:
-    """Complex diagonal matrix with the real diagonal ``d``."""
-    out = np.zeros((d.size, d.size), complex)
-    out.flat[::d.size + 1] = d
-    return out
+        object.__setattr__(self, "H_h", self.H.conj().swapaxes(-1, -2))
 
 
 @dataclass(frozen=True, eq=False)
-class Congruence(_Channel):
-    """V -> scale * H V H^H."""
+class Congruence(ChannelMap):
+    """V -> scale * H V H^H, matrix by matrix on stacks."""
 
     H: np.ndarray
     scale: float = 1.0
@@ -63,60 +59,14 @@ class Congruence(_Channel):
         return self.scale * (self.H_h @ g @ self.H)
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledTrace(LinearMap):
-    """V -> tr(V) * D for a fixed Hermitian D; V is dim_in x dim_in."""
-
-    D: np.ndarray
-    dim_in: int
-
-    def apply(self, v):
-        return np.real(np.trace(v)) * self.D
-
-    def adjoint(self, g):
-        c = float(np.real(np.sum(np.conj(self.D) * g)))
-        return c * np.eye(self.dim_in, dtype=complex)
-
-
-@dataclass(frozen=True, eq=False)
-class DiagCongruence(_Channel):
-    """V -> scale * H diag(V) H^H (transmit-distortion shape)."""
-
-    H: np.ndarray
-    scale: float = 1.0
-
-    def apply(self, v):
-        d = v.diagonal().real
-        return self.scale * ((self.H * d) @ self.H_h)
-
-    def adjoint(self, g):
-        inner = self.H_h @ g @ self.H
-        return self.scale * _diag_matrix(inner.diagonal().real)
-
-
-@dataclass(frozen=True, eq=False)
-class CongruenceDiag(_Channel):
-    """V -> scale * diag(H V H^H) (receive-distortion shape)."""
-
-    H: np.ndarray
-    scale: float = 1.0
-
-    def apply(self, v):
-        full = self.H @ v @ self.H_h
-        return self.scale * _diag_matrix(full.diagonal().real)
-
-    def adjoint(self, g):
-        d = g.diagonal().real
-        return self.scale * ((self.H_h * d) @ self.H)
-
-
 # ---------------------------------------------------------------------------
 # Problem container.
 
 
 @dataclass(eq=False)
 class LogDetTerm:
-    """Contributes weight * log|const + sum_v map_v(V_v)| to the objective."""
+    """Contributes weight * log|const + sum_v map_v(V_v)| to the objective;
+    a stack ``const`` contributes the sum over its matrices."""
 
     const: np.ndarray
     maps: list  # list of (var_name, LinearMap)
@@ -127,10 +77,12 @@ class LogDetTerm:
 class MaxDetProblem:
     """Problem data; see the module docstring for the optimization form.
 
-    ``linear_terms`` maps variable names to Hermitian coefficient matrices C
-    contributing -tr(C V).  ``constraints`` is a list of (variable-name
-    tuple, budget); a variable may appear in at most one group.  ``offset``
-    is an additive constant reported in the objective value.
+    ``variables`` gives each variable's matrix size; its value is a matrix or
+    a stack of them.  ``linear_terms`` maps variable names to Hermitian
+    coefficients C of the value's shape, contributing -tr(C V).
+    ``constraints`` is a list of (variable-name tuple, budget); a variable
+    may appear in at most one group.  ``offset`` is an additive constant
+    reported in the objective value.
     """
 
     variables: list  # list of (name, dim)
@@ -152,9 +104,6 @@ class MaxDetProblem:
                     raise ValueError(f"variable {name} in two constraint groups")
                 seen.add(name)
 
-    def dims(self) -> dict:
-        return dict(self.variables)
-
 
 class SolverStatus(str, Enum):
     CONVERGED = "Converged"
@@ -175,18 +124,13 @@ class SolverReport:
 # Objective evaluation.
 
 
-def _term_matrix(term: LogDetTerm, point: dict) -> np.ndarray:
-    y = term.const.astype(complex, copy=True)
+def _term_matrix(term: LogDetTerm, point: dict, const=None) -> np.ndarray:
+    """``const`` (by default the term's own) plus the term's maps applied to
+    ``point``; with a zero ``const`` and a direction for ``point`` it is the
+    change of the term matrix along that direction."""
+    y = term.const if const is None else const
     for name, lmap in term.maps:
         y = y + lmap.apply(point[name])
-    return linalg.hermitize(y)
-
-
-def _term_delta(term: LogDetTerm, direction: dict) -> np.ndarray:
-    """Change of the term matrix along a direction (the map part only)."""
-    y = np.zeros_like(term.const)
-    for name, lmap in term.maps:
-        y = y + lmap.apply(direction[name])
     return linalg.hermitize(y)
 
 
@@ -198,17 +142,18 @@ def _eval_state(prob: MaxDetProblem, point: dict,
     search to avoid re-applying the linear maps.
     """
     total = prob.offset
-    grads = {name: -prob.linear_terms[name].astype(complex, copy=True)
-             if name in prob.linear_terms
-             else np.zeros((dim, dim), complex)
-             for name, dim in prob.variables}
+    grads = {name: -prob.linear_terms[name] if name in prob.linear_terms
+             else np.zeros_like(point[name])
+             for name, _ in prob.variables}
     for name, coeff in prob.linear_terms.items():
         total -= linalg.inner(coeff, point[name])
     if y_mats is None:
         y_mats = [_term_matrix(term, point) for term in prob.logdet_terms]
-    chols, logdets = linalg.cholesky_logdets(y_mats)
-    for term, chol, ld in zip(prob.logdet_terms, chols, logdets):
-        total += term.weight * ld
+    logdets = []
+    for term, y in zip(prob.logdet_terms, y_mats):
+        chol = linalg.cholesky(y)
+        logdets.append(linalg.cholesky_logdet(chol).sum())
+        total += term.weight * logdets[-1]
         y_inv = linalg.hermitize(linalg.cholesky_inverse(chol))
         # A map object listed for several variables has one adjoint.
         adjoints = {}
@@ -244,32 +189,27 @@ def project_feasible(prob: MaxDetProblem, point: dict) -> dict:
     the projection to an eigenvalue problem per variable plus a joint
     water-level clip per constraint group.
     """
-    grouped = [name for group, _ in prob.constraints for name in group]
-    eig = dict(zip(grouped, linalg.eighs([point[name] for name in grouped])))
-    new_vals = {}
+    out = {}
     for group, budget in prob.constraints:
-        stacked = np.concatenate([eig[name][0] for name in group])
-        clipped = _clip_to_budget(stacked, budget)
+        eig = [np.linalg.eigh(linalg.hermitize(point[name])) for name in group]
+        clipped = _clip_to_budget(
+            np.concatenate([vals.ravel() for vals, _ in eig]), budget)
         pos = 0
-        for name in group:
-            size = eig[name][0].size
-            new_vals[name] = clipped[pos:pos + size]
-            pos += size
-    out = dict(zip(grouped, linalg.from_eighs(
-        [new_vals[name] for name in grouped],
-        [eig[name][1] for name in grouped])))
+        for name, (vals, vecs) in zip(group, eig):
+            new_vals = clipped[pos:pos + vals.size].reshape(vals.shape)
+            out[name] = linalg.from_eigh(new_vals, vecs)
+            pos += vals.size
     for name, _ in prob.variables:
-        if name not in grouped:
+        if name not in out:
             out[name] = linalg.psd_clip(point[name])
     return out
 
 
 def _check_feasible(prob: MaxDetProblem, point: dict,
                     psd_tol: float = 1e-8, budget_tol: float = 1e-8) -> None:
-    dims = prob.dims()
-    for name, dim in dims.items():
+    for name, dim in prob.variables:
         v = point.get(name)
-        if v is None or v.shape != (dim, dim):
+        if v is None or v.shape[-2:] != (dim, dim):
             raise InfeasibleStart(f"variable {name} missing or misshaped")
         if linalg.min_eigenvalue(v) < -psd_tol:
             raise InfeasibleStart(f"variable {name} is not PSD")
@@ -305,7 +245,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     point = project_feasible(prob, point)
     try:
         f_cur, grads, y_cur, ld_cur = _eval_state(prob, point)
-    except Exception as exc:
+    except (NonPositiveDefinite, np.linalg.LinAlgError) as exc:
         raise InfeasibleStart("objective undefined at the initial point") from exc
     trace = [f_cur]
     alpha = 1.0
@@ -337,7 +277,8 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             continue
         # The term matrices are affine along the segment, so each trial
         # step needs only small factorizations, no map applications.
-        y_dir = [_term_delta(term, direction) for term in prob.logdet_terms]
+        y_dir = [_term_matrix(term, direction, np.zeros_like(term.const))
+                 for term in prob.logdet_terms]
         lin_delta = -sum(linalg.inner(coeff, direction[name])
                          for name, coeff in prob.linear_terms.items())
         step = 1.0
@@ -345,7 +286,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         for _ in range(40):
             y_cand = [y0 + step * yd for y0, yd in zip(y_cur, y_dir)]
             try:
-                lds = linalg.cholesky_logdets(y_cand)[1]
+                lds = [linalg.logdet(y).sum() for y in y_cand]
             except NonPositiveDefinite:
                 f_cand = -np.inf
             else:

@@ -11,7 +11,13 @@ whose information block is absent has no rates.
 The residual self-interference model couples subcarriers: the transmit and
 receive distortion terms sum a node's own transmit covariances over the
 whole band, so a jamming choice on one subcarrier raises the interference
-floor on all of them.  Rates are reported in bits/s/Hz (base-2 logs); the
+floor on all of them.
+
+Each receiver's covariance is defined once, here, as a noise floor plus a
+list of (block, operator) pairs whose operators act on whole (N, M, M)
+block stacks (:func:`interference`, :func:`signal`).  Evaluation applies
+them to the design's blocks; the optimizer hands the same pairs to its
+concave subproblem.  Rates are reported in bits/s/Hz (base-2 logs); the
 optimizer works in nats internally.
 """
 
@@ -22,6 +28,7 @@ import numpy as np
 from . import linalg
 from .channel import ChannelRealization, SystemParams
 from .errors import DimensionMismatch
+from .maxdet import ChannelMap, Congruence, LinearMap
 
 LN2 = float(np.log(2.0))
 
@@ -59,12 +66,11 @@ class TransmitDesign:
         if self.W.shape != (params.N, params.M_bt, params.M_bt):
             raise DimensionMismatch("W has wrong shape")
         for stack in (self.X, self.W):
-            for m in stack:
-                if linalg.min_eigenvalue(m) < -psd_tol:
-                    raise ValueError("covariance is not PSD within tolerance")
-        if sum(linalg.real_trace(m) for m in self.X) > params.X_max + budget_tol:
+            if linalg.min_eigenvalue(stack) < -psd_tol:
+                raise ValueError("covariance is not PSD within tolerance")
+        if linalg.real_trace(self.X) > params.X_max + budget_tol:
             raise ValueError("information power budget violated")
-        if sum(linalg.real_trace(m) for m in self.W) > params.W_max + budget_tol:
+        if linalg.real_trace(self.W) > params.W_max + budget_tol:
             raise ValueError("jamming power budget violated")
 
 
@@ -72,7 +78,7 @@ class TransmitDesign:
 class BidirectionalDesign:
     """Information (X) and jamming (W) covariances of both nodes.
 
-    Alice's blocks are (N, M_at, M_at) stacks, Bob's (N, M_bt, M_bt); a
+    Alice's blocks are (N, M_a, M_a) stacks, Bob's (N, M_bt, M_bt); a
     block is None when the system does not have it.
     """
 
@@ -83,7 +89,7 @@ class BidirectionalDesign:
 
     @classmethod
     def zeros(cls, params: SystemParams) -> "BidirectionalDesign":
-        na, nb = params.M_at, params.M_bt
+        na, nb = params.M_a, params.M_bt
         z = lambda m: np.zeros((params.N, m, m), complex)
         return cls(X_a=z(na), W_a=z(na), X_b=z(nb), W_b=z(nb))
 
@@ -123,88 +129,157 @@ class SecrecyReport:
     I_be: np.ndarray | None = field(default=None)
 
 
-def _check_jam_shapes(params: SystemParams, design: BidirectionalDesign) -> None:
-    for w, m in ((design.W_a, params.M_at), (design.W_b, params.M_bt)):
+# ---------------------------------------------------------------------------
+# Band operators of the residual self-interference model.  Each acts on a
+# whole (N, M, M) block stack; the distortion operators sum their input over
+# the band once per apply and once per adjoint.
+
+
+@dataclass(frozen=True, eq=False)
+class TraceCorrelation(LinearMap):
+    """V_n -> tr(V_n) D, the CSI-error term with correlation matrix D; V_n
+    is dim_in x dim_in."""
+
+    D: np.ndarray
+    dim_in: int
+
+    def apply(self, v):
+        trace = v.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+        return trace[..., None, None] * self.D
+
+    def adjoint(self, g):
+        c = (self.D.conj() * g).real.sum(axis=(-2, -1))
+        return c[..., None, None] * np.eye(self.dim_in, dtype=complex)
+
+
+@dataclass(frozen=True, eq=False)
+class TransmitDistortion(ChannelMap):
+    """V -> kappa_n H_n diag(sum_m V_m) H_n^H for the SI channel stack H."""
+
+    H: np.ndarray
+    kappa: np.ndarray
+
+    def apply(self, v):
+        band = v.diagonal(axis1=-2, axis2=-1).real.sum(axis=0)
+        return self.kappa[:, None, None] * ((self.H * band) @ self.H_h)
+
+    def adjoint(self, g):
+        seen = (self.H_h @ g @ self.H).diagonal(axis1=-2, axis2=-1).real
+        band = np.diag(self.kappa @ seen)
+        return np.repeat(band[None], self.kappa.size, axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class ReceiveDistortion(ChannelMap):
+    """V -> beta_n diag(sum_m diag(H_m V_m H_m^H)) for the SI channel
+    stack H."""
+
+    H: np.ndarray
+    beta: np.ndarray
+
+    def apply(self, v):
+        received = (self.H @ v @ self.H_h).diagonal(axis1=-2, axis2=-1).real
+        return self.beta[:, None, None] * np.diag(received.sum(axis=0))
+
+    def adjoint(self, g):
+        band = self.beta @ g.diagonal(axis1=-2, axis2=-1).real
+        return (self.H_h * band) @ self.H
+
+
+# ---------------------------------------------------------------------------
+# Receiver covariances.
+
+
+def _check_jam_shapes(params: SystemParams,
+                      design: BidirectionalDesign) -> None:
+    for w, m in ((design.W_a, params.M_a), (design.W_b, params.M_bt)):
         if w is not None and w.shape != (params.N, m, m):
             raise DimensionMismatch("jamming covariance has wrong shape")
 
 
-def _own_transmission(design: BidirectionalDesign, node: str):
-    """X + W of a node, or whichever of the two is present, or None."""
-    x, w = design.info(node), design.jam(node)
-    if x is None or w is None:
-        return w if x is None else x
-    return x + w
+def interference(params: SystemParams, ch: ChannelRealization, design,
+                 rx: str) -> list:
+    """The design-dependent part of the interference-plus-noise covariance
+    at receiver ``rx`` ('a', 'b' or Eve 'e'), as (block, operator) pairs.
 
-
-def sigma_node_bidirectional(params: SystemParams, ch: ChannelRealization,
-                             design, node: str, n: int) -> np.ndarray:
-    """Interference-plus-noise covariance at node 'a' or 'b' on subcarrier n.
-
-    Interference combines the partner's jamming (through the cross channel)
-    with residual SI driven by the node's own total transmission X + W.  The
-    distortion sums run over all subcarriers: both the transmit-chain term
-    (through the SI channel of subcarrier n) and the receive-chain term
-    accumulate the whole-band transmission.  ``design`` is a two-node design
-    or a one-directional one, whose receiver is Bob.
+    Eve sees both nodes' jamming.  A node sees its partner's jamming
+    through the cross channel, and residual SI driven by its own blocks X
+    and W: the CSI-error term, and transmit and receive distortion summed
+    over the whole band, each one operator shared by both blocks.
+    Operators whose coefficients are all zero are left out.
     """
-    if node not in ("a", "b"):
-        raise ValueError("node must be 'a' or 'b'")
-    design = design.nodes()
-    _check_jam_shapes(params, design)
-    partner = "b" if node == "a" else "a"
-    m = params.M_ar if node == "a" else params.M_br
-    out = params.noise[node][n] * np.eye(m, dtype=complex)
-    partner_w = design.jam(partner)
-    if partner_w is not None:
-        h_cross = ch.link(partner + node, n)
-        if h_cross.shape[0] != m:
-            raise DimensionMismatch("cross channel has wrong row count")
-        out = out + h_cross @ partner_w[n] @ h_cross.conj().T
-    own = _own_transmission(design, node)
-    if own is None:
-        return linalg.hermitize(out)
-    d_corr = params.D_corr[node]
-    if np.any(d_corr):
-        out = out + linalg.real_trace(own[n]) * d_corr
-    kappa = params.kappa[node][n]
-    if kappa > 0:
-        diag_sum = np.sum(np.diagonal(own, axis1=1, axis2=2), axis=0)
-        h = ch.link(node + node, n)
-        out = out + kappa * (h * np.real(diag_sum)) @ h.conj().T
-    beta = params.beta[node][n]
-    if beta > 0:
-        acc = np.zeros(m)
-        for k in range(params.N):
-            h = ch.link(node + node, k)
-            acc = acc + np.real(np.diagonal(h @ own[k] @ h.conj().T))
-        out = out + beta * np.diag(acc)
+    nodes = design.nodes()
+    _check_jam_shapes(params, nodes)
+    if rx == "e":
+        return [(f"W_{node}", Congruence(ch.H[node + "e"]))
+                for node in ("a", "b") if nodes.jam(node) is not None]
+    partner = "b" if rx == "a" else "a"
+    pairs = []
+    if nodes.jam(partner) is not None:
+        pairs.append((f"W_{partner}", Congruence(ch.H[partner + rx])))
+    own = [b for b in (f"X_{rx}", f"W_{rx}") if getattr(nodes, b) is not None]
+    si = ch.H[rx + rx]
+    ops = []
+    if np.any(params.D_corr[rx]):
+        ops.append(TraceCorrelation(params.D_corr[rx], si.shape[-1]))
+    if np.any(params.kappa[rx]):
+        ops.append(TransmitDistortion(si, params.kappa[rx]))
+    if np.any(params.beta[rx]):
+        ops.append(ReceiveDistortion(si, params.beta[rx]))
+    return pairs + [(b, op) for op in ops for b in own]
+
+
+def signal(ch: ChannelRealization, tx: str, rx: str) -> tuple:
+    """Node ``tx``'s information signal at receiver ``rx``, as a (block,
+    operator) pair."""
+    return f"X_{tx}", Congruence(ch.H[tx + rx])
+
+
+def covariance(params: SystemParams, design, rx: str,
+               pairs: list) -> np.ndarray:
+    """The (N, M, M) stack noise_rx[n] I + sum of op(block) over ``pairs``."""
+    nodes = design.nodes()
+    dim = {"a": params.M_ar, "b": params.M_br, "e": params.M_e}[rx]
+    out = params.noise[rx][:, None, None] * np.eye(dim, dtype=complex)
+    for block, op in pairs:
+        out = out + op.apply(getattr(nodes, block))
     return linalg.hermitize(out)
 
 
-def sigma_eve(params: SystemParams, ch: ChannelRealization, design,
-              n: int) -> np.ndarray:
-    """Noise-plus-jamming covariance at Eve on subcarrier n.
+def with_signal(ch: ChannelRealization, design, tx: str, rx: str,
+                sigma: np.ndarray) -> np.ndarray:
+    """``sigma`` plus node ``tx``'s information signal at receiver ``rx``."""
+    block, op = signal(ch, tx, rx)
+    return linalg.hermitize(sigma + op.apply(getattr(design.nodes(), block)))
+
+
+def sigma_node_bidirectional(params: SystemParams, ch: ChannelRealization,
+                             design, node: str) -> np.ndarray:
+    """Interference-plus-noise covariance stack at node 'a' or 'b'.
+
+    ``design`` is a two-node design or a one-directional one, whose
+    receiver is Bob.
+    """
+    if node not in ("a", "b"):
+        raise ValueError("node must be 'a' or 'b'")
+    return covariance(params, design, node,
+                      interference(params, ch, design, node))
+
+
+def sigma_eve(params: SystemParams, ch: ChannelRealization,
+              design) -> np.ndarray:
+    """Noise-plus-jamming covariance stack at Eve.
 
     Worst case: Eve is assumed to decode and cancel the information
     signals, so only the jamming of both nodes interferes.
     """
-    design = design.nodes()
-    _check_jam_shapes(params, design)
-    out = params.noise["e"][n] * np.eye(params.M_e, dtype=complex)
-    for node in ("a", "b"):
-        w = design.jam(node)
-        if w is not None:
-            h = ch.link(node + "e", n)
-            out = out + h @ w[n] @ h.conj().T
-    return linalg.hermitize(out)
+    return covariance(params, design, "e",
+                      interference(params, ch, design, "e"))
 
 
-def _rate_bits(h: np.ndarray, x: np.ndarray, noise_cov: np.ndarray) -> float:
-    """log2 |I + H X H^H Sigma^-1|, evaluated as a log-det difference."""
-    signal = h @ x @ h.conj().T
-    return (linalg.logdet(linalg.hermitize(noise_cov + signal))
-            - linalg.logdet(noise_cov)) / LN2
+def _rate_bits(total: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
+    """Per-subcarrier log2 |total| - log2 |noise_cov|."""
+    return (linalg.logdet(total) - linalg.logdet(noise_cov)) / LN2
 
 
 def secrecy_rates(params: SystemParams, ch: ChannelRealization,
@@ -212,17 +287,13 @@ def secrecy_rates(params: SystemParams, ch: ChannelRealization,
     """Per-subcarrier clamped secrecy rates and their sum, in bits/s/Hz,
     of a one-directional or a two-node design."""
     nodes = design.nodes()
-    active = nodes.active()
-    legit = {tx: np.zeros(params.N) for tx, _ in active}
-    leak = {tx: np.zeros(params.N) for tx, _ in active}
-    for n in range(params.N):
-        se = sigma_eve(params, ch, nodes, n)
-        for tx, rx in active:
-            x = nodes.info(tx)[n]
-            s_rx = sigma_node_bidirectional(params, ch, nodes, rx, n)
-            legit[tx][n] = _rate_bits(ch.link(tx + rx, n), x, s_rx)
-            leak[tx][n] = _rate_bits(ch.link(tx + "e", n), x, se)
-    i_sec = np.sum([np.maximum(legit[tx] - leak[tx], 0.0) for tx, _ in active],
+    se = sigma_eve(params, ch, nodes)
+    legit, leak = {}, {}
+    for tx, rx in nodes.active():
+        s_rx = sigma_node_bidirectional(params, ch, nodes, rx)
+        legit[tx] = _rate_bits(with_signal(ch, nodes, tx, rx, s_rx), s_rx)
+        leak[tx] = _rate_bits(with_signal(ch, nodes, tx, "e", se), se)
+    i_sec = np.sum([np.maximum(legit[tx] - leak[tx], 0.0) for tx in legit],
                    axis=0)
     return SecrecyReport(I_ab=legit.get("a"), I_ae=leak.get("a"), I_sec=i_sec,
                          I_sum=float(i_sec.sum()), I_ba=legit.get("b"),

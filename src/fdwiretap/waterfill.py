@@ -60,16 +60,16 @@ def gains_from_system(params: SystemParams, ch: ChannelRealization,
         raise WrongDimension("power allocation requires M_a = 1")
     design = TransmitDesign.zeros(params)
     design.W[:] = jamming
+    sb_inv = linalg.psd_inverse(
+        system_model.sigma_node_bidirectional(params, ch, design, "b"))
+    se_inv = linalg.psd_inverse(system_model.sigma_eve(params, ch, design))
     alpha = np.zeros(params.N)
     beta = np.zeros(params.N)
     for n in range(params.N):
         h_ab = ch.link("ab", n)[:, 0]
         h_ae = ch.link("ae", n)[:, 0]
-        sb_inv = linalg.psd_inverse(
-            system_model.sigma_node_bidirectional(params, ch, design, "b", n))
-        se_inv = linalg.psd_inverse(system_model.sigma_eve(params, ch, design, n))
-        alpha[n] = float(np.real(h_ab.conj() @ sb_inv @ h_ab))
-        beta[n] = float(np.real(h_ae.conj() @ se_inv @ h_ae))
+        alpha[n] = float(np.real(h_ab.conj() @ sb_inv[n] @ h_ab))
+        beta[n] = float(np.real(h_ae.conj() @ se_inv[n] @ h_ae))
     return SubcarrierGains(alpha=alpha, beta=beta, X_max=params.X_max)
 
 
@@ -181,8 +181,3 @@ def waterfill(gains: SubcarrierGains, eps0: float | None = None,
         x = _allocation_at(gains, lam)
     return Allocation(X=x, water_level=lam, objective=_objective(gains, x))
 
-
-def equal_power_objective(gains: SubcarrierGains) -> float:
-    """Objective of the uniform allocation; a feasible comparison point."""
-    x = np.full_like(gains.alpha, gains.X_max / gains.alpha.size)
-    return _objective(gains, x)

@@ -75,6 +75,23 @@ def test_surrogate_lower_bounds_true_objective():
     assert sur <= true + 1e-10
 
 
+def test_subproblem_size_is_constant_in_n():
+    """Optimal-FD's subproblem has one receiver and one Eve term, and four
+    (variable, operator) pairs, at any number of subcarriers."""
+    free = {"X_a", "W_b"}
+    sizes = []
+    for n in (2, 16):
+        p = small_params(N=n)
+        ch = draw_channels(p, 0)
+        view = bcd._active_view(bcd.init_uniform(p).nodes(), free)
+        aux_q, aux_t = bcd.update_auxiliaries(p, ch, view)
+        prob = bcd._subproblem(p, ch, view, free, aux_q, aux_t,
+                               {"a": p.X_max, "b": p.W_max})
+        sizes.append((len(prob.logdet_terms),
+                      sum(len(term.maps) for term in prob.logdet_terms)))
+    assert sizes == [(2, 4), (2, 4)]
+
+
 # --- initializations -------------------------------------------------------
 
 
@@ -280,7 +297,7 @@ def test_bidirectional_surrogate_tightness():
     d = BidirectionalDesign.zeros(p)
     rng = np.random.default_rng(0)
     for n in range(p.N):
-        for stack, dim in ((d.X_a, p.M_at), (d.W_a, p.M_at),
+        for stack, dim in ((d.X_a, p.M_a), (d.W_a, p.M_a),
                            (d.X_b, p.M_bt), (d.W_b, p.M_bt)):
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             v = g @ g.conj().T
@@ -301,7 +318,7 @@ def test_bidirectional_reduces_to_one_directional():
     ch = draw_channels(p, 16)
     init = BidirectionalDesign.zeros(p)
     for n in range(p.N):
-        init.X_a[n] = (p.P_A_max / (p.N * p.M_at)) * np.eye(p.M_at)
+        init.X_a[n] = (p.P_A_max / (p.N * p.M_a)) * np.eye(p.M_a)
     res_bi = bcd.optimize_bidirectional(p, ch, init=init, jam_a=False,
                                         tx_b=False, outer_tol=1e-6)
     p_one = p.with_updates(X_max=p.P_A_max, W_max=p.P_B_max)

@@ -35,6 +35,16 @@ def test_invalid_params_rejected():
         small_params(x_max_db=0.0).with_updates(X_max=-1.0)
 
 
+def test_alice_transmit_count_has_one_value():
+    """M_at is another name for M_a; from_db's default M_a is no conflict,
+    an explicit different M_a is."""
+    assert SystemParams.from_db(M_at=3, M_ar=2).M_a == 3
+    assert SystemParams.from_db(M_a=3, M_at=3).M_a == 3
+    assert not hasattr(SystemParams.from_db(), "M_at")
+    with pytest.raises(ConfigError):
+        SystemParams.from_db(M_a=2, M_at=3)
+
+
 def test_channel_shapes():
     p = SystemParams.from_db(M_a=2, M_bt=3, M_br=4, M_e=5, N=3)
     ch = draw_channels(p, 0)

@@ -243,6 +243,25 @@ def test_both_hd_no_jam_is_half_of_standalone_links():
     assert bits == pytest.approx(sum(halves), abs=1e-12)
 
 
+@pytest.mark.parametrize("counts", [dict(M_at=3, M_ar=3),
+                                    dict(M_a=3, M_at=3, M_ar=3)])
+def test_two_node_strategies_run_with_alice_transmit_count_m_at(counts):
+    """Alice's links and blocks share one transmit antenna count, whichever
+    name sets it."""
+    p = SystemParams.from_db(M_bt=2, M_br=2, M_e=2, N=2, kappa_db=-30.0,
+                             beta_db=-30.0, **counts)
+    ch = draw_channels(p, 6)
+    for name in ("Both-FD/No-Jam", "Both-FD/Bob-Jam", "Both-FD/Both-Jam",
+                 "Both-HD/No-Jam", "Bob-FD/Bob-Jam"):
+        design, _, _ = strategy_dispatch(name, p, ch, OPTS)
+        assert np.isfinite(harness._evaluate(name, p, design, ch)), name
+
+
+def test_config_rejects_conflicting_alice_transmit_counts():
+    with pytest.raises(ConfigError):
+        desk_config(M_a=2, M_at=3)
+
+
 def test_hd_strategies_carry_no_jamming():
     p = SystemParams.from_db(**DESK)
     ch = draw_channels(p, 5)

@@ -7,6 +7,15 @@ from fdwiretap import linalg
 from fdwiretap.errors import NonPositiveDefinite
 
 
+def is_hermitian(m, tol=1e-10):
+    scale = max(1.0, np.abs(m).max())
+    return bool(np.all(np.abs(m - m.conj().T) <= tol * scale))
+
+
+def dominant_eigenvector(m):
+    return linalg.dominant_eigenpair(m)[1]
+
+
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return linalg.hermitize(a + a.conj().T)
@@ -41,39 +50,38 @@ def test_logdet_rejects_indefinite():
         linalg.logdet(np.diag([1.0, -1.0]).astype(complex))
 
 
-def test_cholesky_logdets_match_one_call_each():
-    """Stacked factoring gives bitwise the factors and log-dets of one
-    call per matrix, for lists that mix sizes."""
+def test_logdet_of_stack_matches_one_call_each():
+    """A stack's log-determinants and inverses are bitwise those of one
+    call per matrix."""
     rng = np.random.default_rng(3)
-    ms = [random_pd(rng, dim) for dim in (2, 3, 2, 1, 3, 2)]
-    chols, lds = linalg.cholesky_logdets(ms)
-    for m, chol, ld in zip(ms, chols, lds):
-        np.testing.assert_array_equal(chol, np.linalg.cholesky(m))
-        assert ld == linalg.logdet(m)
+    for dim in (1, 2, 3):
+        stack = np.array([random_pd(rng, dim) for _ in range(4)])
+        lds = linalg.logdet(stack)
+        invs = linalg.psd_inverse(stack)
+        assert lds.shape == (4,) and invs.shape == stack.shape
+        for m, ld, inv in zip(stack, lds, invs):
+            assert ld == linalg.logdet(m)
+            np.testing.assert_array_equal(inv, linalg.psd_inverse(m))
 
 
-def test_cholesky_logdets_reject_indefinite_member():
+def test_logdet_of_stack_rejects_indefinite_member():
     rng = np.random.default_rng(4)
-    ms = [random_pd(rng, 2), np.diag([1.0, -1.0]).astype(complex)]
+    stack = np.array([random_pd(rng, 2), np.diag([1.0, -1.0]).astype(complex)])
     with pytest.raises(NonPositiveDefinite):
-        linalg.cholesky_logdets(ms)
+        linalg.logdet(stack)
 
 
-def test_eighs_and_from_eighs_match_one_call_each():
-    """Stacked eigen-decomposition of the Hermitian parts and stacked
-    reconstruction give bitwise the results of one call per matrix."""
+def test_psd_clip_of_stack_matches_one_call_each():
+    """Clipping a stack gives bitwise the matrices of one call each, and
+    leaves a PSD stack as its Hermitian part."""
     rng = np.random.default_rng(5)
-    ms = [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-          for dim in (2, 3, 2, 3, 1)]
-    pairs = linalg.eighs(ms)
-    shifted = [vals - 0.5 for vals, _ in pairs]
-    rebuilt = linalg.from_eighs(shifted, [vecs for _, vecs in pairs])
-    for m, (vals, vecs), w, out in zip(ms, pairs, shifted, rebuilt):
-        one_vals, one_vecs = np.linalg.eigh(linalg.hermitize(m))
-        np.testing.assert_array_equal(vals, one_vals)
-        np.testing.assert_array_equal(vecs, one_vecs)
-        np.testing.assert_array_equal(
-            out, linalg.hermitize((one_vecs * w) @ one_vecs.conj().T))
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    clipped = linalg.psd_clip(stack)
+    for m, out in zip(stack, clipped):
+        np.testing.assert_array_equal(out, linalg.psd_clip(m))
+    assert linalg.min_eigenvalue(clipped) >= -1e-12
+    pd = np.array([random_pd(rng, 3) for _ in range(4)])
+    np.testing.assert_array_equal(linalg.psd_clip(pd), linalg.hermitize(pd))
 
 
 def test_psd_inverse_identity():
@@ -92,7 +100,7 @@ def test_psd_inverse_residual():
         m = random_pd(rng, 5)
         inv = linalg.psd_inverse(m)
         assert np.linalg.norm(inv @ m - np.eye(5)) < 1e-8
-        assert linalg.is_hermitian(inv)
+        assert is_hermitian(inv)
 
 
 def test_psd_inverse_ridge():
@@ -122,7 +130,7 @@ def test_logdet_inverse_negation():
 
 
 def test_dominant_eigenvector_diagonal():
-    v = linalg.dominant_eigenvector(np.diag([1.0, 2.0]).astype(complex))
+    v = dominant_eigenvector(np.diag([1.0, 2.0]).astype(complex))
     np.testing.assert_allclose(v, [0.0, 1.0], atol=1e-12)
 
 
@@ -138,7 +146,7 @@ def test_dominant_eigenvector_satisfies_eigen_equation():
     rng = np.random.default_rng(3)
     for _ in range(10):
         m = random_hermitian(rng, 4)
-        v = linalg.dominant_eigenvector(m)
+        v = dominant_eigenvector(m)
         lam = float(np.max(np.linalg.eigvalsh(m)))
         assert np.linalg.norm(m @ v - lam * v) < 1e-8
 
@@ -147,7 +155,7 @@ def test_dominant_eigenvector_phase_and_norm():
     rng = np.random.default_rng(4)
     for _ in range(10):
         m = random_hermitian(rng, 3)
-        v = linalg.dominant_eigenvector(m)
+        v = dominant_eigenvector(m)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         first = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
         assert abs(np.imag(first)) < 1e-12 and np.real(first) >= 0
@@ -156,7 +164,7 @@ def test_dominant_eigenvector_phase_and_norm():
 def test_rayleigh_quotient_dominance():
     rng = np.random.default_rng(5)
     m = random_hermitian(rng, 4)
-    v = linalg.dominant_eigenvector(m)
+    v = dominant_eigenvector(m)
     rq = np.real(v.conj() @ m @ v)
     for _ in range(100):
         u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -175,7 +183,7 @@ def test_hermitize_is_projection():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     h = linalg.hermitize(a)
-    assert linalg.is_hermitian(h)
+    assert is_hermitian(h)
     np.testing.assert_allclose(linalg.hermitize(h), h, atol=1e-15)
 
 

@@ -3,10 +3,11 @@ import pytest
 
 from fdwiretap import linalg, maxdet
 from fdwiretap.errors import InfeasibleStart
-from fdwiretap.maxdet import (Congruence, CongruenceDiag, DiagCongruence,
-                              LogDetTerm, MaxDetProblem, ScaledTrace,
-                              SolverStatus, _eval_state, project_feasible,
-                              solve)
+from fdwiretap.maxdet import (Congruence, LinearMap, LogDetTerm,
+                              MaxDetProblem, SolverStatus, _eval_state,
+                              project_feasible, solve)
+from fdwiretap.system_model import (ReceiveDistortion, TraceCorrelation,
+                                    TransmitDistortion)
 
 
 def scalar_problem(a, q, budget=50.0):
@@ -102,20 +103,27 @@ def _cholesky_grid_best(h, c, budget, center=None, width=None, steps=13):
     return best, best_p
 
 
+def two_by_two_problem(rng, budget=2.0):
+    """max log|I + H V H^H| - tr(C V) over one 2x2 variable; returns the
+    problem, H and C."""
+    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    c = linalg.hermitize(0.2 * (g @ g.conj().T) + 0.3 * np.eye(2))
+    prob = MaxDetProblem(
+        variables=[("v", 2)],
+        logdet_terms=[LogDetTerm(const=np.eye(2, dtype=complex),
+                                 maps=[("v", Congruence(h))])],
+        linear_terms={"v": c},
+        constraints=[(("v",), budget)],
+    )
+    return prob, h, c
+
+
 def test_2x2_matches_cholesky_grid():
     rng = np.random.default_rng(1)
     for trial in range(3):
-        h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        c = linalg.hermitize(0.2 * (g @ g.conj().T) + 0.3 * np.eye(2))
         budget = 2.0
-        prob = MaxDetProblem(
-            variables=[("v", 2)],
-            logdet_terms=[LogDetTerm(const=np.eye(2, dtype=complex),
-                                     maps=[("v", Congruence(h))])],
-            linear_terms={"v": c},
-            constraints=[(("v",), budget)],
-        )
+        prob, h, c = two_by_two_problem(rng, budget)
         point, rep = solve(prob, {"v": 0.1 * np.eye(2, dtype=complex)},
                            tol=1e-8)
         coarse, center = _cholesky_grid_best(h, c, budget, steps=15)
@@ -129,33 +137,49 @@ def test_2x2_matches_cholesky_grid():
         assert rep.objective >= fine - 1e-9  # solver at least as good
 
 
+def random_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def eye_stack(scale, n=3, dim=2):
+    return scale * np.tile(np.eye(dim, dtype=complex), (n, 1, 1))
+
+
 def random_two_term_problem(seed):
+    """Two log-det terms over two (3, 2, 2) stack variables, coupled
+    through every operator kind, with a different distortion coefficient on
+    each subcarrier."""
+    n = 3
     rng = np.random.default_rng(seed)
-    h1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    h2 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    h1 = random_stack(rng, n, 2, 2)
+    h2 = random_stack(rng, n, 3, 2)
+    d = random_stack(rng, 2, 2)
     d = linalg.hermitize(0.1 * d @ d.conj().T)
-    t1 = LogDetTerm(const=np.eye(2, dtype=complex),
+    kappa = rng.uniform(0.05, 0.3, n)
+    beta = rng.uniform(0.05, 0.3, n)
+    shared = TransmitDistortion(h2, kappa)
+    t1 = LogDetTerm(const=eye_stack(1.0, n),
                     maps=[("v", Congruence(h1)),
-                          ("w", ScaledTrace(d, dim_in=2))])
-    t2 = LogDetTerm(const=0.5 * np.eye(3, dtype=complex),
-                    maps=[("w", Congruence(h2)),
-                          ("v", DiagCongruence(h2, scale=0.2))])
-    c = linalg.hermitize(np.eye(2) * 0.4)
+                          ("w", TraceCorrelation(d, dim_in=2))])
+    t2 = LogDetTerm(const=eye_stack(0.5, n, 3),
+                    maps=[("w", Congruence(h2)), ("v", shared),
+                          ("w", shared), ("v", ReceiveDistortion(h2, beta))])
     return MaxDetProblem(
         variables=[("v", 2), ("w", 2)],
         logdet_terms=[t1, t2],
-        linear_terms={"v": c},
+        linear_terms={"v": eye_stack(0.4, n)},
         constraints=[(("v",), 1.5), (("w",), 2.0)],
     )
+
+
+def stack_start():
+    return {"v": eye_stack(0.2 / 3), "w": eye_stack(0.2 / 3)}
 
 
 def test_monotone_objective_trace():
     for seed in range(5):
         prob = random_two_term_problem(seed)
-        init = {"v": 0.2 * np.eye(2, dtype=complex),
-                "w": 0.2 * np.eye(2, dtype=complex)}
-        _, rep = solve(prob, init)
+        _, rep = solve(prob, stack_start())
         trace = np.array(rep.objective_trace)
         assert np.all(np.diff(trace) >= -1e-9)
         assert rep.objective >= trace[0] - 1e-10
@@ -163,8 +187,7 @@ def test_monotone_objective_trace():
 
 def test_output_feasibility():
     prob = random_two_term_problem(11)
-    point, _ = solve(prob, {"v": 0.2 * np.eye(2, dtype=complex),
-                            "w": 0.2 * np.eye(2, dtype=complex)})
+    point, _ = solve(prob, stack_start())
     for name in ("v", "w"):
         assert linalg.min_eigenvalue(point[name]) >= -1e-9
     assert linalg.real_trace(point["v"]) <= 1.5 + 1e-8
@@ -177,51 +200,53 @@ def test_logdet_term_permutation_invariance():
                             logdet_terms=list(reversed(prob.logdet_terms)),
                             linear_terms=prob.linear_terms,
                             constraints=prob.constraints)
-    init = {"v": 0.2 * np.eye(2, dtype=complex),
-            "w": 0.2 * np.eye(2, dtype=complex)}
+    init = stack_start()
     _, r1 = solve(prob, init, tol=1e-9)
     _, r2 = solve(flipped, init, tol=1e-9)
     assert abs(r1.objective - r2.objective) < 1e-8
 
 
 def test_gradient_against_finite_differences():
-    prob = random_two_term_problem(7)
     rng = np.random.default_rng(8)
-    point = {"v": 0.3 * np.eye(2, dtype=complex),
-             "w": 0.25 * np.eye(2, dtype=complex)}
-    _, grads, _, _ = _eval_state(prob, point)
-    for name in ("v", "w"):
-        d = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        d = linalg.hermitize(d)
-        eps = 1e-6
-        up = dict(point)
-        dn = dict(point)
-        up[name] = point[name] + eps * d
-        dn[name] = point[name] - eps * d
-        fd = (_eval_state(prob, up)[0] - _eval_state(prob, dn)[0]) / (2 * eps)
-        an = linalg.inner(grads[name], d)
-        assert fd == pytest.approx(an, rel=1e-4)
+    band = random_two_term_problem(7)
+    band_point = {"v": eye_stack(0.1), "w": eye_stack(0.08)}
+    plain, _, _ = two_by_two_problem(rng)
+    plain_point = {"v": 0.3 * np.eye(2, dtype=complex)}
+    for prob, point in ((band, band_point), (plain, plain_point)):
+        _, grads, _, _ = _eval_state(prob, point)
+        for name, _ in prob.variables:
+            d = linalg.hermitize(random_stack(rng, *point[name].shape))
+            eps = 1e-6
+            up = dict(point)
+            dn = dict(point)
+            up[name] = point[name] + eps * d
+            dn[name] = point[name] - eps * d
+            fd = (_eval_state(prob, up)[0]
+                  - _eval_state(prob, dn)[0]) / (2 * eps)
+            an = linalg.inner(grads[name], d)
+            assert fd == pytest.approx(an, rel=1e-4)
 
 
 def test_shared_map_object_gives_the_same_gradient():
     """A map object listed for several variables has its adjoint formed
     once; the gradient is bitwise that of distinct map objects."""
     rng = np.random.default_rng(9)
-    h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    c = linalg.hermitize(np.eye(2) * 0.4)
+    h = random_stack(rng, 3, 2, 2)
+    kappa = np.array([0.3, 0.1, 0.2])
 
     def problem(maps):
         return MaxDetProblem(
             variables=[("v", 2), ("w", 2)],
-            logdet_terms=[LogDetTerm(const=c, maps=maps, weight=1.5)],
+            logdet_terms=[LogDetTerm(const=eye_stack(0.4), maps=maps,
+                                     weight=1.5)],
             constraints=[(("v", "w"), 2.0)])
 
-    shared = DiagCongruence(h, scale=0.3)
-    point = {"v": 0.3 * np.eye(2, dtype=complex),
-             "w": np.diag([0.1, 0.2]).astype(complex)}
+    shared = TransmitDistortion(h, kappa)
+    point = {"v": eye_stack(0.1),
+             "w": np.tile(np.diag([0.1, 0.2]).astype(complex), (3, 1, 1))}
     f1, g1, _, _ = _eval_state(problem([("v", shared), ("w", shared)]), point)
-    f2, g2, _, _ = _eval_state(problem([("v", DiagCongruence(h, scale=0.3)),
-                                        ("w", DiagCongruence(h, scale=0.3))]),
+    f2, g2, _, _ = _eval_state(problem([("v", TransmitDistortion(h, kappa)),
+                                        ("w", TransmitDistortion(h, kappa))]),
                                point)
     assert f1 == f2
     for name in ("v", "w"):
@@ -240,10 +265,8 @@ def test_projection_properties():
     prob = random_two_term_problem(9)
     rng = np.random.default_rng(10)
     for _ in range(10):
-        raw = {"v": linalg.hermitize(rng.standard_normal((2, 2))
-                                     + 1j * rng.standard_normal((2, 2))),
-               "w": linalg.hermitize(rng.standard_normal((2, 2))
-                                     + 1j * rng.standard_normal((2, 2)))}
+        raw = {"v": linalg.hermitize(random_stack(rng, 3, 2, 2)),
+               "w": linalg.hermitize(random_stack(rng, 3, 2, 2))}
         proj = project_feasible(prob, raw)
         assert linalg.min_eigenvalue(proj["v"]) >= -1e-10
         assert linalg.min_eigenvalue(proj["w"]) >= -1e-10
@@ -271,21 +294,39 @@ def test_projection_is_closest_point():
 
 
 def test_adjoint_consistency():
-    """<A(V), G> == <V, A*(G)> for every map type."""
+    """<A(V), G> == <V, A*(G)> for every map type, on a matrix and on
+    (N, M, M) stacks with a different coefficient on each subcarrier."""
     rng = np.random.default_rng(12)
-    h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    hsq = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    d = linalg.hermitize(rng.standard_normal((3, 3))
-                         + 1j * rng.standard_normal((3, 3)))
-    maps = [Congruence(h), ScaledTrace(d, dim_in=2),
-            DiagCongruence(h, scale=0.7), CongruenceDiag(hsq, scale=1.3)]
-    for m in maps:
-        v = linalg.hermitize(rng.standard_normal((2, 2))
-                             + 1j * rng.standard_normal((2, 2)))
+    n = 4
+    hs = random_stack(rng, n, 3, 2)
+    d = linalg.hermitize(random_stack(rng, 3, 3))
+    cases = [(Congruence(random_stack(rng, 3, 2)), (2, 2)),
+             (Congruence(hs), (n, 2, 2)),
+             (TraceCorrelation(d, dim_in=2), (n, 2, 2)),
+             (TransmitDistortion(hs, rng.uniform(0.1, 1.0, n)), (n, 2, 2)),
+             (ReceiveDistortion(hs, rng.uniform(0.1, 1.0, n)), (n, 2, 2))]
+    for m, shape in cases:
+        v = linalg.hermitize(random_stack(rng, *shape))
         out = m.apply(v)
-        g = linalg.hermitize(rng.standard_normal(out.shape)
-                             + 1j * rng.standard_normal(out.shape))
-        lhs = linalg.inner(m.apply(v), g)
-        rhs = linalg.inner(v, m.adjoint(g))
+        g = linalg.hermitize(random_stack(rng, *out.shape))
+        adj = m.adjoint(g)
+        assert adj.shape == v.shape
+        lhs = linalg.inner(out, g)
+        rhs = linalg.inner(v, adj)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
+
+def test_programming_error_in_a_map_propagates():
+    """Only a failed factorization at the start is an infeasible start; a
+    bug in a map surfaces as itself."""
+    class Broken(LinearMap):
+        def apply(self, v):
+            raise TypeError("broken map")
+
+    prob = MaxDetProblem(
+        variables=[("x", 1)],
+        logdet_terms=[LogDetTerm(const=np.eye(1, dtype=complex),
+                                 maps=[("x", Broken())])],
+        constraints=[(("x",), 1.0)])
+    with pytest.raises(TypeError, match="broken map"):
+        solve(prob, {"x": 0.1 * np.eye(1, dtype=complex)})

@@ -6,6 +6,7 @@ from fdwiretap.channel import ChannelRealization, SystemParams, draw_channels
 from fdwiretap.system_model import (BidirectionalDesign, TransmitDesign,
                                     secrecy_rates, sigma_eve,
                                     sigma_node_bidirectional)
+from test_linalg import is_hermitian
 
 
 def small_params(**kw):
@@ -16,7 +17,7 @@ def small_params(**kw):
 
 
 def sigma_bob(p, ch, d, n):
-    return sigma_node_bidirectional(p, ch, d, "b", n)
+    return sigma_node_bidirectional(p, ch, d, "b")[n]
 
 
 def random_design(params, seed, x_frac=1.0, w_frac=1.0):
@@ -93,7 +94,7 @@ def test_sigma_eve_no_jamming():
     p = small_params()
     ch = draw_channels(p, 0)
     d = TransmitDesign.zeros(p)
-    np.testing.assert_allclose(sigma_eve(p, ch, d, 0),
+    np.testing.assert_allclose(sigma_eve(p, ch, d)[0],
                                p.noise["e"][0] * np.eye(p.M_e), atol=1e-15)
 
 
@@ -106,7 +107,7 @@ def test_sigma_eve_rank_one_direct_product():
     d.W[0] = np.outer(v, v.conj())
     hbe = ch.H["be"][0]
     expected = np.eye(2) + hbe @ np.outer(v, v.conj()) @ hbe.conj().T
-    np.testing.assert_allclose(sigma_eve(p, ch, d, 0), expected, atol=1e-12)
+    np.testing.assert_allclose(sigma_eve(p, ch, d)[0], expected, atol=1e-12)
 
 
 def test_secrecy_zero_design_is_zero():
@@ -200,8 +201,8 @@ def test_covariances_hermitian_psd():
     ch = draw_channels(p, 12)
     d = random_design(p, 12)
     for n in range(p.N):
-        for mat in (sigma_bob(p, ch, d, n), sigma_eve(p, ch, d, n)):
-            assert linalg.is_hermitian(mat)
+        for mat in (sigma_bob(p, ch, d, n), sigma_eve(p, ch, d)[n]):
+            assert is_hermitian(mat)
             assert linalg.min_eigenvalue(mat) >= -1e-9
 
 
@@ -226,7 +227,7 @@ def test_sigma_node_trivial_noise_only():
     ch = draw_channels(p, 0)
     d = BidirectionalDesign.zeros(p)
     for node in ("a", "b"):
-        out = sigma_node_bidirectional(p, ch, d, node, 0)
+        out = sigma_node_bidirectional(p, ch, d, node)[0]
         np.testing.assert_allclose(out, p.noise[node][0] * np.eye(p.M_br),
                                    atol=1e-15)
 
@@ -248,7 +249,7 @@ def test_sigma_node_reduces_to_sigma_bob_when_alice_silent():
     folded.W[:] = bi.X_b + bi.W_b
     for n in range(p.N):
         np.testing.assert_allclose(
-            sigma_node_bidirectional(p, ch, bi, "b", n),
+            sigma_node_bidirectional(p, ch, bi, "b")[n],
             sigma_bob(p, ch, folded, n), atol=1e-13)
 
 
@@ -265,15 +266,61 @@ def test_sigma_node_scalar_expansion():
     own = 0.5
     expected = (p.noise["b"][0] + h_cross * 0.15
                 + (p.kappa["b"][0] + p.beta["b"][0]) * h_si * own)
-    got = sigma_node_bidirectional(p, ch, d, "b", 0)
+    got = sigma_node_bidirectional(p, ch, d, "b")[0]
     assert got[0, 0] == pytest.approx(expected, abs=1e-12)
+
+
+def test_covariance_stacks_match_per_subcarrier_loop():
+    """The band operators against the covariance written out subcarrier by
+    subcarrier, with a different kappa and beta on each subcarrier, a
+    nonzero CSI-error correlation and every block of both nodes."""
+    rng = np.random.default_rng(7)
+    p = SystemParams.from_db(M_a=2, M_bt=3, M_br=2, M_e=2, N=3, M_ar=3)
+    d_corr = {}
+    for node, dim in (("a", 3), ("b", 2)):
+        g = rng.standard_normal((dim, dim)) \
+            + 1j * rng.standard_normal((dim, dim))
+        d_corr[node] = 0.01 * g @ g.conj().T
+    p = p.with_updates(
+        kappa={"a": [0.02, 0.005, 0.01], "b": [0.003, 0.03, 0.0]},
+        beta={"a": [0.001, 0.02, 0.007], "b": [0.04, 0.0, 0.01]},
+        D_corr=d_corr)
+    ch = draw_channels(p, 8)
+    d = BidirectionalDesign.zeros(p)
+    for stack in (d.X_a, d.W_a, d.X_b, d.W_b):
+        for n in range(p.N):
+            g = rng.standard_normal(stack.shape[1:]) \
+                + 1j * rng.standard_normal(stack.shape[1:])
+            stack[n] = 0.1 * g @ g.conj().T
+    for node, partner, dim in (("a", "b", p.M_ar), ("b", "a", p.M_br)):
+        own = d.info(node) + d.jam(node)
+        si = ch.H[node + node]
+        got = sigma_node_bidirectional(p, ch, d, node)
+        for n in range(p.N):
+            h = ch.H[partner + node][n]
+            want = (p.noise[node][n] * np.eye(dim)
+                    + h @ d.jam(partner)[n] @ h.conj().T)
+            want = want + np.trace(own[n]).real * p.D_corr[node]
+            band = sum(np.diag(np.diag(own[m])) for m in range(p.N))
+            want = want + p.kappa[node][n] * si[n] @ band @ si[n].conj().T
+            rx_band = sum(np.diag(np.diag(si[m] @ own[m] @ si[m].conj().T))
+                          for m in range(p.N))
+            want = want + p.beta[node][n] * rx_band
+            np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-15)
+    got = sigma_eve(p, ch, d)
+    for n in range(p.N):
+        want = p.noise["e"][n] * np.eye(p.M_e)
+        for node in ("a", "b"):
+            h = ch.H[node + "e"][n]
+            want = want + h @ d.jam(node)[n] @ h.conj().T
+        np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-15)
 
 
 def test_sigma_eve_bidirectional_both_zero():
     p = small_params()
     ch = draw_channels(p, 0)
     d = BidirectionalDesign.zeros(p)
-    out = sigma_eve(p, ch, d, 0)
+    out = sigma_eve(p, ch, d)[0]
     np.testing.assert_allclose(out, p.noise["e"][0] * np.eye(p.M_e),
                                atol=1e-15)
 

@@ -5,10 +5,9 @@ from fdwiretap.channel import SystemParams, draw_channels
 from fdwiretap.errors import WrongDimension
 from fdwiretap.system_model import TransmitDesign
 from fdwiretap.waterfill import (Allocation, SubcarrierGains,
-                                 closed_form_power, equal_power_objective,
-                                 full_budget_slope_bound, gains_from_system,
-                                 secrecy_per_subcarrier, slope, waterfill,
-                                 zero_power_slope_bound)
+                                 closed_form_power, full_budget_slope_bound,
+                                 gains_from_system, secrecy_per_subcarrier,
+                                 slope, waterfill, zero_power_slope_bound)
 
 
 def random_gains(rng, n, x_max=1.0):
@@ -118,7 +117,10 @@ def test_dominates_equal_power():
     rng = np.random.default_rng(3)
     for _ in range(50):
         g = random_gains(rng, 6)
-        assert waterfill(g).objective >= equal_power_objective(g) - 1e-12
+        equal = np.full_like(g.alpha, g.X_max / g.alpha.size)
+        equal_objective = sum(secrecy_per_subcarrier(x, a, b)
+                              for x, a, b in zip(equal, g.alpha, g.beta))
+        assert waterfill(g).objective >= equal_objective - 1e-12
 
 
 def test_concavity_on_segments():
@@ -188,11 +190,11 @@ def test_gains_direct_quadratic_form():
     d.W[:] = w
     for n in range(2):
         h = ch.H["ab"][n][:, 0]
-        sb = system_model.sigma_node_bidirectional(p, ch, d, "b", n)
+        sb = system_model.sigma_node_bidirectional(p, ch, d, "b")[n]
         direct = float(np.real(h.conj() @ np.linalg.solve(sb, h)))
         assert gains.alpha[n] == pytest.approx(direct, abs=1e-12)
         he = ch.H["ae"][n][:, 0]
-        se = system_model.sigma_eve(p, ch, d, n)
+        se = system_model.sigma_eve(p, ch, d)[n]
         direct_e = float(np.real(he.conj() @ np.linalg.solve(se, he)))
         assert gains.beta[n] == pytest.approx(direct_e, abs=1e-12)
 
