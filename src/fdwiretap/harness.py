@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import bcd, system_model
+from . import bcd, maxdet, system_model
 from .channel import (SystemParams, db2lin, draw_channels, perturb_csi,
                       trial_seed)
 from .errors import ConfigError, FdWiretapError, UnknownStrategy
@@ -87,6 +87,12 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class TrialRow:
+    """One strategy on one trial.  ``iters`` counts outer iterations and
+    ``status`` is the worst outer status; ``inner_iters`` counts the inner
+    solver's iterations and ``worst_inner`` is its worst status (Converged <
+    MaxIter < NumericalTrouble).  A failed row has status and worst_inner
+    NumericalTrouble, NaN bits and no iterations."""
+
     strategy: str
     sweep_value: float
     trial: int
@@ -94,6 +100,8 @@ class TrialRow:
     bits: float
     iters: int
     status: str
+    inner_iters: int = 0
+    worst_inner: str = "Converged"
 
 
 @dataclass(eq=False)
@@ -271,13 +279,33 @@ def _optimize(params: SystemParams, ch, init, free: set, opt_kwargs: dict):
         tx_b="X_b" in free, jam_b="W_b" in free, **opt_kwargs)
 
 
+#: Inner solver statuses from best to worst.
+_INNER_ORDER = list(maxdet.SolverStatus)
+
+
+class Dispatch(tuple):
+    """A strategy's result on one channel.  It unpacks as (design, outer
+    iterations, outer status); ``inner_iters`` and ``worst_inner`` total the
+    inner solves of its runs."""
+
+    def __new__(cls, design, iters: int, status: str, inner_reports=()):
+        self = super().__new__(cls, (design, iters, status))
+        self.inner_iters = sum(r.iterations for r in inner_reports)
+        self.worst_inner = max(
+            (r.status for r in inner_reports), default=_INNER_ORDER[0],
+            key=_INNER_ORDER.index).value
+        return self
+
+
 def strategy_dispatch(name: str, params: SystemParams, ch,
-                      opts: dict | None = None):
+                      opts: dict | None = None) -> Dispatch:
     """Run one strategy on one channel realization.
 
-    Returns (design, iterations, status); the design is evaluated against
-    whatever channel the caller chooses (the estimation channel here, the
-    true channel in the CSI study).
+    Returns a :class:`Dispatch`, (design, iterations, status) with the
+    inner totals; the status is the first non-converged status of the
+    strategy's runs.  The design is evaluated against whatever channel the
+    caller chooses (the estimation channel here, the true channel in the
+    CSI study).
     """
     spec = _strategy(name)
     opts = dict(opts or {})
@@ -285,7 +313,7 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
                                        "inner_max_iter") if k in opts}
     params = spec.params(params)
     design = spec.init(params)
-    iters, statuses = 0, []
+    iters, status, reports = 0, "Converged", []
     for free in spec.runs:
         init = design.copy()
         for other in spec.runs:
@@ -296,8 +324,10 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
         for block in free:
             getattr(design, block)[:] = getattr(result.design, block)
         iters += result.state.iterations
-        statuses.append(result.state.status)
-    return design, iters, statuses[0] if statuses else "Converged"
+        if status == "Converged":
+            status = result.state.status
+        reports += result.state.inner_reports
+    return Dispatch(design, iters, status, reports)
 
 
 def _evaluate(name: str, params: SystemParams, design, eval_ch) -> float:
@@ -322,18 +352,20 @@ def run_trial(cfg: ExperimentConfig, sweep_value, trial: int) -> list:
     rows = []
     for name in cfg.strategies:
         try:
-            design, iters, status = strategy_dispatch(name, params, ch_est,
-                                                      opts)
+            run = strategy_dispatch(name, params, ch_est, opts)
+            design, iters, status = run
             bits = _evaluate(name, params, design, ch_true)
         except (FdWiretapError, np.linalg.LinAlgError):
             rows.append(TrialRow(strategy=name,
                                  sweep_value=float(sweep_value), trial=trial,
                                  seed=seed, bits=float("nan"), iters=0,
-                                 status="NumericalTrouble"))
+                                 status="NumericalTrouble",
+                                 worst_inner="NumericalTrouble"))
             continue
         rows.append(TrialRow(strategy=name, sweep_value=float(sweep_value),
                              trial=trial, seed=seed, bits=bits, iters=iters,
-                             status=status))
+                             status=status, inner_iters=run.inner_iters,
+                             worst_inner=run.worst_inner))
     return rows
 
 
@@ -361,7 +393,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 AGGREGATE_HEADER = ("strategy", "sweep_param", "sweep_value", "mean_bits",
                     "stderr_bits", "mean_iters")
 TRIAL_HEADER = ("strategy", "sweep_value", "trial", "seed", "bits", "iters",
-                "status")
+                "status", "inner_iters", "worst_inner")
 
 
 def emit_results(res: ExperimentResult, outdir) -> None:
@@ -386,7 +418,8 @@ def emit_results(res: ExperimentResult, outdir) -> None:
             for row in res.trial_rows:
                 writer.writerow([row.strategy, repr(row.sweep_value),
                                  row.trial, row.seed, repr(row.bits),
-                                 row.iters, row.status])
+                                 row.iters, row.status, row.inner_iters,
+                                 row.worst_inner])
         with open(outdir / "metadata.json", "w") as fh:
             json.dump({"config": res.config_echo,
                        "master_seed": res.master_seed,
@@ -409,7 +442,8 @@ def load_results(outdir) -> ExperimentResult:
                 sweep_value=float(rec["sweep_value"]),
                 trial=int(rec["trial"]), seed=int(rec["seed"]),
                 bits=float(rec["bits"]), iters=int(rec["iters"]),
-                status=rec["status"]))
+                status=rec["status"], inner_iters=int(rec["inner_iters"]),
+                worst_inner=rec["worst_inner"]))
     return ExperimentResult(config_echo=meta["config"],
                             master_seed=meta["master_seed"],
                             trial_rows=rows, version=meta["version"])

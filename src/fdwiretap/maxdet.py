@@ -113,10 +113,16 @@ class SolverStatus(str, Enum):
 
 @dataclass(eq=False)
 class SolverReport:
+    """``residual`` is the stationarity residual at the returned point,
+    ``first_residual`` the one at the projected start, and ``threshold``
+    the stopping level the residual was tested against."""
+
     objective: float
     iterations: int
     residual: float
     status: SolverStatus
+    first_residual: float
+    threshold: float
     objective_trace: list = field(default_factory=list)
 
 
@@ -231,13 +237,18 @@ def _stationarity_residual(prob: MaxDetProblem, point: dict, grads: dict) -> flo
 
 
 def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
-          tol: float = 1e-6) -> tuple[dict, SolverReport]:
+          tol: float = 1e-6, rel_tol: float = 0.0) -> tuple[dict, SolverReport]:
     """Monotone spectral projected gradient ascent.
 
-    Returns the final PSD-feasible point and a report whose residual is the
-    projected-gradient norm actually tested against ``tol``.  Every accepted
-    step increases the objective (Armijo condition), so the returned
-    objective is never below the objective at ``initial``.
+    Stops once the projected-gradient norm falls to
+    ``max(tol, rel_tol * first_residual)``, where ``first_residual`` is that
+    norm at the projected start; the default ``rel_tol=0`` solves to the
+    absolute ``tol``.  A relative stop suits callers that need only an
+    improving step, such as the block updates of :mod:`fdwiretap.bcd`.
+    Returns the final PSD-feasible point and a report carrying both
+    residuals and the threshold used.  Every accepted step increases the
+    objective (Armijo condition), so the returned objective is never below
+    the objective at ``initial``.
     """
     _check_feasible(prob, initial)
     point = {name: linalg.hermitize(np.asarray(initial[name], complex))
@@ -249,11 +260,12 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         raise InfeasibleStart("objective undefined at the initial point") from exc
     trace = [f_cur]
     alpha = 1.0
-    residual = _stationarity_residual(prob, point, grads)
+    residual = first_residual = _stationarity_residual(prob, point, grads)
+    threshold = max(tol, rel_tol * first_residual)
     status = SolverStatus.MAX_ITER
     iters = 0
     for iters in range(1, max_iter + 1):
-        if residual <= tol:
+        if residual <= threshold:
             status = SolverStatus.CONVERGED
             iters -= 1
             break
@@ -268,7 +280,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             # is numerically stationary at this step scale.
             alpha = max(alpha * 0.1, 1e-10)
             residual = _stationarity_residual(prob, point, grads)
-            if residual <= tol:
+            if residual <= threshold:
                 status = SolverStatus.CONVERGED
                 break
             if alpha <= 1e-10:
@@ -321,5 +333,6 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     trace.append(f_final)
     report = SolverReport(objective=f_final, iterations=iters,
                           residual=residual, status=status,
+                          first_residual=first_residual, threshold=threshold,
                           objective_trace=trace)
     return point, report

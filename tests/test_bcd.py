@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fdwiretap import bcd, linalg, system_model
+from fdwiretap import bcd, linalg, maxdet, system_model
 from fdwiretap.channel import ChannelRealization, SystemParams, draw_channels
 from fdwiretap.errors import DegenerateChannel
 from fdwiretap.system_model import BidirectionalDesign, TransmitDesign
@@ -90,6 +93,104 @@ def test_subproblem_size_is_constant_in_n():
         sizes.append((len(prob.logdet_terms),
                       sum(len(term.maps) for term in prob.logdet_terms)))
     assert sizes == [(2, 4), (2, 4)]
+
+
+@pytest.mark.parametrize("one_directional", [True, False])
+def test_subproblem_gradient_is_the_objective_gradient(one_directional):
+    """After the auxiliary update the surrogate is tight and touches the
+    objective from below, so the subproblem's gradient in the free blocks,
+    whose norm the inner solver's first residual measures, is the gradient
+    of the unclamped objective."""
+    p = small_params()
+    ch = draw_channels(p, 21)
+    if one_directional:
+        design = random_design(p, 21).nodes()
+        free = {"X_a", "W_b"}
+        budgets = {"a": p.X_max, "b": p.W_max}
+    else:
+        design = BidirectionalDesign.zeros(p)
+        rng = np.random.default_rng(21)
+        for b in bcd.BLOCKS:
+            g = rng.standard_normal((p.N, 2, 2, 2)) @ [1, 1j]
+            getattr(design, b)[:] = 0.1 * g @ g.conj().swapaxes(-1, -2)
+        free = set(bcd.BLOCKS)
+        budgets = {"a": p.P_A_max, "b": p.P_B_max}
+    view = bcd._active_view(design, free)
+    aux_q, aux_t = bcd.update_auxiliaries(p, ch, view)
+    prob = bcd._subproblem(p, ch, view, free, aux_q, aux_t, budgets)
+    point = {b: getattr(view, b) for b, _ in prob.variables}
+    _, grads, _, _ = maxdet._eval_state(prob, point)
+    rng = np.random.default_rng(22)
+    eps = 1e-6
+    for b, _ in prob.variables:
+        d = linalg.hermitize(rng.standard_normal(point[b].shape)
+                             + 1j * rng.standard_normal(point[b].shape))
+        up = system_model.unclamped_objective_nats(
+            p, ch, replace(view, **{b: point[b] + eps * d}))
+        down = system_model.unclamped_objective_nats(
+            p, ch, replace(view, **{b: point[b] - eps * d}))
+        assert linalg.inner(grads[b], d) == pytest.approx(
+            (up - down) / (2 * eps), rel=1e-5, abs=1e-7), b
+
+
+@pytest.mark.parametrize("outer_tol, inner_tol", [(1e-4, 1e-6),
+                                                  (1e-3, 1e-4)])
+def test_convergence_is_declared_only_after_a_full_solve(outer_tol,
+                                                         inner_tol):
+    """Replays the stop rule along each run: a step that passes it after a
+    truncated solve does not stop the loop, and a converged run ends on a
+    solve to inner_tol."""
+    p = small_params()
+    guarded = 0
+    for seed in range(6):
+        state = bcd.optimize(p, draw_channels(p, seed), outer_tol=outer_tol,
+                             inner_tol=inner_tol).state
+        trace = state.objective_trace
+        assert state.status == "Converged"
+        for i, rep in enumerate(state.inner_reports):
+            passes = abs(trace[i + 1] - trace[i]) < outer_tol * (
+                1.0 + abs(trace[i + 1]))
+            full = rep.threshold <= inner_tol
+            assert (passes and full) == (i == state.iterations - 1), (seed, i)
+            guarded += passes and not full
+        assert state.inner_reports[-1].threshold == inner_tol
+    assert guarded > 0  # the rule did fire on truncated solves
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(m_a=st.integers(1, 3), m_b=st.integers(1, 3), m_e=st.integers(1, 3),
+       n=st.integers(1, 4), kappa_db=st.floats(-50.0, 0.0),
+       beta_db=st.floats(-50.0, 0.0), budget_a_db=st.floats(-30.0, 10.0),
+       budget_b_db=st.floats(-30.0, 10.0), two_node=st.booleans(),
+       seed=st.integers(0, 10**6))
+def test_optimizer_invariants_on_random_instances(
+        m_a, m_b, m_e, n, kappa_db, beta_db, budget_a_db, budget_b_db,
+        two_node, seed):
+    """Feasible PSD result, non-decreasing surrogate trace, and a surrogate
+    tight at the returned design, from tiny budgets to 0 dB residual SI."""
+    p = SystemParams.from_db(M_a=m_a, M_bt=m_b, M_br=m_b, M_e=m_e, N=n,
+                             kappa_db=kappa_db, beta_db=beta_db,
+                             x_max_db=budget_a_db, w_max_db=budget_b_db,
+                             p_a_max_db=budget_a_db, p_b_max_db=budget_b_db)
+    ch = draw_channels(p, seed)
+    if two_node:
+        res = bcd.optimize_bidirectional(p, ch)
+        d = res.design
+        blocks = [(p.P_A_max, (d.X_a, d.W_a)), (p.P_B_max, (d.X_b, d.W_b))]
+    else:
+        res = bcd.optimize(p, ch)
+        blocks = [(p.X_max, (res.design.X,)), (p.W_max, (res.design.W,))]
+    for budget, stacks in blocks:
+        assert sum(linalg.real_trace(s) for s in stacks) <= budget + 1e-9
+        for s in stacks:
+            assert linalg.min_eigenvalue(s) >= -1e-9
+    trace = np.array(res.state.objective_trace)
+    assert np.all(np.diff(trace) >= -1e-9)
+    true = system_model.unclamped_objective_nats(p, ch, res.design)
+    surrogate = bcd.surrogate_objective(p, ch, res.design, res.state.aux_Q,
+                                        res.state.aux_T)
+    assert surrogate == pytest.approx(true, abs=1e-9)
+    assert trace[-1] == pytest.approx(true, abs=1e-9)
 
 
 # --- initializations -------------------------------------------------------

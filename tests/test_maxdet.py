@@ -5,7 +5,8 @@ from fdwiretap import linalg, maxdet
 from fdwiretap.errors import InfeasibleStart
 from fdwiretap.maxdet import (Congruence, LinearMap, LogDetTerm,
                               MaxDetProblem, SolverStatus, _eval_state,
-                              project_feasible, solve)
+                              _stationarity_residual, project_feasible,
+                              solve)
 from fdwiretap.system_model import (ReceiveDistortion, TraceCorrelation,
                                     TransmitDistortion)
 
@@ -330,3 +331,50 @@ def test_programming_error_in_a_map_propagates():
         constraints=[(("x",), 1.0)])
     with pytest.raises(TypeError, match="broken map"):
         solve(prob, {"x": 0.1 * np.eye(1, dtype=complex)})
+
+
+# --- relative stopping threshold ---------------------------------------------
+
+
+def test_zero_rel_tol_is_the_absolute_solve():
+    """rel_tol=0 takes the absolute-tolerance path: the same point as the
+    default call, and the objective bits and iteration count the solver
+    gave before it had a relative threshold."""
+    prob = random_two_term_problem(0)
+    p_abs, r_abs = solve(prob, stack_start())
+    p_rel, r_rel = solve(prob, stack_start(), rel_tol=0.0)
+    for name in ("v", "w"):
+        np.testing.assert_array_equal(p_rel[name], p_abs[name])
+    assert r_rel.objective_trace == r_abs.objective_trace
+    assert r_rel.threshold == 1e-6
+    assert (r_rel.objective, r_rel.iterations) == (13.768620659540836, 19)
+
+
+def test_rel_tol_stops_at_the_first_iterate_below_its_threshold():
+    for seed in range(4):
+        prob = random_two_term_problem(seed)
+        _, rep = solve(prob, stack_start(), tol=1e-12, rel_tol=0.05)
+        assert rep.status == SolverStatus.CONVERGED
+        assert rep.threshold == 0.05 * rep.first_residual
+        assert rep.residual <= rep.threshold
+        # Every earlier iterate, reached by capping the iterations, is
+        # above the threshold.
+        for k in range(rep.iterations):
+            _, early = solve(prob, stack_start(), tol=1e-12, max_iter=k)
+            assert early.residual > rep.threshold, (seed, k)
+
+
+def test_first_residual_is_taken_at_the_projected_start():
+    prob = random_two_term_problem(5)
+    rng = np.random.default_rng(13)
+    g = random_stack(rng, 3, 2, 2)
+    v = g @ g.conj().swapaxes(-1, -2)
+    start = {"v": v * (1.5 / linalg.real_trace(v)),  # on its budget
+             "w": eye_stack(0.05)}
+    _, rep = solve(prob, start, rel_tol=0.1)
+    projected = project_feasible(prob, {name: linalg.hermitize(m)
+                                        for name, m in start.items()})
+    _, grads, _, _ = _eval_state(prob, projected)
+    assert rep.first_residual == _stationarity_residual(prob, projected,
+                                                        grads)
+    assert rep.threshold == max(1e-6, 0.1 * rep.first_residual)
