@@ -60,7 +60,8 @@ class BcdState:
     surrogate objective in nats after every outer iteration and is
     non-decreasing along the run.  ``status`` ends as "Converged" or, when
     ``max_outer`` iterations ran without passing the stop rule,
-    "MaxOuter".
+    "MaxOuter".  ``extrapolations`` counts the accepted extrapolation
+    steps.
     """
 
     aux_Q: dict
@@ -70,6 +71,7 @@ class BcdState:
     converged: bool = False
     status: str = "Running"
     inner_reports: list = field(default_factory=list)
+    extrapolations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +316,11 @@ def _extrapolate(params, ch, view, prob, point, prev_point, f_new, aux):
     past the new iterate along (point - prev_point) and projecting back
     often recovers several iterations at once.  A candidate is kept only
     when the tight surrogate improves, which preserves the monotone
-    objective trace.  Returns the best (point, surrogate, auxiliaries).
+    objective trace.  Returns the best (point, surrogate, auxiliaries) and
+    the number of accepted steps.
     """
     best = point, f_new, aux
+    accepted = 0
     for theta in (1.0, 3.0, 9.0):
         cand = {b: point[b] + theta * (point[b] - prev_point[b])
                 for b in point}
@@ -327,7 +331,8 @@ def _extrapolate(params, ch, view, prob, point, prev_point, f_new, aux):
         if f_cand <= best[1]:
             break
         best = cand, f_cand, aux
-    return best
+        accepted += 1
+    return best, accepted
 
 
 def _ascend(params: SystemParams, ch: ChannelRealization, design,
@@ -364,8 +369,9 @@ def _ascend(params: SystemParams, ch: ChannelRealization, design,
         aux = update_auxiliaries(params, ch, trial)
         f_new = surrogate_objective(params, ch, trial, *aux)
         if prev_point is not None:
-            point, f_new, aux = _extrapolate(params, ch, view, prob, point,
-                                             prev_point, f_new, aux)
+            (point, f_new, aux), accepted = _extrapolate(
+                params, ch, view, prob, point, prev_point, f_new, aux)
+            state.extrapolations += accepted
         for b, value in point.items():
             getattr(view, b)[:] = value
         state.aux_Q, state.aux_T = aux

@@ -90,8 +90,10 @@ class TrialRow:
     """One strategy on one trial.  ``iters`` counts outer iterations and
     ``status`` is the worst outer status; ``inner_iters`` counts the inner
     solver's iterations and ``worst_inner`` is its worst status (Converged <
-    MaxIter < NumericalTrouble).  A failed row has status and worst_inner
-    NumericalTrouble, NaN bits and no iterations."""
+    MaxIter < NumericalTrouble).  ``extrapolations`` counts the accepted
+    extrapolation steps, and ``final_residual`` is the largest stationarity
+    residual a run's last inner solve returned.  A failed row has status
+    and worst_inner NumericalTrouble, NaN bits and no iterations."""
 
     strategy: str
     sweep_value: float
@@ -102,6 +104,8 @@ class TrialRow:
     status: str
     inner_iters: int = 0
     worst_inner: str = "Converged"
+    extrapolations: int = 0
+    final_residual: float = 0.0
 
 
 @dataclass(eq=False)
@@ -285,15 +289,21 @@ _INNER_ORDER = list(maxdet.SolverStatus)
 
 class Dispatch(tuple):
     """A strategy's result on one channel.  It unpacks as (design, outer
-    iterations, outer status); ``inner_iters`` and ``worst_inner`` total the
-    inner solves of its runs."""
+    iterations, outer status); ``inner_iters``, ``worst_inner``,
+    ``extrapolations`` and ``final_residual`` total the optimizer states of
+    its runs as the :class:`TrialRow` fields of those names do."""
 
-    def __new__(cls, design, iters: int, status: str, inner_reports=()):
+    def __new__(cls, design, iters: int, status: str, states=()):
         self = super().__new__(cls, (design, iters, status))
-        self.inner_iters = sum(r.iterations for r in inner_reports)
+        reports = [r for state in states for r in state.inner_reports]
+        self.inner_iters = sum(r.iterations for r in reports)
         self.worst_inner = max(
-            (r.status for r in inner_reports), default=_INNER_ORDER[0],
+            (r.status for r in reports), default=_INNER_ORDER[0],
             key=_INNER_ORDER.index).value
+        self.extrapolations = sum(state.extrapolations for state in states)
+        self.final_residual = max(
+            (state.inner_reports[-1].residual for state in states
+             if state.inner_reports), default=0.0)
         return self
 
 
@@ -313,7 +323,7 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
                                        "inner_max_iter") if k in opts}
     params = spec.params(params)
     design = spec.init(params)
-    iters, status, reports = 0, "Converged", []
+    iters, status, states = 0, "Converged", []
     for free in spec.runs:
         init = design.copy()
         for other in spec.runs:
@@ -326,8 +336,8 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
         iters += result.state.iterations
         if status == "Converged":
             status = result.state.status
-        reports += result.state.inner_reports
-    return Dispatch(design, iters, status, reports)
+        states.append(result.state)
+    return Dispatch(design, iters, status, states)
 
 
 def _evaluate(name: str, params: SystemParams, design, eval_ch) -> float:
@@ -365,7 +375,9 @@ def run_trial(cfg: ExperimentConfig, sweep_value, trial: int) -> list:
         rows.append(TrialRow(strategy=name, sweep_value=float(sweep_value),
                              trial=trial, seed=seed, bits=bits, iters=iters,
                              status=status, inner_iters=run.inner_iters,
-                             worst_inner=run.worst_inner))
+                             worst_inner=run.worst_inner,
+                             extrapolations=run.extrapolations,
+                             final_residual=run.final_residual))
     return rows
 
 
@@ -393,7 +405,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 AGGREGATE_HEADER = ("strategy", "sweep_param", "sweep_value", "mean_bits",
                     "stderr_bits", "mean_iters")
 TRIAL_HEADER = ("strategy", "sweep_value", "trial", "seed", "bits", "iters",
-                "status", "inner_iters", "worst_inner")
+                "status", "inner_iters", "worst_inner", "extrapolations",
+                "final_residual")
 
 
 def emit_results(res: ExperimentResult, outdir) -> None:
@@ -419,7 +432,8 @@ def emit_results(res: ExperimentResult, outdir) -> None:
                 writer.writerow([row.strategy, repr(row.sweep_value),
                                  row.trial, row.seed, repr(row.bits),
                                  row.iters, row.status, row.inner_iters,
-                                 row.worst_inner])
+                                 row.worst_inner, row.extrapolations,
+                                 repr(row.final_residual)])
         with open(outdir / "metadata.json", "w") as fh:
             json.dump({"config": res.config_echo,
                        "master_seed": res.master_seed,
@@ -443,7 +457,9 @@ def load_results(outdir) -> ExperimentResult:
                 trial=int(rec["trial"]), seed=int(rec["seed"]),
                 bits=float(rec["bits"]), iters=int(rec["iters"]),
                 status=rec["status"], inner_iters=int(rec["inner_iters"]),
-                worst_inner=rec["worst_inner"]))
+                worst_inner=rec["worst_inner"],
+                extrapolations=int(rec["extrapolations"]),
+                final_residual=float(rec["final_residual"])))
     return ExperimentResult(config_echo=meta["config"],
                             master_seed=meta["master_seed"],
                             trial_rows=rows, version=meta["version"])

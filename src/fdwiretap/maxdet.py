@@ -9,10 +9,14 @@ where every A_tv is a Hermitian-preserving linear map.  A variable's value
 may carry leading axes: an (N, M, M) stack is one variable, its trace is
 summed over the stack, and a term whose constant is a stack contributes the
 sum of its per-matrix log-determinants.  The method is a
-monotone spectral projected gradient ascent: the feasible set admits an
-exact Euclidean projection (per-variable eigendecomposition plus a joint
-water-level clip of the eigenvalues against each trace budget), Barzilai-
-Borwein steps give fast local convergence, and an Armijo backtracking line
+monotone scaled spectral projected gradient ascent (Birgin, Martinez &
+Raydan, SIAM J. Optim. 2000; Bonettini, Zanella & Zanni, Inverse Problems
+2009).  Each variable takes its own Barzilai-Borwein step, since the
+curvatures of an information and a jamming block can differ by orders of
+magnitude, and the trial point is projected in the matching scaled metric
+sum_v ||V_v - P_v||^2 / step_v.  That projection is exact: a
+per-variable eigendecomposition plus a joint weighted water-level clip of
+the eigenvalues against each trace budget.  An Armijo backtracking line
 search guarantees the objective never decreases across iterates.
 """
 
@@ -140,12 +144,20 @@ def _term_matrix(term: LogDetTerm, point: dict, const=None) -> np.ndarray:
     return linalg.hermitize(y)
 
 
+def _factor(y: np.ndarray) -> tuple:
+    """A term matrix's Cholesky factor and its summed log-determinant."""
+    chol = linalg.cholesky(y)
+    return chol, linalg.cholesky_logdet(chol).sum()
+
+
 def _eval_state(prob: MaxDetProblem, point: dict,
-                y_mats: list | None = None) -> tuple:
+                y_mats: list | None = None,
+                factors: list | None = None) -> tuple:
     """Objective, gradient and per-term matrices/log-dets at a point.
 
     ``y_mats`` can carry the affinely updated term matrices from the line
-    search to avoid re-applying the linear maps.
+    search to avoid re-applying the linear maps, and ``factors`` their
+    :func:`_factor` results to avoid factoring them again.
     """
     total = prob.offset
     grads = {name: -prob.linear_terms[name] if name in prob.linear_terms
@@ -155,11 +167,12 @@ def _eval_state(prob: MaxDetProblem, point: dict,
         total -= linalg.inner(coeff, point[name])
     if y_mats is None:
         y_mats = [_term_matrix(term, point) for term in prob.logdet_terms]
+    if factors is None:
+        factors = [_factor(y) for y in y_mats]
     logdets = []
-    for term, y in zip(prob.logdet_terms, y_mats):
-        chol = linalg.cholesky(y)
-        logdets.append(linalg.cholesky_logdet(chol).sum())
-        total += term.weight * logdets[-1]
+    for term, (chol, logdet) in zip(prob.logdet_terms, factors):
+        logdets.append(logdet)
+        total += term.weight * logdet
         y_inv = linalg.hermitize(linalg.cholesky_inverse(chol))
         # A map object listed for several variables has one adjoint.
         adjoints = {}
@@ -176,30 +189,51 @@ def _eval_state(prob: MaxDetProblem, point: dict,
 # Exact projection onto { V >= 0, per-group trace budgets }.
 
 
-def _clip_to_budget(vals: np.ndarray, budget: float) -> np.ndarray:
-    """Project eigenvalues onto {p >= 0, sum p <= budget}."""
+def _clip_to_budget(vals: np.ndarray, budget: float,
+                    weights: np.ndarray) -> np.ndarray:
+    """Project eigenvalues onto {p >= 0, sum p <= budget} in the metric
+    sum_i (vals_i - p_i)^2 / weights_i, for positive weights.
+
+    The result is the weighted water level p_i = max(vals_i - theta *
+    weights_i, 0), with theta >= 0 the smallest level that meets the
+    budget; unit weights give the Euclidean projection.
+    """
     clipped = np.maximum(vals, 0.0)
     if clipped.sum() <= budget:
         return clipped
-    # Water-level shift: find theta with sum max(vals - theta, 0) = budget.
-    srt = np.sort(vals)[::-1]
-    theta = (srt.cumsum() - budget) / np.arange(1, srt.size + 1)
-    k_star = np.flatnonzero(theta < srt)[-1]  # largest k with srt[k] > theta
-    return np.maximum(vals - theta[k_star], 0.0)
+    # Each eigenvalue leaves the active set at theta = vals / weights.  With
+    # the k largest of these ratios active, sum (vals - theta weights) =
+    # budget gives theta[k]; the level is that of the largest k whose
+    # theta[k] is below the k-th largest ratio.
+    ratios = vals / weights
+    order = np.argsort(ratios)[::-1]
+    theta = (vals[order].cumsum() - budget) / weights[order].cumsum()
+    k_star = np.flatnonzero(theta < ratios[order])[-1]
+    return np.maximum(vals - theta[k_star] * weights, 0.0)
 
 
-def project_feasible(prob: MaxDetProblem, point: dict) -> dict:
-    """Euclidean projection onto the feasible set.
+def project_feasible(prob: MaxDetProblem, point: dict,
+                     steps: dict | None = None) -> dict:
+    """Projection onto the feasible set in the metric
+    sum_v ||V_v - P_v||^2 / steps[v]; Euclidean without ``steps``.
 
     Unitary invariance of both the PSD cone and the trace budgets reduces
     the projection to an eigenvalue problem per variable plus a joint
-    water-level clip per constraint group.
+    water-level clip per constraint group, whose eigenvalues are weighted
+    by their variable's step over the group's largest step.  A variable
+    outside every group, or alone in its group, projects the same for any
+    step.
     """
+    if steps is None:
+        steps = {name: 1.0 for name, _ in prob.variables}
     out = {}
     for group, budget in prob.constraints:
         eig = [np.linalg.eigh(linalg.hermitize(point[name])) for name in group]
+        top = max(steps[name] for name in group)
         clipped = _clip_to_budget(
-            np.concatenate([vals.ravel() for vals, _ in eig]), budget)
+            np.concatenate([vals.ravel() for vals, _ in eig]), budget,
+            np.concatenate([np.full(vals.size, steps[name] / top)
+                            for name, (vals, _) in zip(group, eig)]))
         pos = 0
         for name, (vals, vecs) in zip(group, eig):
             new_vals = clipped[pos:pos + vals.size].reshape(vals.shape)
@@ -238,9 +272,14 @@ def _stationarity_residual(prob: MaxDetProblem, point: dict, grads: dict) -> flo
 
 def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
           tol: float = 1e-6, rel_tol: float = 0.0) -> tuple[dict, SolverReport]:
-    """Monotone spectral projected gradient ascent.
+    """Monotone scaled spectral projected gradient ascent.
 
-    Stops once the projected-gradient norm falls to
+    Each variable takes its own Barzilai-Borwein step, from its own
+    displacement and gradient change, and the trial point is projected in
+    the matching scaled metric (see :func:`project_feasible`), which keeps
+    the projected direction an ascent direction for the Armijo search.
+
+    Stops once the Euclidean projected-gradient norm falls to
     ``max(tol, rel_tol * first_residual)``, where ``first_residual`` is that
     norm at the projected start; the default ``rel_tol=0`` solves to the
     absolute ``tol``.  A relative stop suits callers that need only an
@@ -259,7 +298,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     except (NonPositiveDefinite, np.linalg.LinAlgError) as exc:
         raise InfeasibleStart("objective undefined at the initial point") from exc
     trace = [f_cur]
-    alpha = 1.0
+    steps = {name: 1.0 for name, _ in prob.variables}
     residual = first_residual = _stationarity_residual(prob, point, grads)
     threshold = max(tol, rel_tol * first_residual)
     status = SolverStatus.MAX_ITER
@@ -269,21 +308,22 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             status = SolverStatus.CONVERGED
             iters -= 1
             break
-        trial = {name: point[name] + alpha * grads[name]
+        trial = {name: point[name] + steps[name] * grads[name]
                  for name, _ in prob.variables}
-        proj = project_feasible(prob, trial)
+        proj = project_feasible(prob, trial, steps)
         direction = {name: proj[name] - point[name] for name, _ in prob.variables}
         slope = sum(linalg.inner(grads[name], direction[name])
                     for name, _ in prob.variables)
         if slope <= 0:
             # The projected direction is not an ascent direction; the point
             # is numerically stationary at this step scale.
-            alpha = max(alpha * 0.1, 1e-10)
+            steps = {name: max(alpha * 0.1, 1e-10)
+                     for name, alpha in steps.items()}
             residual = _stationarity_residual(prob, point, grads)
             if residual <= threshold:
                 status = SolverStatus.CONVERGED
                 break
-            if alpha <= 1e-10:
+            if max(steps.values()) <= 1e-10:
                 status = SolverStatus.NUMERICAL_TROUBLE
                 break
             continue
@@ -298,12 +338,13 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         for _ in range(40):
             y_cand = [y0 + step * yd for y0, yd in zip(y_cur, y_dir)]
             try:
-                lds = [linalg.logdet(y).sum() for y in y_cand]
+                factors = [_factor(y) for y in y_cand]
             except NonPositiveDefinite:
                 f_cand = -np.inf
             else:
                 f_cand = f_cur + step * lin_delta
-                for term, ld0, ld in zip(prob.logdet_terms, ld_cur, lds):
+                for term, ld0, (_, ld) in zip(prob.logdet_terms, ld_cur,
+                                              factors):
                     f_cand += term.weight * (ld - ld0)
             if f_cand >= f_cur + 1e-4 * step * slope:
                 accepted = True
@@ -314,17 +355,15 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             break
         new_point = {name: point[name] + step * direction[name]
                      for name, _ in prob.variables}
-        f_cand, new_grads, y_cur, ld_cur = _eval_state(prob, new_point,
-                                                       y_mats=y_cand)
-        # Barzilai-Borwein step length for the next trial point.
-        ss = 0.0
-        sy = 0.0
+        f_cand, new_grads, y_cur, ld_cur = _eval_state(
+            prob, new_point, y_mats=y_cand, factors=factors)
+        # Each variable's Barzilai-Borwein step for the next trial point.
         for name, _ in prob.variables:
             s = new_point[name] - point[name]
             y = grads[name] - new_grads[name]
-            ss += linalg.inner(s, s)
-            sy += linalg.inner(s, y)
-        alpha = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-16 else 1.0
+            ss = linalg.inner(s, s)
+            sy = linalg.inner(s, y)
+            steps[name] = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-16 else 1.0
         point, grads, f_cur = new_point, new_grads, f_cand
         trace.append(f_cur)
         residual = _stationarity_residual(prob, point, grads)

@@ -297,11 +297,16 @@ def test_point_to_point_capacity():
 
 def test_optimize_monotone_trace_and_budgets():
     p = small_params()
+    extrapolations = 0
     for seed in range(5):
         ch = draw_channels(p, seed)
         res = bcd.optimize(p, ch)
         trace = np.array(res.state.objective_trace)
         assert np.all(np.diff(trace) >= -1e-9)
+        # At most three extrapolation steps follow each outer iteration
+        # after the first.
+        assert 0 <= res.state.extrapolations <= 3 * (res.state.iterations - 1)
+        extrapolations += res.state.extrapolations
         total_x = sum(np.real(np.trace(x)) for x in res.design.X)
         total_w = sum(np.real(np.trace(w)) for w in res.design.W)
         assert total_x <= p.X_max + 1e-6
@@ -309,6 +314,7 @@ def test_optimize_monotone_trace_and_budgets():
         for n in range(p.N):
             assert linalg.min_eigenvalue(res.design.X[n]) >= -1e-9
             assert linalg.min_eigenvalue(res.design.W[n]) >= -1e-9
+    assert extrapolations > 0
 
 
 def test_optimize_improves_on_equal_power():

@@ -324,6 +324,38 @@ def test_rows_carry_inner_solver_totals(tmp_path):
             assert row.inner_iters > 0 and row.worst_inner == "MaxIter"
 
 
+def test_rows_carry_extrapolations_and_final_residual(tmp_path):
+    """extrapolations sums the accepted extrapolation steps of a row's
+    optimizer runs and final_residual is the largest residual of a run's
+    last inner solve; both survive the CSV round trip."""
+    p = SystemParams.from_db(**DESK)
+    ch = draw_channels(p, 2)
+    run = strategy_dispatch("Both-HD/No-Jam", p, ch, OPTS)
+    hd = harness._half_duplex(p)
+    states = []
+    for silent in ("X_b", "X_a"):
+        init = bcd.init_uniform_bidirectional(hd)
+        getattr(init, silent)[:] = 0.0
+        states.append(bcd.optimize_bidirectional(
+            hd, ch, init=init, tx_a=silent == "X_b", tx_b=silent == "X_a",
+            jam_a=False, jam_b=False, **OPTS).state)
+    assert run.extrapolations == sum(s.extrapolations for s in states)
+    assert run.final_residual == max(s.inner_reports[-1].residual
+                                     for s in states)
+    cfg = desk_config(strategies=["Optimal-FD", "Equal-FD"], trials=3)
+    res = run_experiment(cfg)
+    emit_results(res, tmp_path)
+    loaded = load_results(tmp_path).trial_rows
+    assert [(r.extrapolations, r.final_residual) for r in loaded] == [
+        (r.extrapolations, r.final_residual) for r in res.trial_rows]
+    for row in res.trial_rows:
+        if row.strategy == "Equal-FD":
+            assert (row.extrapolations, row.final_residual) == (0, 0.0)
+        else:
+            assert 0.0 < row.final_residual <= cfg.inner_tol
+    assert sum(r.extrapolations for r in res.trial_rows) > 0
+
+
 def test_emitted_files_are_byte_identical_across_reruns(tmp_path):
     cfg = desk_config(strategies=["Optimal-FD", "Equal-FD"], trials=2)
     emit_results(run_experiment(cfg), tmp_path / "a")

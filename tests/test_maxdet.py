@@ -4,9 +4,9 @@ import pytest
 from fdwiretap import linalg, maxdet
 from fdwiretap.errors import InfeasibleStart
 from fdwiretap.maxdet import (Congruence, LinearMap, LogDetTerm,
-                              MaxDetProblem, SolverStatus, _eval_state,
-                              _stationarity_residual, project_feasible,
-                              solve)
+                              MaxDetProblem, SolverStatus, _clip_to_budget,
+                              _eval_state, _stationarity_residual,
+                              project_feasible, solve)
 from fdwiretap.system_model import (ReceiveDistortion, TraceCorrelation,
                                     TransmitDistortion)
 
@@ -173,17 +173,26 @@ def random_two_term_problem(seed):
     )
 
 
+def shared_budget(prob, budget=2.5):
+    """The same problem with one budget shared by every variable."""
+    return MaxDetProblem(
+        variables=prob.variables, logdet_terms=prob.logdet_terms,
+        linear_terms=prob.linear_terms,
+        constraints=[(tuple(name for name, _ in prob.variables), budget)])
+
+
 def stack_start():
     return {"v": eye_stack(0.2 / 3), "w": eye_stack(0.2 / 3)}
 
 
 def test_monotone_objective_trace():
     for seed in range(5):
-        prob = random_two_term_problem(seed)
-        _, rep = solve(prob, stack_start())
-        trace = np.array(rep.objective_trace)
-        assert np.all(np.diff(trace) >= -1e-9)
-        assert rep.objective >= trace[0] - 1e-10
+        for prob in (random_two_term_problem(seed),
+                     shared_budget(random_two_term_problem(seed))):
+            _, rep = solve(prob, stack_start())
+            trace = np.array(rep.objective_trace)
+            assert np.all(np.diff(trace) >= -1e-9)
+            assert rep.objective >= trace[0] - 1e-10
 
 
 def test_output_feasibility():
@@ -193,6 +202,12 @@ def test_output_feasibility():
         assert linalg.min_eigenvalue(point[name]) >= -1e-9
     assert linalg.real_trace(point["v"]) <= 1.5 + 1e-8
     assert linalg.real_trace(point["w"]) <= 2.0 + 1e-8
+    point, rep = solve(shared_budget(prob), stack_start())
+    assert rep.status == SolverStatus.CONVERGED
+    for name in ("v", "w"):
+        assert linalg.min_eigenvalue(point[name]) >= -1e-9
+    assert (linalg.real_trace(point["v"])
+            + linalg.real_trace(point["w"])) <= 2.5 + 1e-8
 
 
 def test_logdet_term_permutation_invariance():
@@ -294,6 +309,109 @@ def test_projection_is_closest_point():
     np.testing.assert_allclose(np.diag(proj["v"]).real, [1.0, 0.0], atol=1e-10)
 
 
+# --- projection in the scaled metric ------------------------------------------
+
+
+def euclidean_clip(vals, budget):
+    """The Euclidean water level as the solver computed it before the
+    projection took weights."""
+    clipped = np.maximum(vals, 0.0)
+    if clipped.sum() <= budget:
+        return clipped
+    srt = np.sort(vals)[::-1]
+    theta = (srt.cumsum() - budget) / np.arange(1, srt.size + 1)
+    k_star = np.flatnonzero(theta < srt)[-1]
+    return np.maximum(vals - theta[k_star], 0.0)
+
+
+def test_unit_weights_give_the_euclidean_clip_bit_for_bit():
+    rng = np.random.default_rng(14)
+    cases = [(np.array([1.0, 1.0, 1.0, 0.5]), 1.2),  # a three-way tie
+             (np.array([2.0, 2.0, -1.0]), 3.0),
+             (np.array([0.3, 0.3, 0.3]), 0.9),  # the budget just binds
+             (np.array([0.1, -0.2, 0.05]), 1.0),  # the budget does not bind
+             (np.array([-1.0, -2.0]), 0.5)]
+    for _ in range(200):
+        vals = rng.standard_normal(int(rng.integers(1, 13)))
+        if rng.random() < 0.3:
+            vals[rng.integers(vals.size, size=3)] = vals[0]  # ties
+        cases.append((vals, float(rng.uniform(0.01, 3.0))))
+    for vals, budget in cases:
+        np.testing.assert_array_equal(
+            _clip_to_budget(vals, budget, np.ones(vals.size)),
+            euclidean_clip(vals, budget))
+
+
+def bisect_level(vals, budget, weights):
+    """The water level by bisection on theta."""
+    lo, hi = 0.0, float(np.max(vals / weights))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(vals - mid * weights, 0.0).sum() > budget:
+            lo = mid
+        else:
+            hi = mid
+    return np.maximum(vals - hi * weights, 0.0)
+
+
+def test_weighted_clip_is_the_kkt_water_level():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        size = int(rng.integers(1, 13))
+        vals = 2.0 * rng.standard_normal(size)
+        weights = np.exp(rng.uniform(-6.0, 0.0, size))
+        budget = float(rng.uniform(0.01, 3.0))
+        p = _clip_to_budget(vals, budget, weights)
+        assert np.all(p >= 0.0)
+        if np.maximum(vals, 0.0).sum() <= budget:
+            np.testing.assert_array_equal(p, np.maximum(vals, 0.0))
+            continue
+        assert p.sum() == pytest.approx(budget, rel=1e-12)
+        active = p > 0
+        theta = (vals[active] - p[active]) / weights[active]
+        assert theta.min() >= 0.0
+        assert theta.max() - theta.min() <= 1e-12 * max(1.0, theta.max())
+        np.testing.assert_allclose(
+            p, np.maximum(vals - theta.mean() * weights, 0.0),
+            rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p, bisect_level(vals, budget, weights),
+                                   rtol=0, atol=1e-10)
+
+
+def test_single_variable_groups_project_alike_for_any_step():
+    prob = random_two_term_problem(16)
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        raw = {"v": linalg.hermitize(random_stack(rng, 3, 2, 2)),
+               "w": linalg.hermitize(random_stack(rng, 3, 2, 2))}
+        steps = dict(zip(("v", "w"), np.exp(rng.uniform(-9.0, 9.0, 2))))
+        plain = project_feasible(prob, raw)
+        scaled = project_feasible(prob, raw, steps)
+        for name in ("v", "w"):
+            np.testing.assert_array_equal(scaled[name], plain[name])
+
+
+def test_scaled_projection_gives_an_ascent_direction():
+    """<G, d> >= sum_v ||d_v||^2 / step_v for d = P_D(V + D G) - V, the
+    bound that makes the Armijo search sound in the scaled metric."""
+    rng = np.random.default_rng(17)
+    for seed in range(5):
+        base = random_two_term_problem(seed)
+        for prob in (base, shared_budget(base)):
+            point = project_feasible(prob, stack_start())
+            _, grads, _, _ = _eval_state(prob, point)
+            for _ in range(5):
+                steps = dict(zip(("v", "w"),
+                                 np.exp(rng.uniform(-7.0, 7.0, 2))))
+                trial = {name: point[name] + steps[name] * grads[name]
+                         for name in ("v", "w")}
+                proj = project_feasible(prob, trial, steps)
+                d = {name: proj[name] - point[name] for name in ("v", "w")}
+                slope = sum(linalg.inner(grads[n], d[n]) for n in d)
+                bound = sum(linalg.inner(d[n], d[n]) / steps[n] for n in d)
+                assert slope >= bound - 1e-9 * max(1.0, abs(slope))
+
+
 def test_adjoint_consistency():
     """<A(V), G> == <V, A*(G)> for every map type, on a matrix and on
     (N, M, M) stacks with a different coefficient on each subcarrier."""
@@ -338,8 +456,8 @@ def test_programming_error_in_a_map_propagates():
 
 def test_zero_rel_tol_is_the_absolute_solve():
     """rel_tol=0 takes the absolute-tolerance path: the same point as the
-    default call, and the objective bits and iteration count the solver
-    gave before it had a relative threshold."""
+    default call, and pinned objective bits and iteration count of the
+    per-variable-step solver."""
     prob = random_two_term_problem(0)
     p_abs, r_abs = solve(prob, stack_start())
     p_rel, r_rel = solve(prob, stack_start(), rel_tol=0.0)
@@ -347,7 +465,7 @@ def test_zero_rel_tol_is_the_absolute_solve():
         np.testing.assert_array_equal(p_rel[name], p_abs[name])
     assert r_rel.objective_trace == r_abs.objective_trace
     assert r_rel.threshold == 1e-6
-    assert (r_rel.objective, r_rel.iterations) == (13.768620659540836, 19)
+    assert (r_rel.objective, r_rel.iterations) == (13.768620659540785, 21)
 
 
 def test_rel_tol_stops_at_the_first_iterate_below_its_threshold():
