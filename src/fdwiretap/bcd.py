@@ -225,10 +225,7 @@ def _spatial_beam(f: np.ndarray, g_gram: np.ndarray, nu_f: float,
     _, u, _ = linalg.dominant_eigenpair(
         linalg.hermitize(b_inv_half @ a @ b_inv_half))
     m = b_inv_half @ u
-    m = m / np.linalg.norm(m)
-    idx = np.flatnonzero(np.abs(m) > 1e-12)
-    if idx.size:
-        m = m * (np.conj(m[idx[0]]) / np.abs(m[idx[0]]))
+    m = linalg.fix_phase(m / np.linalg.norm(m))
     return np.outer(m, m.conj())
 
 

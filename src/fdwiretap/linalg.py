@@ -9,7 +9,6 @@ axes.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonPositiveDefinite
 
@@ -37,44 +36,25 @@ def cholesky(m: np.ndarray) -> np.ndarray:
         raise NonPositiveDefinite("matrix is not positive definite") from exc
 
 
-def cholesky_logdet(chol: np.ndarray):
-    """Natural-log determinant of L L^H from its Cholesky factor L; for a
-    stack of factors, the array of per-matrix log-determinants."""
-    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
-
-
 def logdet(m: np.ndarray):
     """Natural-log determinant of a Hermitian positive definite matrix, or
     the per-matrix log-determinants of a stack, from the Cholesky factors,
     never from an explicit determinant.  Raises NonPositiveDefinite if a
     factorization fails."""
-    return cholesky_logdet(cholesky(m))
+    chol = cholesky(m)
+    return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
 
 
-def cholesky_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverse of L L^H from its lower Cholesky factor L, whose upper
-    triangle is not read, or the inverse of each matrix of a stack.  Not
-    re-symmetrized."""
-    flat = chol.reshape((-1,) + chol.shape[-2:])
-    eye = np.eye(chol.shape[-1], dtype=complex)
-    out = np.empty(flat.shape, complex)
-    for i, c in enumerate(flat):
-        out[i] = scipy.linalg.lapack.zpotrs(c, eye, lower=True)[0]
-    return out.reshape(chol.shape)
+def psd_inverse(m: np.ndarray) -> np.ndarray:
+    """Inverse of a Hermitian positive definite matrix, or of each matrix
+    of a stack, re-symmetrized.  Raises NonPositiveDefinite if a Cholesky
+    factorization fails, so a singular or indefinite covariance is never
+    inverted."""
+    cholesky(m)
+    return hermitize(np.linalg.inv(m))
 
 
-def psd_inverse(m: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Inverse of (m + ridge*I), or of each matrix of a stack, through a
-    Cholesky factorization.
-
-    The optional ridge restores positive definiteness of near-singular
-    covariances (e.g. vanishing jamming power with small noise).
-    """
-    a = m if ridge == 0.0 else m + ridge * np.eye(m.shape[-1])
-    return hermitize(cholesky_inverse(cholesky(a)))
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
+def fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a vector so its first nonzero entry is real nonnegative."""
     idx = np.flatnonzero(np.abs(v) > 1e-12)
     if idx.size == 0:
@@ -96,23 +76,23 @@ def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray, bool]:
     lam = float(vals[-1])
     degenerate = m.shape[0] > 1 and (lam - float(vals[-2])) < DEGENERATE_GAP
     if not degenerate:
-        return lam, _fix_phase(vecs[:, -1]), False
+        return lam, fix_phase(vecs[:, -1]), False
     space = vecs[:, vals > lam - DEGENERATE_GAP]
     for k in range(m.shape[0]):
         proj = space @ space[k, :].conj()
         nrm = np.linalg.norm(proj)
         if nrm > 1e-6:
-            return lam, _fix_phase(proj / nrm), True
-    return lam, _fix_phase(vecs[:, -1]), True
+            return lam, fix_phase(proj / nrm), True
+    return lam, fix_phase(vecs[:, -1]), True
 
 
-def psd_clip(m: np.ndarray, floor: float = 0.0) -> np.ndarray:
+def psd_clip(m: np.ndarray) -> np.ndarray:
     """Project a Hermitian matrix, or each matrix of a stack, onto the PSD
     cone by eigenvalue clipping."""
     vals, vecs = np.linalg.eigh(hermitize(m))
-    if vals.min() >= floor:
+    if vals.min() >= 0.0:
         return hermitize(m)
-    return from_eigh(np.maximum(vals, floor), vecs)
+    return from_eigh(np.maximum(vals, 0.0), vecs)
 
 
 def from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -144,20 +144,14 @@ def _term_matrix(term: LogDetTerm, point: dict, const=None) -> np.ndarray:
     return linalg.hermitize(y)
 
 
-def _factor(y: np.ndarray) -> tuple:
-    """A term matrix's Cholesky factor and its summed log-determinant."""
-    chol = linalg.cholesky(y)
-    return chol, linalg.cholesky_logdet(chol).sum()
-
-
 def _eval_state(prob: MaxDetProblem, point: dict,
                 y_mats: list | None = None,
-                factors: list | None = None) -> tuple:
+                logdets: list | None = None) -> tuple:
     """Objective, gradient and per-term matrices/log-dets at a point.
 
     ``y_mats`` can carry the affinely updated term matrices from the line
-    search to avoid re-applying the linear maps, and ``factors`` their
-    :func:`_factor` results to avoid factoring them again.
+    search to avoid re-applying the linear maps, and ``logdets`` their
+    summed log-determinants to avoid factoring them again.
     """
     total = prob.offset
     grads = {name: -prob.linear_terms[name] if name in prob.linear_terms
@@ -167,13 +161,11 @@ def _eval_state(prob: MaxDetProblem, point: dict,
         total -= linalg.inner(coeff, point[name])
     if y_mats is None:
         y_mats = [_term_matrix(term, point) for term in prob.logdet_terms]
-    if factors is None:
-        factors = [_factor(y) for y in y_mats]
-    logdets = []
-    for term, (chol, logdet) in zip(prob.logdet_terms, factors):
-        logdets.append(logdet)
+    if logdets is None:
+        logdets = [linalg.logdet(y).sum() for y in y_mats]
+    for term, y, logdet in zip(prob.logdet_terms, y_mats, logdets):
         total += term.weight * logdet
-        y_inv = linalg.hermitize(linalg.cholesky_inverse(chol))
+        y_inv = linalg.hermitize(np.linalg.inv(y))
         # A map object listed for several variables has one adjoint.
         adjoints = {}
         for name, lmap in term.maps:
@@ -284,10 +276,12 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     norm at the projected start; the default ``rel_tol=0`` solves to the
     absolute ``tol``.  A relative stop suits callers that need only an
     improving step, such as the block updates of :mod:`fdwiretap.bcd`.
-    Returns the final PSD-feasible point and a report carrying both
-    residuals and the threshold used.  Every accepted step increases the
-    objective (Armijo condition), so the returned objective is never below
-    the objective at ``initial``.
+    Returns the last accepted iterate and a report carrying its objective,
+    both residuals and the threshold used.  That iterate is feasible
+    without a final projection: it lies on the segment between two
+    feasible points, the previous iterate and a projected trial point.
+    Every accepted step increases the objective (Armijo condition), so the
+    returned objective is never below the objective at ``initial``.
     """
     _check_feasible(prob, initial)
     point = {name: linalg.hermitize(np.asarray(initial[name], complex))
@@ -301,13 +295,13 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     steps = {name: 1.0 for name, _ in prob.variables}
     residual = first_residual = _stationarity_residual(prob, point, grads)
     threshold = max(tol, rel_tol * first_residual)
-    status = SolverStatus.MAX_ITER
+    status = SolverStatus.CONVERGED
     iters = 0
-    for iters in range(1, max_iter + 1):
-        if residual <= threshold:
-            status = SolverStatus.CONVERGED
-            iters -= 1
+    while residual > threshold:
+        if iters == max_iter:
+            status = SolverStatus.MAX_ITER
             break
+        iters += 1
         trial = {name: point[name] + steps[name] * grads[name]
                  for name, _ in prob.variables}
         proj = project_feasible(prob, trial, steps)
@@ -319,10 +313,6 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             # is numerically stationary at this step scale.
             steps = {name: max(alpha * 0.1, 1e-10)
                      for name, alpha in steps.items()}
-            residual = _stationarity_residual(prob, point, grads)
-            if residual <= threshold:
-                status = SolverStatus.CONVERGED
-                break
             if max(steps.values()) <= 1e-10:
                 status = SolverStatus.NUMERICAL_TROUBLE
                 break
@@ -338,13 +328,12 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         for _ in range(40):
             y_cand = [y0 + step * yd for y0, yd in zip(y_cur, y_dir)]
             try:
-                factors = [_factor(y) for y in y_cand]
+                ld_cand = [linalg.logdet(y).sum() for y in y_cand]
             except NonPositiveDefinite:
                 f_cand = -np.inf
             else:
                 f_cand = f_cur + step * lin_delta
-                for term, ld0, (_, ld) in zip(prob.logdet_terms, ld_cur,
-                                              factors):
+                for term, ld0, ld in zip(prob.logdet_terms, ld_cur, ld_cand):
                     f_cand += term.weight * (ld - ld0)
             if f_cand >= f_cur + 1e-4 * step * slope:
                 accepted = True
@@ -356,7 +345,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         new_point = {name: point[name] + step * direction[name]
                      for name, _ in prob.variables}
         f_cand, new_grads, y_cur, ld_cur = _eval_state(
-            prob, new_point, y_mats=y_cand, factors=factors)
+            prob, new_point, y_mats=y_cand, logdets=ld_cand)
         # Each variable's Barzilai-Borwein step for the next trial point.
         for name, _ in prob.variables:
             s = new_point[name] - point[name]
@@ -367,10 +356,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         point, grads, f_cur = new_point, new_grads, f_cand
         trace.append(f_cur)
         residual = _stationarity_residual(prob, point, grads)
-    point = project_feasible(prob, point)
-    f_final = _eval_state(prob, point)[0]
-    trace.append(f_final)
-    report = SolverReport(objective=f_final, iterations=iters,
+    report = SolverReport(objective=f_cur, iterations=iters,
                           residual=residual, status=status,
                           first_residual=first_residual, threshold=threshold,
                           objective_trace=trace)

@@ -210,6 +210,33 @@ def test_output_feasibility():
             + linalg.real_trace(point["w"])) <= 2.5 + 1e-8
 
 
+def test_returned_point_is_the_last_accepted_iterate():
+    """The report's objective is the last trace entry and the objective at
+    the returned point, which is feasible with no final projection."""
+    for seed in range(3):
+        base = random_two_term_problem(seed)
+        for prob in (base, shared_budget(base)):
+            point, rep = solve(prob, stack_start())
+            assert rep.objective == rep.objective_trace[-1]
+            assert _eval_state(prob, point)[0] == pytest.approx(
+                rep.objective, rel=0, abs=1e-12)
+            for name, _ in prob.variables:
+                assert linalg.min_eigenvalue(point[name]) >= -1e-12
+            for group, budget in prob.constraints:
+                assert sum(linalg.real_trace(point[name])
+                           for name in group) <= budget + 1e-12
+
+
+def test_convergence_on_the_last_allowed_iteration_is_converged():
+    for seed in range(3):
+        prob = random_two_term_problem(seed)
+        _, free = solve(prob, stack_start())
+        assert free.status == SolverStatus.CONVERGED
+        _, capped = solve(prob, stack_start(), max_iter=free.iterations)
+        assert capped.status == SolverStatus.CONVERGED
+        assert capped.iterations == free.iterations
+
+
 def test_logdet_term_permutation_invariance():
     prob = random_two_term_problem(3)
     flipped = MaxDetProblem(variables=prob.variables,
@@ -465,7 +492,7 @@ def test_zero_rel_tol_is_the_absolute_solve():
         np.testing.assert_array_equal(p_rel[name], p_abs[name])
     assert r_rel.objective_trace == r_abs.objective_trace
     assert r_rel.threshold == 1e-6
-    assert (r_rel.objective, r_rel.iterations) == (13.768620659540785, 21)
+    assert (r_rel.objective, r_rel.iterations) == (13.768620659540789, 21)
 
 
 def test_rel_tol_stops_at_the_first_iterate_below_its_threshold():

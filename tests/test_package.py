@@ -1,7 +1,36 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import fdwiretap
+
+# One desk trial with every scipy import made to fail.
+SCIPY_FREE_TRIAL = """
+import sys
+sys.modules["scipy"] = None
+from fdwiretap import harness
+cfg = harness.ExperimentConfig.from_dict({
+    "M_a": 2, "M_bt": 2, "M_br": 2, "M_e": 2, "N": 2,
+    "kappa_db": -30.0, "beta_db": -30.0, "trials": 1, "master_seed": 1802,
+    "strategies": ["Optimal-FD", "Optimal-HD", "Equal-FD", "Equal-HD"]})
+rows = harness.run_experiment(cfg).trial_rows
+assert len(rows) == 4, rows
+assert all(row.status != "NumericalTrouble" for row in rows), rows
+"""
 
 
 def test_all_exports_resolve():
     missing = [name for name in fdwiretap.__all__
                if not hasattr(fdwiretap, name)]
     assert missing == []
+
+
+def test_a_desk_trial_runs_without_scipy():
+    src = str(Path(fdwiretap.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_TRIAL], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
