@@ -133,11 +133,11 @@ def _subproblem(params: SystemParams, ch: ChannelRealization,
                 aux_t: dict, budgets: dict) -> maxdet.MaxDetProblem:
     """The concave covariance subproblem at fixed auxiliaries: the free
     blocks are the variables, and the other present blocks are folded into
-    the constants."""
+    the constants.  Its objective differs from :func:`surrogate_objective`
+    by a constant, the terms that do not depend on the free blocks."""
     variables = [(b, getattr(view, b).shape[-1]) for b in BLOCKS
                  if b in free and getattr(view, b) is not None]
     linear = {b: np.zeros_like(getattr(view, b)) for b, _ in variables}
-    offset = 0.0
 
     def split(rx, pairs):
         """The covariance over the fixed blocks, and the free pairs."""
@@ -145,13 +145,12 @@ def _subproblem(params: SystemParams, ch: ChannelRealization,
         return (system_model.covariance(params, view, rx, fixed),
                 [(b, op) for b, op in pairs if b in linear])
 
-    def add_linear(rx, pairs, aux):
-        """-tr(aux * covariance) as linear terms plus an offset."""
-        nonlocal offset
-        const, maps = split(rx, pairs)
-        offset -= linalg.inner(aux, const)
-        for b, op in maps:
-            linear[b] = linear[b] + op.adjoint(aux)
+    def add_linear(pairs, aux):
+        """The free blocks' part of -tr(aux * covariance) as linear terms;
+        the fixed blocks' part is a constant, left out."""
+        for b, op in pairs:
+            if b in linear:
+                linear[b] = linear[b] + op.adjoint(aux)
 
     eve = system_model.interference(params, ch, view, "e")
     active = view.active()
@@ -160,13 +159,11 @@ def _subproblem(params: SystemParams, ch: ChannelRealization,
         q, t = aux_q[tx + rx], aux_t[tx + rx]
         pairs = system_model.interference(params, ch, view, rx)
         # log|Sigma_rx + H X_tx H^H| - tr(Q Sigma_rx)
-        # - tr(T (Sigma_e + H_e X_tx H_e^H)) + log|Q| + log|T| + dims.
+        # - tr(T (Sigma_e + H_e X_tx H_e^H)), up to a constant.
         logdet_terms.append(maxdet.LogDetTerm(
             *split(rx, pairs + [system_model.signal(ch, tx, rx)])))
-        add_linear(rx, pairs, q)
-        add_linear("e", eve + [system_model.signal(ch, tx, "e")], t)
-        offset += (linalg.logdet(q).sum() + linalg.logdet(t).sum()
-                   + _dim_sum(q) + _dim_sum(t))
+        add_linear(pairs, q)
+        add_linear(eve + [system_model.signal(ch, tx, "e")], t)
     # log|Sigma_e| once for every active direction.
     logdet_terms.append(maxdet.LogDetTerm(*split("e", eve),
                                           weight=float(len(active))))
@@ -180,7 +177,6 @@ def _subproblem(params: SystemParams, ch: ChannelRealization,
         logdet_terms=logdet_terms,
         linear_terms={b: linalg.hermitize(c) for b, c in linear.items()},
         constraints=constraints,
-        offset=offset,
     )
 
 

@@ -61,8 +61,6 @@ def sweep(config_path, param, values, outdir):
     try:
         cfg = harness.ExperimentConfig.from_yaml(config_path)
         vals = [float(v) for v in values.split(",")]
-        if not vals:
-            raise ConfigError("sweep needs at least one value")
         cfg = dataclasses.replace(cfg, sweep_param=param, sweep_values=vals)
     except (ConfigError, UnknownStrategy, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)

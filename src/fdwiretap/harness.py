@@ -4,13 +4,17 @@ seeded trial generation, aggregation and CSV emission.
 A run is fully determined by (config, master seed): every trial derives its
 channel seed from the master seed and trial index, strategies within a
 trial share the same channel realization, and aggregation is permutation
-invariant, so repeated runs are byte-identical.
+invariant, so repeated runs are byte-identical.  Each record's dataclass
+is its schema: the CSV columns are the fields of :class:`TrialRow` and
+:class:`AggregateRow`, and the config keys those of
+:class:`ExperimentConfig`.
 """
 
 import csv
 import json
+import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +25,36 @@ from .channel import (SystemParams, db2lin, draw_channels, perturb_csi,
                       trial_seed)
 from .errors import ConfigError, FdWiretapError, UnknownStrategy
 
-#: Recognized sweep parameter names and how they update the base params.
-SWEEPABLE = ("W_max_db", "X_max_db", "kappa_beta_db", "noise_db",
-             "M_b", "M_e", "P_max_db", "csi_error_db", "none")
+
+def _budgets(*names):
+    """A sweep that sets every named budget to the value in dB."""
+    return lambda p, v: p.with_updates(**dict.fromkeys(names, db2lin(v)))
+
+
+#: Each sweep parameter and how one of its values updates the base params.
+SWEEPS = {
+    "W_max_db": _budgets("W_max"),
+    "X_max_db": _budgets("X_max"),
+    "kappa_beta_db": lambda p, v: p.with_updates(
+        kappa=dict.fromkeys("ab", db2lin(v)),
+        beta=dict.fromkeys("ab", db2lin(v))),
+    "noise_db": lambda p, v: p.with_updates(
+        noise=dict.fromkeys("abe", db2lin(v))),
+    "M_b": lambda p, v: p.with_updates(M_bt=int(v), M_br=int(v), D_corr={}),
+    "M_e": lambda p, v: p.with_updates(M_e=int(v)),
+    "P_max_db": _budgets("P_A_max", "P_B_max", "X_max", "W_max"),
+    "csi_error_db": lambda p, v: p,  # handled at the trial level
+    "none": lambda p, v: p,
+}
+SWEEPABLE = tuple(SWEEPS)
+
+
+def _apply_sweep(params: SystemParams, name: str, value) -> SystemParams:
+    return SWEEPS[name](params, value)
+
+
+#: The config fields handed to the optimizer.
+SOLVER_OPTIONS = ("outer_tol", "max_outer", "inner_tol", "inner_max_iter")
 
 
 @dataclass(eq=False)
@@ -43,6 +74,13 @@ class ExperimentConfig:
     label: str = "experiment"
 
     def __post_init__(self):
+        # Each field holds its declared type; a float field takes any real.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Real if f.type is float else f.type
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{f.name} must be {f.type.__name__}, "
+                                  f"not {type(value).__name__} {value!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.sweep_param not in SWEEPABLE:
@@ -53,6 +91,12 @@ class ExperimentConfig:
                 raise UnknownStrategy(f"unknown strategy '{name}'")
         if not self.sweep_values:
             raise ConfigError("sweep_values must not be empty")
+        for value in self.sweep_values:
+            try:
+                float(value)  # each cell records its sweep value as a float
+                _apply_sweep(self.params, self.sweep_param, value)
+            except (ConfigError, TypeError, ValueError) as exc:
+                raise ConfigError(f"sweep_values: {value!r}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -66,10 +110,7 @@ class ExperimentConfig:
             params = SystemParams.from_db(**param_args)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-        known = {"strategies", "trials", "master_seed", "sweep_param",
-                 "sweep_values", "outer_tol", "max_outer", "inner_tol",
-                 "inner_max_iter", "label"}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unrecognized config keys: {sorted(unknown)}")
         if "strategies" not in raw:
@@ -83,6 +124,11 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a mapping")
         return cls.from_dict(raw)
+
+
+#: The config keys besides the system parameters.
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                     if f.name != "params")
 
 
 @dataclass(eq=False)
@@ -150,34 +196,6 @@ class ExperimentResult:
 
     def any_failed(self) -> bool:
         return any(r.status == "NumericalTrouble" for r in self.trial_rows)
-
-
-def _apply_sweep(params: SystemParams, name: str, value) -> SystemParams:
-    if name == "none":
-        return params
-    if name == "W_max_db":
-        return params.with_updates(W_max=db2lin(value))
-    if name == "X_max_db":
-        return params.with_updates(X_max=db2lin(value))
-    if name == "noise_db":
-        lin = db2lin(value)
-        return params.with_updates(noise={k: lin for k in ("a", "b", "e")})
-    if name == "kappa_beta_db":
-        lin = db2lin(value)
-        return params.with_updates(kappa={"a": lin, "b": lin},
-                                   beta={"a": lin, "b": lin})
-    if name == "M_b":
-        m = int(value)
-        return params.with_updates(M_bt=m, M_br=m, D_corr={})
-    if name == "M_e":
-        return params.with_updates(M_e=int(value))
-    if name == "P_max_db":
-        lin = db2lin(value)
-        return params.with_updates(P_A_max=lin, P_B_max=lin,
-                                   X_max=lin, W_max=lin)
-    if name == "csi_error_db":
-        return params  # handled at the trial level
-    raise ConfigError(f"unrecognized sweep parameter '{name}'")
 
 
 def _csi_variance(sweep_param: str, sweep_value) -> float:
@@ -318,9 +336,8 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
     CSI study).
     """
     spec = _strategy(name)
-    opts = dict(opts or {})
-    opt_kwargs = {k: opts[k] for k in ("outer_tol", "max_outer", "inner_tol",
-                                       "inner_max_iter") if k in opts}
+    opt_kwargs = {k: v for k, v in (opts or {}).items()
+                  if k in SOLVER_OPTIONS}
     params = spec.params(params)
     design = spec.init(params)
     iters, status, states = 0, "Converged", []
@@ -357,8 +374,8 @@ def run_trial(cfg: ExperimentConfig, sweep_value, trial: int) -> list:
                              trial_seed(cfg.master_seed, trial, stream=1))
     else:
         ch_est = ch_true
-    opts = {"outer_tol": cfg.outer_tol, "max_outer": cfg.max_outer,
-            "inner_tol": cfg.inner_tol, "inner_max_iter": cfg.inner_max_iter}
+    opts = {k: getattr(cfg, k) for k in SOLVER_OPTIONS}
+    cell = dict(sweep_value=float(sweep_value), trial=trial, seed=seed)
     rows = []
     for name in cfg.strategies:
         try:
@@ -366,18 +383,15 @@ def run_trial(cfg: ExperimentConfig, sweep_value, trial: int) -> list:
             design, iters, status = run
             bits = _evaluate(name, params, design, ch_true)
         except (FdWiretapError, np.linalg.LinAlgError):
-            rows.append(TrialRow(strategy=name,
-                                 sweep_value=float(sweep_value), trial=trial,
-                                 seed=seed, bits=float("nan"), iters=0,
+            rows.append(TrialRow(name, bits=float("nan"), iters=0,
                                  status="NumericalTrouble",
-                                 worst_inner="NumericalTrouble"))
+                                 worst_inner="NumericalTrouble", **cell))
             continue
-        rows.append(TrialRow(strategy=name, sweep_value=float(sweep_value),
-                             trial=trial, seed=seed, bits=bits, iters=iters,
-                             status=status, inner_iters=run.inner_iters,
+        rows.append(TrialRow(name, bits=bits, iters=iters, status=status,
+                             inner_iters=run.inner_iters,
                              worst_inner=run.worst_inner,
                              extrapolations=run.extrapolations,
-                             final_residual=run.final_residual))
+                             final_residual=run.final_residual, **cell))
     return rows
 
 
@@ -387,14 +401,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for sweep_value in cfg.sweep_values:
         for trial in range(cfg.trials):
             trial_rows.extend(run_trial(cfg, sweep_value, trial))
-    echo = {
-        "label": cfg.label, "strategies": list(cfg.strategies),
-        "trials": cfg.trials, "master_seed": cfg.master_seed,
-        "sweep_param": cfg.sweep_param,
-        "sweep_values": [float(v) for v in cfg.sweep_values],
-        "outer_tol": cfg.outer_tol, "max_outer": cfg.max_outer,
-        "inner_tol": cfg.inner_tol, "inner_max_iter": cfg.inner_max_iter,
-    }
+    echo = {key: getattr(cfg, key) for key in _CONFIG_KEYS}
+    echo["sweep_values"] = [float(v) for v in cfg.sweep_values]
     return ExperimentResult(config_echo=echo, master_seed=cfg.master_seed,
                             trial_rows=trial_rows)
 
@@ -402,11 +410,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Emission and parsing.
 
-AGGREGATE_HEADER = ("strategy", "sweep_param", "sweep_value", "mean_bits",
-                    "stderr_bits", "mean_iters")
-TRIAL_HEADER = ("strategy", "sweep_value", "trial", "seed", "bits", "iters",
-                "status", "inner_iters", "worst_inner", "extrapolations",
-                "final_residual")
+AGGREGATE_HEADER = tuple(f.name for f in fields(AggregateRow))
+TRIAL_HEADER = tuple(f.name for f in fields(TrialRow))
+
+
+def _write_csv(path: Path, header: tuple, rows) -> None:
+    """One line per row, its fields in ``header`` order; a float is written
+    as its repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            values = (getattr(row, name) for name in header)
+            writer.writerow([repr(v) if isinstance(v, float) else v
+                             for v in values])
 
 
 def emit_results(res: ExperimentResult, outdir) -> None:
@@ -418,22 +435,9 @@ def emit_results(res: ExperimentResult, outdir) -> None:
     outdir = Path(outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "aggregate.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(AGGREGATE_HEADER)
-            for agg in res.aggregates():
-                writer.writerow([agg.strategy, agg.sweep_param,
-                                 repr(agg.sweep_value), repr(agg.mean_bits),
-                                 repr(agg.stderr_bits), repr(agg.mean_iters)])
-        with open(outdir / "trials.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRIAL_HEADER)
-            for row in res.trial_rows:
-                writer.writerow([row.strategy, repr(row.sweep_value),
-                                 row.trial, row.seed, repr(row.bits),
-                                 row.iters, row.status, row.inner_iters,
-                                 row.worst_inner, row.extrapolations,
-                                 repr(row.final_residual)])
+        _write_csv(outdir / "aggregate.csv", AGGREGATE_HEADER,
+                   res.aggregates())
+        _write_csv(outdir / "trials.csv", TRIAL_HEADER, res.trial_rows)
         with open(outdir / "metadata.json", "w") as fh:
             json.dump({"config": res.config_echo,
                        "master_seed": res.master_seed,
@@ -444,22 +448,15 @@ def emit_results(res: ExperimentResult, outdir) -> None:
 
 
 def load_results(outdir) -> ExperimentResult:
-    """Parse results written by :func:`emit_results`."""
+    """Parse results written by :func:`emit_results`; each column is read
+    with its :class:`TrialRow` field's type."""
     outdir = Path(outdir)
     with open(outdir / "metadata.json") as fh:
         meta = json.load(fh)
-    rows = []
+    types = {f.name: f.type for f in fields(TrialRow)}
     with open(outdir / "trials.csv", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(TrialRow(
-                strategy=rec["strategy"],
-                sweep_value=float(rec["sweep_value"]),
-                trial=int(rec["trial"]), seed=int(rec["seed"]),
-                bits=float(rec["bits"]), iters=int(rec["iters"]),
-                status=rec["status"], inner_iters=int(rec["inner_iters"]),
-                worst_inner=rec["worst_inner"],
-                extrapolations=int(rec["extrapolations"]),
-                final_residual=float(rec["final_residual"])))
+        rows = [TrialRow(**{k: types[k](v) for k, v in rec.items()})
+                for rec in csv.DictReader(fh)]
     return ExperimentResult(config_echo=meta["config"],
                             master_seed=meta["master_seed"],
                             trial_rows=rows, version=meta["version"])

@@ -85,15 +85,13 @@ class MaxDetProblem:
     a stack of them.  ``linear_terms`` maps variable names to Hermitian
     coefficients C of the value's shape, contributing -tr(C V).
     ``constraints`` is a list of (variable-name tuple, budget); a variable
-    may appear in at most one group.  ``offset`` is an additive constant
-    reported in the objective value.
+    may appear in at most one group.
     """
 
     variables: list  # list of (name, dim)
     logdet_terms: list = field(default_factory=list)
     linear_terms: dict = field(default_factory=dict)
     constraints: list = field(default_factory=list)
-    offset: float = 0.0
 
     def __post_init__(self):
         names = [name for name, _ in self.variables]
@@ -153,7 +151,7 @@ def _eval_state(prob: MaxDetProblem, point: dict,
     search to avoid re-applying the linear maps, and ``logdets`` their
     summed log-determinants to avoid factoring them again.
     """
-    total = prob.offset
+    total = 0.0
     grads = {name: -prob.linear_terms[name] if name in prob.linear_terms
              else np.zeros_like(point[name])
              for name, _ in prob.variables}

@@ -133,6 +133,42 @@ def test_subproblem_gradient_is_the_objective_gradient(one_directional):
             (up - down) / (2 * eps), rel=1e-5, abs=1e-7), b
 
 
+@pytest.mark.parametrize("one_directional, free", [
+    (True, {"X_a", "W_b"}), (True, {"X_a"}),
+    (False, set(bcd.BLOCKS)), (False, {"X_a", "X_b", "W_b"})])
+def test_subproblem_objective_is_the_surrogate_up_to_a_constant(
+        one_directional, free):
+    """At fixed auxiliaries the subproblem leaves out only terms that do not
+    depend on the free blocks, so between two feasible points its objective
+    changes exactly as the surrogate does."""
+    p = small_params()
+    ch = draw_channels(p, 31)
+    rng = np.random.default_rng(31)
+    if one_directional:
+        design = random_design(p, 31).nodes()
+        budgets = {"a": p.X_max, "b": p.W_max}
+    else:
+        design = BidirectionalDesign.zeros(p)
+        for b in bcd.BLOCKS:
+            g = rng.standard_normal((p.N, 2, 2, 2)) @ [1, 1j]
+            getattr(design, b)[:] = 0.1 * g @ g.conj().swapaxes(-1, -2)
+        budgets = {"a": p.P_A_max, "b": p.P_B_max}
+    view = bcd._active_view(design, free)
+    aux_q, aux_t = bcd.update_auxiliaries(p, ch, view)
+    prob = bcd._subproblem(p, ch, view, free, aux_q, aux_t, budgets)
+    start = {b: getattr(view, b) for b, _ in prob.variables}
+    end = {}
+    for b, v in start.items():
+        g = rng.standard_normal(v.shape + (2,)) @ [1, 1j]
+        end[b] = v + 0.1 * linalg.hermitize(g)
+    end = maxdet.project_feasible(prob, end)
+    sub = [maxdet._eval_state(prob, pt)[0] for pt in (start, end)]
+    sur = [bcd.surrogate_objective(p, ch, replace(view, **pt), aux_q, aux_t)
+           for pt in (start, end)]
+    assert abs(sur[1] - sur[0]) > 1e-3
+    assert abs((sub[1] - sub[0]) - (sur[1] - sur[0])) <= 1e-9
+
+
 @pytest.mark.parametrize("outer_tol, inner_tol", [(1e-4, 1e-6),
                                                   (1e-3, 1e-4)])
 def test_convergence_is_declared_only_after_a_full_solve(outer_tol,

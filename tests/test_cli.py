@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from fdwiretap import bcd, cli
@@ -43,6 +44,26 @@ def test_run_bad_config_exits_2(tmp_path):
     assert "config error" in result.output
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("trials: 2", 'trials: "2"', "trials"),
+    ("trials: 2", 'trials: 2\nmax_outer: "5"', "max_outer"),
+    ("trials: 2", "trials: 2\nsweep_values: 3", "sweep_values"),
+    # YAML reads 1e-3, without a decimal point, as a string.
+    ("outer_tol: 1.0e-3", "outer_tol: 1e-3", "outer_tol"),
+    ("strategies: [Equal-FD, Equal-HD]", "strategies: Optimal-FD",
+     "strategies"),
+    ("trials: 2", "trials: 2\nsweep_param: M_b\nsweep_values: [2, 0]",
+     "sweep_values"),
+])
+def test_run_malformed_value_exits_2(tmp_path, old, new, key):
+    cfg = write_config(tmp_path, CONFIG.replace(old, new))
+    outdir = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, ["run", cfg, "-o", str(outdir)])
+    assert result.exit_code == 2, result.output
+    assert f"config error: {key}" in result.output
+    assert not outdir.exists()
+
+
 def test_run_numerical_failure_exits_3(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, CONFIG.replace(
         "strategies: [Equal-FD, Equal-HD]", "strategies: [Optimal-FD]"))
@@ -69,6 +90,16 @@ def test_sweep_override(tmp_path):
     assert "W_max_db" in text
     # 2 strategies x 2 sweep values of aggregates plus the header.
     assert len(text.strip().splitlines()) == 5
+
+
+def test_sweep_value_the_params_reject_exits_2(tmp_path):
+    outdir = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, [
+        "sweep", write_config(tmp_path), "--param", "M_b",
+        "--values", "2,0", "-o", str(outdir)])
+    assert result.exit_code == 2, result.output
+    assert "config error: sweep_values" in result.output
+    assert not outdir.exists()
 
 
 def test_waterfill_stdout():

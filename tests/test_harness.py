@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,34 @@ def test_config_rejects_bad_trials_and_sweep():
         desk_config(sweep_param="bandwidth_db")
     with pytest.raises(ConfigError):
         desk_config(sweep_values=[])
+
+
+@pytest.mark.parametrize("bad", [
+    dict(trials="2"), dict(trials=True), dict(master_seed=1.0),
+    dict(max_outer="5"), dict(inner_max_iter=2.0), dict(outer_tol="1e-3"),
+    dict(inner_tol=None), dict(sweep_values=3), dict(sweep_values=(0.0,)),
+    dict(strategies="Equal-FD")])
+def test_config_rejects_values_of_the_wrong_type(bad):
+    """A value of the wrong type is rejected by name, never coerced."""
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        desk_config(**bad)
+
+
+def test_config_accepts_an_integer_tolerance():
+    assert desk_config(outer_tol=0).outer_tol == 0
+
+
+def test_config_rejects_a_bad_sweep_value_at_load():
+    """Every sweep value is read as a float and applied to the params once
+    at load, before any cell runs."""
+    with pytest.raises(ConfigError, match="sweep_values"):
+        desk_config(sweep_param="M_b", sweep_values=[2, 0])
+    for sweep_param in ("W_max_db", "none", "csi_error_db"):
+        with pytest.raises(ConfigError, match="sweep_values"):
+            desk_config(sweep_param=sweep_param, sweep_values=["high"])
+    # A string float() reads, such as YAML's plain -inf, stays valid.
+    assert desk_config(sweep_param="csi_error_db",
+                       sweep_values=["-inf"]).sweep_values == ["-inf"]
 
 
 def test_config_from_yaml(tmp_path):
@@ -103,6 +133,13 @@ def test_apply_sweep_antennas():
 def test_apply_sweep_none_is_identity():
     p = SystemParams.from_db(**DESK)
     assert harness._apply_sweep(p, "none", 0.0) is p
+
+
+def test_sweepable_order():
+    """The CLI lists the --param choices in this order."""
+    assert harness.SWEEPABLE == ("W_max_db", "X_max_db", "kappa_beta_db",
+                                 "noise_db", "M_b", "M_e", "P_max_db",
+                                 "csi_error_db", "none")
 
 
 def test_csi_variance_mapping():
@@ -276,18 +313,39 @@ def test_hd_strategies_carry_no_jamming():
 # --- emission and parsing ---------------------------------------------------
 
 
-def test_emit_load_round_trip(tmp_path):
-    cfg = desk_config(trials=2, sweep_param="W_max_db",
-                      sweep_values=[-10.0, 0.0])
+def test_csv_headers_are_the_dataclass_fields():
+    assert harness.TRIAL_HEADER == tuple(f.name for f in fields(TrialRow))
+    assert harness.AGGREGATE_HEADER == tuple(
+        f.name for f in fields(harness.AggregateRow))
+
+
+def test_emit_load_round_trip(tmp_path, monkeypatch):
+    """Every TrialRow field, of a failed row too, survives the CSVs with
+    its type, and emitting the loaded result gives the same bytes."""
+    cfg = desk_config(strategies=["Optimal-FD", "Equal-FD"], trials=2,
+                      sweep_param="W_max_db", sweep_values=[-10.0, 0.0])
     res = run_experiment(cfg)
+
+    def boom(*args, **kwargs):
+        raise NonPositiveDefinite("synthetic failure")
+
+    monkeypatch.setattr(bcd, "optimize", boom)
+    res.trial_rows += run_trial(cfg, 0.0, 0)
+    assert res.any_failed()
     emit_results(res, tmp_path / "out")
     loaded = load_results(tmp_path / "out")
     assert len(loaded.trial_rows) == len(res.trial_rows)
     for a, b in zip(loaded.trial_rows, res.trial_rows):
-        assert a.bits == b.bits
-        assert a.strategy == b.strategy
-        assert a.status == b.status
+        for f in fields(TrialRow):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            assert type(va) is type(vb) is f.type, f.name
+            assert va == vb or (np.isnan(va) and np.isnan(vb)), f.name
     assert loaded.master_seed == res.master_seed
+    assert loaded.config_echo == res.config_echo
+    emit_results(loaded, tmp_path / "again")
+    for name in ("aggregate.csv", "trials.csv", "metadata.json"):
+        assert ((tmp_path / "out" / name).read_bytes()
+                == (tmp_path / "again" / name).read_bytes()), name
 
 
 def test_rows_carry_inner_solver_totals(tmp_path):
