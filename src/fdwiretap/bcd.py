@@ -16,13 +16,18 @@ log-det term, its auxiliary pair (Q, T) and its surrogate constants, and
 Eve's log-det term counts once per active direction.  The free blocks,
 whole (N, M, M) stacks, are the subproblem's variables, and its terms
 apply the operators :mod:`fdwiretap.system_model` defines, so the
-subproblem's size does not grow with N.  A block that is neither free nor nonzero contributes nothing
-and is left out, and a direction whose information block is left out is
-inactive.  An inactive direction's secrecy difference and its surrogate
-are identically zero, so dropping its terms keeps the objective and the
-monotone ascent of block successive upper-bound minimization (Razaviyayn,
-Hong & Luo, SIAM J. Optim. 2013).  The one-directional system is the a->b
-direction with Alice not jamming and Bob sending no information.
+subproblem's size does not grow with N.  A block that is neither free
+nor nonzero contributes nothing and is left out, and a direction whose
+information block is left out is inactive.  An inactive direction's
+secrecy difference and its surrogate are identically zero, so dropping its
+terms keeps the objective and the monotone ascent of block successive
+upper-bound minimization (Razaviyayn, Hong & Luo, SIAM J. Optim. 2013).
+The one-directional system is the a->b direction with Alice not jamming
+and Bob sending no information.
+
+Both design types take one path: :func:`optimize_bidirectional` names the
+free blocks from :data:`BLOCKS`, each design type states its nodes'
+budgets, and :func:`optimize` is the one-directional form.
 
 Block successive upper-bound minimization needs only an improving step per
 block, and monotone Armijo SPG gives one at any iteration count (Birgin,
@@ -184,21 +189,30 @@ def _subproblem(params: SystemParams, ch: ChannelRealization,
 # Initializations.
 
 
+def _equal_power_stack(power: float, n: int, dim: int) -> np.ndarray:
+    """(n, dim, dim) scaled identities that spend ``power`` in total."""
+    return np.repeat((power / (n * dim) * np.eye(dim, dtype=complex))[None],
+                     n, axis=0)
+
+
 def init_uniform(params: SystemParams, with_jamming: bool = False) -> TransmitDesign:
     """Scaled-identity covariances with equal power across subcarriers.
 
     Information covariances take the full budget; jamming starts at zero
     unless ``with_jamming`` spreads the full jamming budget uniformly.
     """
-    design = TransmitDesign.zeros(params)
-    x_scale = params.X_max / (params.N * params.M_a)
-    for n in range(params.N):
-        design.X[n] = x_scale * np.eye(params.M_a)
-    if with_jamming:
-        w_scale = params.W_max / (params.N * params.M_bt)
-        for n in range(params.N):
-            design.W[n] = w_scale * np.eye(params.M_bt)
-    return design
+    w_max = params.W_max if with_jamming else 0.0
+    return TransmitDesign(X=_equal_power_stack(params.X_max, params.N,
+                                               params.M_a),
+                          W=_equal_power_stack(w_max, params.N, params.M_bt))
+
+
+def init_uniform_bidirectional(params: SystemParams) -> BidirectionalDesign:
+    """Full-budget uniform information covariances, zero jamming."""
+    x_a = _equal_power_stack(params.P_A_max, params.N, params.M_a)
+    x_b = _equal_power_stack(params.P_B_max, params.N, params.M_bt)
+    return BidirectionalDesign(X_a=x_a, W_a=np.zeros_like(x_a), X_b=x_b,
+                               W_b=np.zeros_like(x_b))
 
 
 def _spatial_beam(f: np.ndarray, g_gram: np.ndarray, nu_f: float,
@@ -226,21 +240,19 @@ def _spatial_beam(f: np.ndarray, g_gram: np.ndarray, nu_f: float,
 
 
 def residual_si_gram(params: SystemParams, ch: ChannelRealization,
-                     n: int, node: str = "b") -> np.ndarray:
-    """Gram matrix of the effective SI leakage channel for the jamming beam.
+                     n: int) -> np.ndarray:
+    """Gram matrix of Bob's effective SI leakage channel for the jamming
+    beam.
 
     tr(residual_si_gram @ W) is the total distortion power the jamming
-    covariance W injects into the node's own receiver on subcarrier n.
+    covariance W injects into Bob's own receiver on subcarrier n.
     """
-    si_link = "bb" if node == "b" else "aa"
-    h = ch.link(si_link, n)
+    h = ch.link("bb", n)
     gram = h.conj().T @ h
-    kappa = params.kappa[node][n]
-    beta = params.beta[node][n]
-    d_corr = params.D_corr[node]
-    out = kappa * np.diag(np.real(np.diagonal(gram))).astype(complex)
-    out = out + beta * gram
-    out = out + linalg.real_trace(d_corr) * np.eye(gram.shape[0])
+    out = (params.kappa["b"][n]
+           * np.diag(np.real(np.diagonal(gram))).astype(complex))
+    out = out + params.beta["b"][n] * gram
+    out = out + linalg.real_trace(params.D_corr["b"]) * np.eye(gram.shape[0])
     return linalg.hermitize(out)
 
 
@@ -329,16 +341,17 @@ def _extrapolate(params, ch, view, prob, point, prev_point, f_new, aux):
 
 
 def _ascend(params: SystemParams, ch: ChannelRealization, design,
-            free: set, budgets: dict, outer_tol: float, max_outer: int,
+            free: set, outer_tol: float, max_outer: int,
             inner_tol: float, inner_max_iter: int) -> BcdState:
     """Alternate the covariance subproblem over the ``free`` blocks with the
     closed-form auxiliary updates, updating ``design`` in place.
 
-    ``budgets`` maps each node to the trace budget of its free blocks.  The
-    auxiliaries are refreshed from the initial design before the first
-    subproblem so the surrogate starts tight.  The inner tolerance follows
-    the policy of the module docstring.
+    Each node's free blocks share the trace budget the design's type
+    states (``design.budgets``).  The auxiliaries are refreshed from the
+    initial design before the first subproblem so the surrogate starts
+    tight.  The inner tolerance follows the policy of the module docstring.
     """
+    budgets = design.budgets(params)
     view = _active_view(design.nodes(), free)
     aux_q, aux_t = update_auxiliaries(params, ch, view)
     state = BcdState(aux_Q=aux_q, aux_T=aux_t)
@@ -382,6 +395,18 @@ def _ascend(params: SystemParams, ch: ChannelRealization, design,
     return state
 
 
+def _run(params: SystemParams, ch: ChannelRealization, init, free,
+         *tolerances) -> BcdResult:
+    """Ascend from a copy of ``init`` over its ``free`` blocks and report
+    the secrecy rates of the result."""
+    if not set(free) <= set(BLOCKS):
+        raise ValueError(f"free blocks {sorted(free)} not all in {BLOCKS}")
+    design = init.copy()
+    state = _ascend(params, ch, design, free, *tolerances)
+    report = system_model.secrecy_rates(params, ch, design)
+    return BcdResult(design=design, report=report, state=state)
+
+
 def optimize(params: SystemParams, ch: ChannelRealization,
              init: TransmitDesign | None = None, outer_tol: float = 1e-4,
              max_outer: int = 50, inner_tol: float = 1e-6,
@@ -392,16 +417,29 @@ def optimize(params: SystemParams, ch: ChannelRealization,
     stabilizes.
 
     X and W are budgeted by X_max and W_max.  Blocks can be frozen
-    (``optimize_x`` / ``optimize_w``) for the half-duplex and equal-power
-    comparison strategies.
+    (``optimize_x`` / ``optimize_w``), which frees X_a / W_b in
+    :func:`optimize_bidirectional`.
     """
-    design = (init or init_uniform(params)).copy()
     free = {b for b, on in (("X_a", optimize_x), ("W_b", optimize_w)) if on}
-    state = _ascend(params, ch, design, free,
-                    {"a": params.X_max, "b": params.W_max},
-                    outer_tol, max_outer, inner_tol, inner_max_iter)
-    report = system_model.secrecy_rates(params, ch, design)
-    return BcdResult(design=design, report=report, state=state)
+    return _run(params, ch, init or init_uniform(params), free, outer_tol,
+                max_outer, inner_tol, inner_max_iter)
+
+
+def optimize_bidirectional(params: SystemParams, ch: ChannelRealization,
+                           init=None, outer_tol: float = 1e-4,
+                           max_outer: int = 50, inner_tol: float = 1e-6,
+                           inner_max_iter: int = 200,
+                           free=BLOCKS) -> BcdResult:
+    """Block coordinate ascent over the ``free`` blocks (from
+    :data:`BLOCKS`) of a two-node design, by default the uniform one, or a
+    one-directional design, whose X and W are X_a and W_b.
+
+    Each node's blocks share the budget the design's type states.  Frozen
+    blocks keep their initial value, so a zero information block silences
+    its direction.
+    """
+    return _run(params, ch, init or init_uniform_bidirectional(params), free,
+                outer_tol, max_outer, inner_tol, inner_max_iter)
 
 
 def benchmark_best(params: SystemParams, ch: ChannelRealization,
@@ -416,39 +454,3 @@ def benchmark_best(params: SystemParams, ch: ChannelRealization,
         if best is None or result.report.I_sum > best.report.I_sum:
             best = result
     return best
-
-
-def init_uniform_bidirectional(params: SystemParams) -> BidirectionalDesign:
-    """Full-budget uniform information covariances, zero jamming."""
-    design = BidirectionalDesign.zeros(params)
-    for n in range(params.N):
-        design.X_a[n] = (params.P_A_max / (params.N * params.M_a)
-                         ) * np.eye(params.M_a)
-        design.X_b[n] = (params.P_B_max / (params.N * params.M_bt)
-                         ) * np.eye(params.M_bt)
-    return design
-
-
-def optimize_bidirectional(params: SystemParams, ch: ChannelRealization,
-                           init: BidirectionalDesign | None = None,
-                           outer_tol: float = 1e-4, max_outer: int = 50,
-                           inner_tol: float = 1e-6, inner_max_iter: int = 200,
-                           jam_a: bool = True, jam_b: bool = True,
-                           tx_a: bool = True, tx_b: bool = True) -> BcdResult:
-    """Two-node block coordinate ascent over up to four covariance sets.
-
-    Node A's blocks share the budget P_A_max and node B's share P_B_max.
-    ``jam_a`` / ``jam_b`` control whether each node's jamming covariances
-    are optimized; disabled jammers stay at their initial value (zero for
-    the default initialization).  ``tx_a`` / ``tx_b`` likewise freeze a
-    node's information covariances, which silences that direction when the
-    initial value is zero.
-    """
-    design = (init or init_uniform_bidirectional(params)).copy()
-    flags = dict(X_a=tx_a, W_a=jam_a, X_b=tx_b, W_b=jam_b)
-    free = {b for b in BLOCKS if flags[b]}
-    state = _ascend(params, ch, design, free,
-                    {"a": params.P_A_max, "b": params.P_B_max},
-                    outer_tol, max_outer, inner_tol, inner_max_iter)
-    report = system_model.secrecy_rates(params, ch, design)
-    return BcdResult(design=design, report=report, state=state)

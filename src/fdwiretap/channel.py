@@ -5,19 +5,19 @@ are converted once at construction time (linear = 10^(dB/10)).  A complex
 Gaussian entry with variance v has real and imaginary parts each N(0, v/2).
 """
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError
 
-#: Links drawn as uncorrelated Rayleigh fading.
+#: Links drawn as uncorrelated Rayleigh fading, and perturbed in the
+#: CSI-error study.
 RAYLEIGH_LINKS = ("ab", "ae", "be", "ba")
-#: Self-interference links drawn with a Rician line-of-sight component.
+#: Self-interference links drawn with a Rician line-of-sight component; the
+#: optimizer is assumed to know them exactly.
 SI_LINKS = ("bb", "aa")
-#: Links perturbed in the CSI-error study (the optimizer is assumed to
-#: know the SI channel; "ba" is added only for bidirectional studies).
-DEFAULT_CSI_LINKS = ("ab", "ae", "be")
 
 
 def db2lin(db: float) -> float:
@@ -43,10 +43,11 @@ class SystemParams:
     """Antenna counts, noise/distortion coefficients and power budgets.
 
     ``M_a`` counts Alice's transmit antennas and ``M_ar`` (default ``M_a``)
-    her receive antennas; Bob has ``M_bt`` and ``M_br``.  Per-subcarrier
-    fields (noise, kappa, beta) are length-N arrays; scalar inputs are
-    broadcast.  ``kappa``/``beta`` and the CSI-error correlation matrices
-    ``D_corr`` may be zero, everything else must be positive.
+    her receive antennas; Bob has ``M_bt`` and ``M_br``.  A count given as
+    an integral float is stored as an int; a fractional one is an error.
+    Per-subcarrier fields (noise, kappa, beta) are length-N arrays; scalar
+    inputs are broadcast.  ``kappa``/``beta`` and the CSI-error correlation
+    matrices ``D_corr`` may be zero, everything else must be positive.
     """
 
     M_a: int
@@ -69,8 +70,12 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "M_ar", self.M_ar or self.M_a)
         for name in ("M_a", "M_bt", "M_br", "M_e", "N", "M_ar"):
-            if int(getattr(self, name)) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real)
+                    and float(value).is_integer() and value >= 1):
+                raise ConfigError(f"{name} must be a positive integer, "
+                                  f"not {value!r}")
+            object.__setattr__(self, name, int(value))
         eta = dict(self.eta)
         for link in RAYLEIGH_LINKS:
             eta.setdefault(link, 0.01)
@@ -193,19 +198,20 @@ def draw_channels(params: SystemParams, seed: int) -> ChannelRealization:
     return ChannelRealization(H=h, seed=int(seed))
 
 
-def perturb_csi(ch: ChannelRealization, sigma_err_sq: float, seed: int,
-                links=DEFAULT_CSI_LINKS) -> ChannelRealization:
-    """Return a copy with additive Gaussian CSI error on the given links.
+def perturb_csi(ch: ChannelRealization, sigma_err_sq: float,
+                seed: int) -> ChannelRealization:
+    """Return a copy with additive Gaussian CSI error on the Rayleigh links.
 
     Error entries are i.i.d. complex Gaussian with per-element variance
-    sigma_err_sq; SI channels are left untouched by default.
+    sigma_err_sq, drawn link by link in ``RAYLEIGH_LINKS`` order; SI
+    channels are left untouched.
     """
     if sigma_err_sq < 0:
         raise ConfigError("sigma_err_sq must be >= 0")
     h = {name: arr for name, arr in ch.H.items()}
     if sigma_err_sq > 0:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        for link in links:
+        for link in RAYLEIGH_LINKS:
             h[link] = h[link] + _complex_gaussian(rng, h[link].shape, sigma_err_sq)
     return ChannelRealization(H=h, seed=ch.seed)
 

@@ -40,8 +40,8 @@ SWEEPS = {
         beta=dict.fromkeys("ab", db2lin(v))),
     "noise_db": lambda p, v: p.with_updates(
         noise=dict.fromkeys("abe", db2lin(v))),
-    "M_b": lambda p, v: p.with_updates(M_bt=int(v), M_br=int(v), D_corr={}),
-    "M_e": lambda p, v: p.with_updates(M_e=int(v)),
+    "M_b": lambda p, v: p.with_updates(M_bt=v, M_br=v, D_corr={}),
+    "M_e": lambda p, v: p.with_updates(M_e=v),
     "P_max_db": _budgets("P_A_max", "P_B_max", "X_max", "W_max"),
     "csi_error_db": lambda p, v: p,  # handled at the trial level
     "none": lambda p, v: p,
@@ -241,44 +241,41 @@ def _equal_power(with_jamming: bool):
     return lambda params: bcd.init_uniform(params, with_jamming=with_jamming)
 
 
-def _two_node(params: SystemParams) -> system_model.BidirectionalDesign:
-    return bcd.init_uniform_bidirectional(params)
-
-
 @dataclass(frozen=True, eq=False)
 class Strategy:
     """How a strategy designs its covariances and scores them.
 
     ``init`` builds the starting design from the mapped parameters: a
-    one-directional ``TransmitDesign`` (blocks 'X', 'W') or a two-node
-    ``BidirectionalDesign`` (blocks 'X_a', 'W_a', 'X_b', 'W_b').  Each entry
-    of ``runs`` is one optimizer run over the named free blocks; with no run
-    the starting design is the answer.  Several runs time-share the
-    channel: each starts with the other runs' blocks silent.  ``params``
-    maps the system parameters for both the design and the evaluation, and
-    ``score`` turns the secrecy report into the row's bits.
+    one-directional ``TransmitDesign``, whose X and W are the two-node
+    blocks 'X_a' and 'W_b', or by default the uniform two-node
+    ``BidirectionalDesign``.  Each entry of ``runs`` is one optimizer run
+    over the named free blocks, a subset of :data:`fdwiretap.bcd.BLOCKS`;
+    the design's type sets the budgets.  With no run the starting design
+    is the answer.  Several runs time-share the channel: each starts with
+    the other runs' blocks silent.  ``params`` maps the system parameters
+    for both the design and the evaluation, and ``score`` turns the
+    secrecy report into the row's bits.
     """
 
-    init: Callable
+    init: Callable = bcd.init_uniform_bidirectional
     runs: tuple = ()
     params: Callable = _same
     score: Callable = _sum_rate
 
 
 STRATEGY_TABLE = {
-    "Optimal-FD": Strategy(_equal_power(False), runs=({"X", "W"},)),
-    "Optimal-HD": Strategy(_equal_power(False), runs=({"X"},)),
+    "Optimal-FD": Strategy(_equal_power(False), runs=({"X_a", "W_b"},)),
+    "Optimal-HD": Strategy(_equal_power(False), runs=({"X_a"},)),
     "Equal-FD": Strategy(_equal_power(True)),
     "Equal-HD": Strategy(_equal_power(False)),
-    "Equal-X/Optimal-W": Strategy(_equal_power(True), runs=({"W"},)),
-    "Equal-W/Optimal-X": Strategy(_equal_power(True), runs=({"X"},)),
-    "Both-FD/No-Jam": Strategy(_two_node, runs=({"X_a", "X_b"},)),
-    "Both-FD/Bob-Jam": Strategy(_two_node, runs=({"X_a", "X_b", "W_b"},)),
-    "Both-FD/Both-Jam": Strategy(_two_node,
-                                 runs=({"X_a", "W_a", "X_b", "W_b"},)),
-    "Both-HD/No-Jam": Strategy(_two_node, runs=({"X_a"}, {"X_b"}),
-                               params=_half_duplex, score=_time_shared),
-    "Bob-FD/Bob-Jam": Strategy(_equal_power(False), runs=({"X", "W"},),
+    "Equal-X/Optimal-W": Strategy(_equal_power(True), runs=({"W_b"},)),
+    "Equal-W/Optimal-X": Strategy(_equal_power(True), runs=({"X_a"},)),
+    "Both-FD/No-Jam": Strategy(runs=({"X_a", "X_b"},)),
+    "Both-FD/Bob-Jam": Strategy(runs=({"X_a", "X_b", "W_b"},)),
+    "Both-FD/Both-Jam": Strategy(runs=({"X_a", "W_a", "X_b", "W_b"},)),
+    "Both-HD/No-Jam": Strategy(runs=({"X_a"}, {"X_b"}), params=_half_duplex,
+                               score=_time_shared),
+    "Bob-FD/Bob-Jam": Strategy(_equal_power(False), runs=({"X_a", "W_b"},),
                                params=_node_budgets),
 }
 STRATEGIES = tuple(STRATEGY_TABLE)
@@ -289,16 +286,6 @@ def _strategy(name: str) -> Strategy:
         return STRATEGY_TABLE[name]
     except KeyError:
         raise UnknownStrategy(f"unknown strategy '{name}'") from None
-
-
-def _optimize(params: SystemParams, ch, init, free: set, opt_kwargs: dict):
-    """One optimizer run over the ``free`` blocks of ``init``."""
-    if isinstance(init, system_model.TransmitDesign):
-        return bcd.optimize(params, ch, init=init, optimize_x="X" in free,
-                            optimize_w="W" in free, **opt_kwargs)
-    return bcd.optimize_bidirectional(
-        params, ch, init=init, tx_a="X_a" in free, jam_a="W_a" in free,
-        tx_b="X_b" in free, jam_b="W_b" in free, **opt_kwargs)
 
 
 #: Inner solver statuses from best to worst.
@@ -346,10 +333,12 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
         for other in spec.runs:
             if other is not free:
                 for block in other:
-                    getattr(init, block)[:] = 0.0
-        result = _optimize(params, ch, init, free, opt_kwargs)
+                    getattr(init.nodes(), block)[:] = 0.0
+        result = bcd.optimize_bidirectional(params, ch, init=init, free=free,
+                                            **opt_kwargs)
+        found = result.design.nodes()
         for block in free:
-            getattr(design, block)[:] = getattr(result.design, block)
+            getattr(design.nodes(), block)[:] = getattr(found, block)
         iters += result.state.iterations
         if status == "Converged":
             status = result.state.status

@@ -51,16 +51,15 @@ class ChannelMap(LinearMap):
 
 @dataclass(frozen=True, eq=False)
 class Congruence(ChannelMap):
-    """V -> scale * H V H^H, matrix by matrix on stacks."""
+    """V -> H V H^H, matrix by matrix on stacks."""
 
     H: np.ndarray
-    scale: float = 1.0
 
     def apply(self, v):
-        return self.scale * (self.H @ v @ self.H_h)
+        return self.H @ v @ self.H_h
 
     def adjoint(self, g):
-        return self.scale * (self.H_h @ g @ self.H)
+        return self.H_h @ g @ self.H
 
 
 # ---------------------------------------------------------------------------

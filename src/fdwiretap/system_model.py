@@ -59,19 +59,23 @@ class TransmitDesign:
         two blocks are absent.  The view shares this design's arrays."""
         return BidirectionalDesign(X_a=self.X, W_a=None, X_b=None, W_b=self.W)
 
+    @staticmethod
+    def budgets(params: SystemParams) -> dict:
+        """Each node's trace budget: X_max for Alice, W_max for Bob."""
+        return {"a": params.X_max, "b": params.W_max}
+
     def validate(self, params: SystemParams, psd_tol: float = 1e-9,
                  budget_tol: float = 1e-6) -> None:
-        if self.X.shape != (params.N, params.M_a, params.M_a):
-            raise DimensionMismatch("X has wrong shape")
-        if self.W.shape != (params.N, params.M_bt, params.M_bt):
-            raise DimensionMismatch("W has wrong shape")
-        for stack in (self.X, self.W):
+        budgets = self.budgets(params)
+        for name, stack, dim, node, kind in (
+                ("X", self.X, params.M_a, "a", "information"),
+                ("W", self.W, params.M_bt, "b", "jamming")):
+            if stack.shape != (params.N, dim, dim):
+                raise DimensionMismatch(f"{name} has wrong shape")
             if linalg.min_eigenvalue(stack) < -psd_tol:
                 raise ValueError("covariance is not PSD within tolerance")
-        if linalg.real_trace(self.X) > params.X_max + budget_tol:
-            raise ValueError("information power budget violated")
-        if linalg.real_trace(self.W) > params.W_max + budget_tol:
-            raise ValueError("jamming power budget violated")
+            if linalg.real_trace(stack) > budgets[node] + budget_tol:
+                raise ValueError(f"{kind} power budget violated")
 
 
 @dataclass(eq=False)
@@ -101,15 +105,15 @@ class BidirectionalDesign:
     def nodes(self) -> "BidirectionalDesign":
         return self
 
-    def info(self, node: str) -> np.ndarray | None:
-        return self.X_a if node == "a" else self.X_b
-
-    def jam(self, node: str) -> np.ndarray | None:
-        return self.W_a if node == "a" else self.W_b
+    @staticmethod
+    def budgets(params: SystemParams) -> dict:
+        """Each node's trace budget: P_A_max for Alice, P_B_max for Bob."""
+        return {"a": params.P_A_max, "b": params.P_B_max}
 
     def active(self) -> list:
         """The rate directions whose information block is present."""
-        return [(tx, rx) for tx, rx in DIRECTIONS if self.info(tx) is not None]
+        return [(tx, rx) for tx, rx in DIRECTIONS
+                if getattr(self, f"X_{tx}") is not None]
 
 
 @dataclass(eq=False)
@@ -212,10 +216,11 @@ def interference(params: SystemParams, ch: ChannelRealization, design,
     _check_jam_shapes(params, nodes)
     if rx == "e":
         return [(f"W_{node}", Congruence(ch.H[node + "e"]))
-                for node in ("a", "b") if nodes.jam(node) is not None]
+                for node in ("a", "b")
+                if getattr(nodes, f"W_{node}") is not None]
     partner = "b" if rx == "a" else "a"
     pairs = []
-    if nodes.jam(partner) is not None:
+    if getattr(nodes, f"W_{partner}") is not None:
         pairs.append((f"W_{partner}", Congruence(ch.H[partner + rx])))
     own = [b for b in (f"X_{rx}", f"W_{rx}") if getattr(nodes, b) is not None]
     si = ch.H[rx + rx]

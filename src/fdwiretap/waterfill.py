@@ -164,8 +164,6 @@ def waterfill(gains: SubcarrierGains, eps0: float | None = None,
                           objective=_objective(gains, x_lo),
                           budget_active=residual_lo < eps0)
     hi = lam_zero
-    lam = hi
-    x = _allocation_at(gains, lam)
     for _ in range(max_iter):
         lam = 0.5 * (hi + lo)
         x = _allocation_at(gains, lam)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdwiretap import bcd, linalg, maxdet, system_model
+from fdwiretap import bcd, linalg, maxdet, system_model, waterfill
 from fdwiretap.channel import ChannelRealization, SystemParams, draw_channels
 from fdwiretap.errors import DegenerateChannel
 from fdwiretap.system_model import BidirectionalDesign, TransmitDesign
@@ -417,6 +417,34 @@ def test_lemma1_no_power_on_negative_subcarriers():
     assert clean >= 0.9 * trials
 
 
+@pytest.mark.parametrize("optimize_w", [False, True],
+                         ids=["equal-w-optimal-x", "optimal-fd"])
+def test_single_antenna_optimum_matches_the_closed_form(optimize_w):
+    """At M_a = 1 the optimal information powers for a fixed jamming design
+    are the water-filling solution of :mod:`fdwiretap.waterfill`.  On a grid
+    fixed in advance, the water-filling objective at the optimizer's final
+    W exceeds the optimizer's unclamped objective by at most 1e-7 nats,
+    with W frozen at equal power (Equal-W/Optimal-X) and with W optimized
+    from silence (Optimal-FD)."""
+    worst = (-np.inf, None)
+    for kappa_db in (-40.0, -20.0, -10.0, 0.0):
+        for n in (1, 2, 4, 8):
+            p = SystemParams.from_db(M_a=1, M_bt=2, M_br=2, M_e=2, N=n,
+                                     kappa_db=kappa_db, beta_db=kappa_db)
+            for seed in range(100, 110):
+                ch = draw_channels(p, seed)
+                init = bcd.init_uniform(p, with_jamming=not optimize_w)
+                res = bcd.optimize(p, ch, init=init, optimize_w=optimize_w,
+                                   outer_tol=1e-8, inner_tol=1e-9,
+                                   max_outer=500)
+                closed = waterfill.waterfill(waterfill.gains_from_system(
+                    p, ch, res.design.W)).objective
+                gap = closed - system_model.unclamped_objective_nats(
+                    p, ch, res.design)
+                worst = max(worst, (gap, (kappa_db, n, seed)))
+    assert worst[0] <= 1e-7, worst
+
+
 # --- bidirectional ---------------------------------------------------------
 
 
@@ -462,8 +490,8 @@ def test_bidirectional_reduces_to_one_directional():
     init = BidirectionalDesign.zeros(p)
     for n in range(p.N):
         init.X_a[n] = (p.P_A_max / (p.N * p.M_a)) * np.eye(p.M_a)
-    res_bi = bcd.optimize_bidirectional(p, ch, init=init, jam_a=False,
-                                        tx_b=False, outer_tol=1e-6)
+    res_bi = bcd.optimize_bidirectional(p, ch, init=init,
+                                        free={"X_a", "W_b"}, outer_tol=1e-6)
     p_one = p.with_updates(X_max=p.P_A_max, W_max=p.P_B_max)
     res_one = bcd.optimize(p_one, ch, outer_tol=1e-6)
     assert len(res_bi.state.objective_trace) == len(
@@ -472,14 +500,31 @@ def test_bidirectional_reduces_to_one_directional():
                                res_one.state.objective_trace, rtol=0,
                                atol=1e-12)
     assert abs(res_bi.report.I_sum - res_one.report.I_sum) <= 1e-12
+    # A one-directional design takes the same path, under its own budgets.
+    res_td = bcd.optimize_bidirectional(p_one, ch,
+                                        init=bcd.init_uniform(p_one),
+                                        free={"X_a", "W_b"}, outer_tol=1e-6)
+    assert isinstance(res_td.design, TransmitDesign)
+    assert res_td.state.objective_trace == res_one.state.objective_trace
+    np.testing.assert_array_equal(res_td.design.X, res_one.design.X)
+    np.testing.assert_array_equal(res_td.design.W, res_one.design.W)
+    assert res_td.report.I_sum == res_one.report.I_sum
 
 
 def test_bidirectional_jamming_flags_respected():
     p = small_params()
     ch = draw_channels(p, 17)
-    res = bcd.optimize_bidirectional(p, ch, jam_a=False, jam_b=False)
+    res = bcd.optimize_bidirectional(p, ch, free={"X_a", "X_b"})
     assert not np.any(res.design.W_a)
     assert not np.any(res.design.W_b)
-    res2 = bcd.optimize_bidirectional(p, ch, jam_a=False, jam_b=True)
+    res2 = bcd.optimize_bidirectional(p, ch, free={"X_a", "X_b", "W_b"})
     assert not np.any(res2.design.W_a)
     assert np.any(res2.design.W_b)
+
+
+def test_free_blocks_outside_the_two_node_names_are_rejected():
+    p = small_params()
+    ch = draw_channels(p, 17)
+    with pytest.raises(ValueError, match="free blocks"):
+        bcd.optimize_bidirectional(p, ch, init=bcd.init_uniform(p),
+                                   free={"X", "W"})

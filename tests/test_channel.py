@@ -35,6 +35,17 @@ def test_invalid_params_rejected():
         small_params(x_max_db=0.0).with_updates(X_max=-1.0)
 
 
+def test_antenna_counts_are_positive_integers():
+    """An integral float count is stored as an int; a fractional, infinite
+    or non-numeric one is rejected, never truncated."""
+    p = small_params(M_e=3.0).with_updates(M_bt=2.0)
+    assert (p.M_e, p.M_bt) == (3, 2)
+    assert type(p.M_e) is type(p.M_bt) is int
+    for bad in (2.9, 0, -1.0, float("inf"), float("nan"), "2"):
+        with pytest.raises(ConfigError, match="M_e"):
+            small_params(M_e=bad)
+
+
 def test_alice_transmit_count_has_one_value():
     """M_at is another name for M_a; from_db's default M_a is no conflict,
     an explicit different M_a is."""
@@ -119,6 +130,7 @@ def test_perturb_csi_leaves_si_channels_alone():
     assert not np.array_equal(out.H["ab"], ch.H["ab"])
     assert not np.array_equal(out.H["ae"], ch.H["ae"])
     assert not np.array_equal(out.H["be"], ch.H["be"])
+    assert not np.array_equal(out.H["ba"], ch.H["ba"])
 
 
 def test_perturb_csi_moment():

@@ -71,7 +71,7 @@ def test_run_numerical_failure_exits_3(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise NonPositiveDefinite("synthetic failure")
 
-    monkeypatch.setattr(bcd, "optimize", boom)
+    monkeypatch.setattr(bcd, "optimize_bidirectional", boom)
     outdir = tmp_path / "out"
     result = CliRunner().invoke(cli.main, ["run", cfg, "-o", str(outdir)])
     assert result.exit_code == 3
@@ -93,13 +93,17 @@ def test_sweep_override(tmp_path):
 
 
 def test_sweep_value_the_params_reject_exits_2(tmp_path):
+    """A zero or fractional antenna count is a config error at load, not a
+    truncated count."""
     outdir = tmp_path / "out"
-    result = CliRunner().invoke(cli.main, [
-        "sweep", write_config(tmp_path), "--param", "M_b",
-        "--values", "2,0", "-o", str(outdir)])
-    assert result.exit_code == 2, result.output
-    assert "config error: sweep_values" in result.output
-    assert not outdir.exists()
+    for param, values in (("M_b", "2,0"), ("M_b", "2,2.9"),
+                          ("M_e", "2,2.9")):
+        result = CliRunner().invoke(cli.main, [
+            "sweep", write_config(tmp_path), "--param", param,
+            "--values", values, "-o", str(outdir)])
+        assert result.exit_code == 2, (param, values, result.output)
+        assert "config error: sweep_values" in result.output
+        assert not outdir.exists()
 
 
 def test_waterfill_stdout():

@@ -207,7 +207,7 @@ def test_failed_trial_marks_result(monkeypatch):
     def boom(*args, **kwargs):
         raise NonPositiveDefinite("synthetic failure")
 
-    monkeypatch.setattr(bcd, "optimize", boom)
+    monkeypatch.setattr(bcd, "optimize_bidirectional", boom)
     rows = run_trial(cfg, 0.0, 0)
     assert rows[0].status == "NumericalTrouble"
     assert rows[0].worst_inner == "NumericalTrouble"
@@ -224,7 +224,7 @@ def test_programming_error_propagates_from_trial(monkeypatch):
     def bug(*args, **kwargs):
         raise TypeError("synthetic bug")
 
-    monkeypatch.setattr(bcd, "optimize", bug)
+    monkeypatch.setattr(bcd, "optimize_bidirectional", bug)
     with pytest.raises(TypeError):
         run_trial(cfg, 0.0, 0)
 
@@ -301,6 +301,14 @@ def test_config_rejects_conflicting_alice_transmit_counts():
         desk_config(M_a=2, M_at=3)
 
 
+def test_strategy_runs_name_two_node_blocks():
+    """Every strategy frees blocks by their two-node names, whichever
+    design type it starts from."""
+    for name, spec in harness.STRATEGY_TABLE.items():
+        for free in spec.runs:
+            assert free and set(free) <= set(bcd.BLOCKS), (name, free)
+
+
 def test_hd_strategies_carry_no_jamming():
     p = SystemParams.from_db(**DESK)
     ch = draw_channels(p, 5)
@@ -329,7 +337,7 @@ def test_emit_load_round_trip(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise NonPositiveDefinite("synthetic failure")
 
-    monkeypatch.setattr(bcd, "optimize", boom)
+    monkeypatch.setattr(bcd, "optimize_bidirectional", boom)
     res.trial_rows += run_trial(cfg, 0.0, 0)
     assert res.any_failed()
     emit_results(res, tmp_path / "out")
@@ -363,8 +371,7 @@ def test_rows_carry_inner_solver_totals(tmp_path):
             init = bcd.init_uniform_bidirectional(hd)
             getattr(init, silent)[:] = 0.0
             reports += bcd.optimize_bidirectional(
-                hd, ch, init=init, tx_a=silent == "X_b",
-                tx_b=silent == "X_a", jam_a=False, jam_b=False,
+                hd, ch, init=init, free={"X_a", "X_b"} - {silent},
                 **opts).state.inner_reports
         assert run.inner_iters == sum(rep.iterations for rep in reports)
         assert {rep.status.value for rep in reports} >= {worst, "Converged"}
@@ -395,8 +402,7 @@ def test_rows_carry_extrapolations_and_final_residual(tmp_path):
         init = bcd.init_uniform_bidirectional(hd)
         getattr(init, silent)[:] = 0.0
         states.append(bcd.optimize_bidirectional(
-            hd, ch, init=init, tx_a=silent == "X_b", tx_b=silent == "X_a",
-            jam_a=False, jam_b=False, **OPTS).state)
+            hd, ch, init=init, free={"X_a", "X_b"} - {silent}, **OPTS).state)
     assert run.extrapolations == sum(s.extrapolations for s in states)
     assert run.final_residual == max(s.inner_reports[-1].residual
                                      for s in states)

@@ -293,13 +293,13 @@ def test_covariance_stacks_match_per_subcarrier_loop():
                 + 1j * rng.standard_normal(stack.shape[1:])
             stack[n] = 0.1 * g @ g.conj().T
     for node, partner, dim in (("a", "b", p.M_ar), ("b", "a", p.M_br)):
-        own = d.info(node) + d.jam(node)
+        own = getattr(d, f"X_{node}") + getattr(d, f"W_{node}")
         si = ch.H[node + node]
         got = sigma_node_bidirectional(p, ch, d, node)
         for n in range(p.N):
             h = ch.H[partner + node][n]
             want = (p.noise[node][n] * np.eye(dim)
-                    + h @ d.jam(partner)[n] @ h.conj().T)
+                    + h @ getattr(d, f"W_{partner}")[n] @ h.conj().T)
             want = want + np.trace(own[n]).real * p.D_corr[node]
             band = sum(np.diag(np.diag(own[m])) for m in range(p.N))
             want = want + p.kappa[node][n] * si[n] @ band @ si[n].conj().T
@@ -312,7 +312,7 @@ def test_covariance_stacks_match_per_subcarrier_loop():
         want = p.noise["e"][n] * np.eye(p.M_e)
         for node in ("a", "b"):
             h = ch.H[node + "e"][n]
-            want = want + h @ d.jam(node)[n] @ h.conj().T
+            want = want + h @ getattr(d, f"W_{node}")[n] @ h.conj().T
         np.testing.assert_allclose(got[n], want, rtol=1e-12, atol=1e-15)
 
 
