@@ -215,44 +215,46 @@ def init_uniform_bidirectional(params: SystemParams) -> BidirectionalDesign:
                                W_b=np.zeros_like(x_b))
 
 
-def _spatial_beam(f: np.ndarray, g_gram: np.ndarray, nu_f: float,
-                  nu_g: float) -> np.ndarray:
+def _spatial_beam(f: np.ndarray, g_gram: np.ndarray, nu_f, nu_g) -> np.ndarray:
     """Unit-trace rank-1 covariance maximizing the desired-to-undesired
-    power ratio (tr(F Q F^H) + nu_f) / (tr(G Q G^H) + nu_g).
+    power ratio (tr(F Q F^H) + nu_f) / (tr(G Q G^H) + nu_g), or a stack of
+    them for stacks of F, G^H G and the noise levels.
 
     ``g_gram`` is G^H G.  The optimizer is the dominant generalized
     eigenvector of the pencil (F^H F + nu_f I, G^H G + nu_g I), computed
     through a Hermitian whitening so the deterministic phase convention of
     :func:`fdwiretap.linalg.dominant_eigenpair` applies.
     """
-    dim = g_gram.shape[0]
-    if not np.any(f) and not np.any(g_gram):
+    if np.any(~np.any(f, axis=(-2, -1)) & ~np.any(g_gram, axis=(-2, -1))):
         raise DegenerateChannel("both desired and undesired channels are zero")
-    a = linalg.hermitize(f.conj().T @ f + nu_f * np.eye(dim))
-    b = linalg.hermitize(g_gram + nu_g * np.eye(dim))
+    eye = np.eye(g_gram.shape[-1])
+    a = linalg.hermitize(f.conj().swapaxes(-1, -2) @ f
+                         + np.multiply.outer(nu_f, eye))
+    b = linalg.hermitize(g_gram + np.multiply.outer(nu_g, eye))
     vals, vecs = np.linalg.eigh(b)
-    b_inv_half = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    b_inv_half = ((vecs / np.sqrt(vals)[..., None, :])
+                  @ vecs.conj().swapaxes(-1, -2))
     _, u, _ = linalg.dominant_eigenpair(
         linalg.hermitize(b_inv_half @ a @ b_inv_half))
-    m = b_inv_half @ u
-    m = linalg.fix_phase(m / np.linalg.norm(m))
-    return np.outer(m, m.conj())
+    m = (b_inv_half @ u[..., None])[..., 0]
+    m = linalg.fix_phase(m / np.linalg.norm(m, axis=-1, keepdims=True))
+    return m[..., :, None] * m.conj()[..., None, :]
 
 
-def residual_si_gram(params: SystemParams, ch: ChannelRealization,
-                     n: int) -> np.ndarray:
-    """Gram matrix of Bob's effective SI leakage channel for the jamming
-    beam.
+def residual_si_gram(params: SystemParams, ch: ChannelRealization) -> np.ndarray:
+    """Gram matrices of Bob's effective SI leakage channel for the jamming
+    beam, one per subcarrier.
 
-    tr(residual_si_gram @ W) is the total distortion power the jamming
-    covariance W injects into Bob's own receiver on subcarrier n.
+    tr(residual_si_gram[n] @ W[n]) is the total distortion power the
+    jamming covariance W[n] injects into Bob's own receiver on subcarrier n.
     """
-    h = ch.link("bb", n)
-    gram = h.conj().T @ h
-    out = (params.kappa["b"][n]
-           * np.diag(np.real(np.diagonal(gram))).astype(complex))
-    out = out + params.beta["b"][n] * gram
-    out = out + linalg.real_trace(params.D_corr["b"]) * np.eye(gram.shape[0])
+    h = ch.H["bb"]
+    gram = h.conj().swapaxes(-1, -2) @ h
+    eye = np.eye(gram.shape[-1])
+    diag = np.real(np.diagonal(gram, axis1=-2, axis2=-1))
+    out = params.kappa["b"][:, None, None] * (eye * diag[:, None, :])
+    out = out + params.beta["b"][:, None, None] * gram
+    out = out + linalg.real_trace(params.D_corr["b"]) * eye
     return linalg.hermitize(out)
 
 
@@ -263,35 +265,31 @@ def init_optimal_beam(params: SystemParams, ch: ChannelRealization) -> TransmitD
     jamming beam treats the residual-SI leakage into Bob's own receiver as
     undesired.  Power is split equally across subcarriers.
     """
-    design = TransmitDesign.zeros(params)
-    for n in range(params.N):
-        h_ae = ch.link("ae", n)
-        q_x = _spatial_beam(ch.link("ab", n), h_ae.conj().T @ h_ae,
-                            params.noise["b"][n], params.noise["e"][n])
-        design.X[n] = (params.X_max / params.N) * q_x
-        q_w = _spatial_beam(ch.link("be", n), residual_si_gram(params, ch, n),
-                            params.noise["e"][n], params.noise["b"][n])
-        design.W[n] = (params.W_max / params.N) * q_w
-    return design
+    h_ae = ch.H["ae"]
+    q_x = _spatial_beam(ch.H["ab"], h_ae.conj().swapaxes(-1, -2) @ h_ae,
+                        params.noise["b"], params.noise["e"])
+    q_w = _spatial_beam(ch.H["be"], residual_si_gram(params, ch),
+                        params.noise["e"], params.noise["b"])
+    return TransmitDesign(X=(params.X_max / params.N) * q_x,
+                          W=(params.W_max / params.N) * q_w)
 
 
 def init_random(params: SystemParams, seed: int) -> TransmitDesign:
     """Wishart-style random PSD covariances, trace-normalized per budget."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    design = TransmitDesign.zeros(params)
-    for n in range(params.N):
-        design.X[n] = _random_covariance(rng, params.M_a,
-                                         params.X_max / params.N)
-        design.W[n] = _random_covariance(rng, params.M_bt,
-                                         params.W_max / params.N)
-    return design
+    split = 2 * params.M_a ** 2
+    z = rng.standard_normal((params.N, split + 2 * params.M_bt ** 2))
+    return TransmitDesign(
+        X=_random_covariance(z[:, :split], params.M_a, params.X_max / params.N),
+        W=_random_covariance(z[:, split:], params.M_bt, params.W_max / params.N))
 
 
-def _random_covariance(rng: np.random.Generator, dim: int,
-                       trace: float) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    v = g @ g.conj().T
-    return v * (trace / np.real(np.trace(v)))
+def _random_covariance(z: np.ndarray, dim: int, trace: float) -> np.ndarray:
+    """G G^H at the given trace for each row [Re G, Im G] of z."""
+    re, im = np.split(z, 2, axis=1)
+    g = (re + 1j * im).reshape(-1, dim, dim)
+    v = g @ g.conj().swapaxes(-1, -2)
+    return v * (trace / np.real(np.trace(v, axis1=-2, axis2=-1)))[:, None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -169,9 +169,6 @@ class ChannelRealization:
     H: dict
     seed: int
 
-    def link(self, name: str, n: int) -> np.ndarray:
-        return self.H[name][n]
-
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
     scale = np.sqrt(variance / 2.0)

@@ -92,10 +92,9 @@ def waterfill_cmd(alpha, beta, budget, out):
         writer = csv.writer(fh)
         writer.writerow(["subcarrier", "alpha", "beta", "power",
                          "secrecy_nats"])
-        for n, (an, bn, xn) in enumerate(zip(a, b, alloc.X)):
-            writer.writerow([n, repr(float(an)), repr(float(bn)),
-                             repr(float(xn)),
-                             repr(wf.secrecy_per_subcarrier(xn, an, bn))])
+        secrecy = wf.secrecy_per_subcarrier(alloc.X, a, b)
+        for n, row in enumerate(zip(a, b, alloc.X, secrecy)):
+            writer.writerow([n] + [repr(float(v)) for v in row])
         writer.writerow(["total", "", "", repr(float(alloc.X.sum())),
                          repr(alloc.objective)])
     finally:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NonPositiveDefinite
 
-# Tolerance below which the top two eigenvalues count as degenerate.
+# Eigenvalues within this gap of the largest span the dominant eigenspace.
 DEGENERATE_GAP = 1e-10
 
 
@@ -55,44 +55,34 @@ def psd_inverse(m: np.ndarray) -> np.ndarray:
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its first nonzero entry is real nonnegative."""
-    idx = np.flatnonzero(np.abs(v) > 1e-12)
-    if idx.size == 0:
-        return v
-    pivot = v[idx[0]]
+    """Rotate a vector, or each vector of a stack, so its first nonzero
+    entry is real nonnegative."""
+    mask = np.abs(v) > 1e-12
+    pivot = np.take_along_axis(v, mask.argmax(axis=-1)[..., None], axis=-1)
+    pivot = np.where(mask.any(axis=-1, keepdims=True), pivot, 1.0)
     return v * (np.conj(pivot) / np.abs(pivot))
 
 
-def dominant_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray, bool]:
-    """Largest eigenvalue, unit-norm eigenvector and a degeneracy flag.
+def dominant_eigenpair(m: np.ndarray) -> tuple:
+    """Largest eigenvalue, unit-norm eigenvector and a degeneracy flag, or
+    arrays of them over a stack's leading axes.
 
-    The eigenvector phase is fixed so the first nonzero entry is real
-    nonnegative.  When the top two eigenvalues coincide (gap < 1e-10) the
-    returned vector is the normalized projection of the first canonical
-    basis vector with nonvanishing projection onto the dominant eigenspace,
-    which makes the output deterministic and basis-independent.
+    The vector is the normalized projection of the first canonical basis
+    vector with nonvanishing projection onto the dominant eigenspace (the
+    eigenvalues within ``DEGENERATE_GAP`` of the largest), phase-fixed by
+    :func:`fix_phase`; the flag says that space has more than one
+    dimension.  The output is deterministic and basis-independent.
     """
     vals, vecs = np.linalg.eigh(m)
-    lam = float(vals[-1])
-    degenerate = m.shape[0] > 1 and (lam - float(vals[-2])) < DEGENERATE_GAP
-    if not degenerate:
-        return lam, fix_phase(vecs[:, -1]), False
-    space = vecs[:, vals > lam - DEGENERATE_GAP]
-    for k in range(m.shape[0]):
-        proj = space @ space[k, :].conj()
-        nrm = np.linalg.norm(proj)
-        if nrm > 1e-6:
-            return lam, fix_phase(proj / nrm), True
-    return lam, fix_phase(vecs[:, -1]), True
-
-
-def psd_clip(m: np.ndarray) -> np.ndarray:
-    """Project a Hermitian matrix, or each matrix of a stack, onto the PSD
-    cone by eigenvalue clipping."""
-    vals, vecs = np.linalg.eigh(hermitize(m))
-    if vals.min() >= 0.0:
-        return hermitize(m)
-    return from_eigh(np.maximum(vals, 0.0), vecs)
+    lam = vals[..., -1]
+    in_space = vals > lam[..., None] - DEGENERATE_GAP
+    # Column k of the eigenspace projector is the projection of e_k.
+    proj = (vecs * in_space[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    nrm = np.linalg.norm(proj, axis=-2)
+    k = (nrm > 1e-6).argmax(axis=-1)[..., None]
+    u = (np.take_along_axis(proj, k[..., None, :], axis=-1)[..., 0]
+         / np.take_along_axis(nrm, k, axis=-1))
+    return lam, fix_phase(u), in_space.sum(axis=-1) > 1
 
 
 def from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:

@@ -91,6 +91,8 @@ class MaxDetProblem:
     logdet_terms: list = field(default_factory=list)
     linear_terms: dict = field(default_factory=dict)
     constraints: list = field(default_factory=list)
+    # The constraints plus an unbudgeted group for each variable outside them.
+    projection_groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.variables]
@@ -104,6 +106,8 @@ class MaxDetProblem:
                 if name in seen:
                     raise ValueError(f"variable {name} in two constraint groups")
                 seen.add(name)
+        self.projection_groups = list(self.constraints) + [
+            ((name,), np.inf) for name in names if name not in seen]
 
 
 class SolverStatus(str, Enum):
@@ -216,7 +220,7 @@ def project_feasible(prob: MaxDetProblem, point: dict,
     if steps is None:
         steps = {name: 1.0 for name, _ in prob.variables}
     out = {}
-    for group, budget in prob.constraints:
+    for group, budget in prob.projection_groups:
         eig = [np.linalg.eigh(linalg.hermitize(point[name])) for name in group]
         top = max(steps[name] for name in group)
         clipped = _clip_to_budget(
@@ -228,9 +232,6 @@ def project_feasible(prob: MaxDetProblem, point: dict,
             new_vals = clipped[pos:pos + vals.size].reshape(vals.shape)
             out[name] = linalg.from_eigh(new_vals, vecs)
             pos += vals.size
-    for name, _ in prob.variables:
-        if name not in out:
-            out[name] = linalg.psd_clip(point[name])
     return out
 
 

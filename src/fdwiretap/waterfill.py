@@ -63,28 +63,24 @@ def gains_from_system(params: SystemParams, ch: ChannelRealization,
     sb_inv = linalg.psd_inverse(
         system_model.sigma_node_bidirectional(params, ch, design, "b"))
     se_inv = linalg.psd_inverse(system_model.sigma_eve(params, ch, design))
-    alpha = np.zeros(params.N)
-    beta = np.zeros(params.N)
-    for n in range(params.N):
-        h_ab = ch.link("ab", n)[:, 0]
-        h_ae = ch.link("ae", n)[:, 0]
-        alpha[n] = float(np.real(h_ab.conj() @ sb_inv[n] @ h_ab))
-        beta[n] = float(np.real(h_ae.conj() @ se_inv[n] @ h_ae))
+    alpha, beta = (np.real(h.conj().swapaxes(-1, -2) @ inv @ h)[:, 0, 0]
+                   for h, inv in ((ch.H["ab"], sb_inv), (ch.H["ae"], se_inv)))
     return SubcarrierGains(alpha=alpha, beta=beta, X_max=params.X_max)
 
 
-def secrecy_per_subcarrier(x: float, alpha: float, beta: float) -> float:
-    """log((1 + alpha*x) / (1 + beta*x)) in nats."""
-    return float(np.log1p(alpha * x) - np.log1p(beta * x))
+def secrecy_per_subcarrier(x, alpha, beta):
+    """log((1 + alpha*x) / (1 + beta*x)) in nats, elementwise."""
+    return np.log1p(alpha * x) - np.log1p(beta * x)
 
 
-def slope(x: float, alpha: float, beta: float) -> float:
-    """Derivative of the per-subcarrier secrecy with respect to power."""
+def slope(x, alpha, beta):
+    """Derivative of the per-subcarrier secrecy in power, elementwise."""
     return alpha / (1.0 + alpha * x) - beta / (1.0 + beta * x)
 
 
-def closed_form_power(water_level: float, alpha: float, beta: float) -> float:
-    """Power at which the secrecy slope equals the water level.
+def closed_form_power(water_level: float, alpha, beta):
+    """Power at which the secrecy slope equals the water level, elementwise
+    over the gains.
 
     Solves alpha/(1+alpha x) - beta/(1+beta x) = lambda for x >= 0 and
     clamps at zero; subcarriers with alpha <= beta carry no power.  The
@@ -94,16 +90,16 @@ def closed_form_power(water_level: float, alpha: float, beta: float) -> float:
     """
     if water_level <= 0:
         raise ValueError("water level must be positive")
-    if alpha <= beta or alpha <= 0:
-        return 0.0
     # Roots of alpha*beta x^2 + (alpha+beta) x + 1 - (alpha-beta)/lambda = 0.
     a2 = alpha * beta
     b2 = alpha + beta
     c2 = 1.0 - (alpha - beta) / water_level
-    if c2 >= 0.0:
-        return 0.0
-    disc = b2 * b2 - 4.0 * a2 * c2
-    return float(-2.0 * c2 / (b2 + np.sqrt(disc)))
+    active = (alpha > beta) & (alpha > 0) & (c2 < 0.0)
+    # Lanes outside ``active`` may take the root of a negative discriminant
+    # or divide by zero; they are masked out.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        x = -2.0 * c2 / (b2 + np.sqrt(b2 * b2 - 4.0 * a2 * c2))
+    return np.where(active, x, 0.0)[()]
 
 
 def full_budget_slope_bound(gains: SubcarrierGains) -> float:
@@ -124,14 +120,10 @@ def zero_power_slope_bound(gains: SubcarrierGains) -> float:
     return float(np.max(gains.alpha - gains.beta))
 
 
-def _allocation_at(gains: SubcarrierGains, water_level: float) -> np.ndarray:
-    return np.array([closed_form_power(water_level, a, b)
-                     for a, b in zip(gains.alpha, gains.beta)])
-
-
 def _objective(gains: SubcarrierGains, x: np.ndarray) -> float:
-    return float(sum(secrecy_per_subcarrier(xi, a, b)
-                     for xi, a, b in zip(x, gains.alpha, gains.beta)))
+    # Summed in subcarrier order: np.sum's pairwise order would change the
+    # bits of the objective from eight subcarriers on.
+    return float(sum(secrecy_per_subcarrier(x, gains.alpha, gains.beta)))
 
 
 def waterfill(gains: SubcarrierGains, eps0: float | None = None,
@@ -155,7 +147,7 @@ def waterfill(gains: SubcarrierGains, eps0: float | None = None,
     # the zero-power slope (upper bound); guard the closed form's 1/lambda
     # against a nonpositive lower endpoint.
     lo = max(lam_full, 1e-12 * lam_zero)
-    x_lo = _allocation_at(gains, lo)
+    x_lo = closed_form_power(lo, gains.alpha, gains.beta)
     residual_lo = gains.X_max - x_lo.sum()
     if residual_lo >= 0.0:
         # The lower endpoint already fits the budget, which happens exactly
@@ -166,7 +158,7 @@ def waterfill(gains: SubcarrierGains, eps0: float | None = None,
     hi = lam_zero
     for _ in range(max_iter):
         lam = 0.5 * (hi + lo)
-        x = _allocation_at(gains, lam)
+        x = closed_form_power(lam, gains.alpha, gains.beta)
         residual = gains.X_max - x.sum()
         if 0.0 <= residual < eps0:
             break
@@ -176,6 +168,6 @@ def waterfill(gains: SubcarrierGains, eps0: float | None = None,
             hi = lam
     else:
         lam = hi
-        x = _allocation_at(gains, lam)
+        x = closed_form_power(lam, gains.alpha, gains.beta)
     return Allocation(X=x, water_level=lam, objective=_objective(gains, x))
 

@@ -18,6 +18,7 @@ def small_params(**kw):
 
 
 def random_design(params, seed):
+    """``bcd.init_random`` drawn one subcarrier at a time."""
     rng = np.random.default_rng(seed)
     d = TransmitDesign.zeros(params)
     for n in range(params.N):
@@ -287,9 +288,34 @@ def test_spatial_beam_degenerate_rejected():
     with pytest.raises(DegenerateChannel):
         bcd._spatial_beam(np.zeros((2, 2), complex), np.zeros((2, 2), complex),
                           0.1, 0.1)
+    # A stack is rejected when any one subcarrier has both channels zero.
+    rng = np.random.default_rng(6)
+    f = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    g_gram = f.conj().swapaxes(-1, -2) @ f
+    f[1] = 0.0
+    bcd._spatial_beam(f, g_gram, 0.1, 0.1)
+    g_gram[1] = 0.0
+    with pytest.raises(DegenerateChannel):
+        bcd._spatial_beam(f, g_gram, 0.1, 0.1)
 
 
 def test_init_optimal_beam_budget_and_rank():
+    """The beams fill both budgets with rank-1 covariances, and equal one
+    single-matrix beam per subcarrier."""
+    q = small_params(M_a=3, M_bt=2, M_br=2, M_e=3, N=5)
+    ch = draw_channels(q, 7)
+    d = bcd.init_optimal_beam(q, ch)
+    gram = bcd.residual_si_gram(q, ch)
+    for n in range(q.N):
+        h_ae = ch.H["ae"][n]
+        beams = ((d.X[n], q.X_max, bcd._spatial_beam(
+                     ch.H["ab"][n], h_ae.conj().T @ h_ae,
+                     q.noise["b"][n], q.noise["e"][n])),
+                 (d.W[n], q.W_max, bcd._spatial_beam(
+                     ch.H["be"][n], gram[n], q.noise["e"][n], q.noise["b"][n])))
+        for cov, budget, beam in beams:
+            ref = (budget / q.N) * beam
+            assert np.abs(cov - ref).max() <= 1e-13 * np.abs(ref).max()
     p = small_params()
     ch = draw_channels(p, 5)
     d = bcd.init_optimal_beam(p, ch)
@@ -311,6 +337,12 @@ def test_init_random_reproducible_and_feasible():
     d3 = bcd.init_random(p, 10)
     assert not np.array_equal(d1.X, d3.X)
     d1.validate(p)
+    # The whole-band draw is the per-subcarrier draw, bit for bit.
+    for m_a, m_bt, n in ((1, 3, 1), (3, 2, 5), (2, 4, 32), (4, 1, 8)):
+        q = small_params(M_a=m_a, M_bt=m_bt, N=n)
+        d, ref = bcd.init_random(q, 11), random_design(q, 11)
+        np.testing.assert_array_equal(d.X, ref.X)
+        np.testing.assert_array_equal(d.W, ref.W)
 
 
 # --- one-directional optimization ------------------------------------------

@@ -119,6 +119,16 @@ def test_waterfill_stdout():
     assert float(total[3]) <= 2.0 + 1e-9
     # The dominated subcarrier (beta > alpha) gets no power.
     assert float(lines[2].split(",")[3]) == 0.0
+    result = CliRunner().invoke(cli.main, [
+        "waterfill", "--alpha", "2,1,3", "--beta", "0.5,1.5,1",
+        "--budget", "2"])
+    assert result.exit_code == 0
+    assert result.stdout == (
+        "subcarrier,alpha,beta,power,secrecy_nats\n"
+        "0,2.0,0.5,1.1266714155464508,0.7328612185255275\n"
+        "1,1.0,1.5,0.0,0.0\n"
+        "2,3.0,1.0,0.8733285739429443,0.6587532469493116\n"
+        "total,,,1.9999999894893952,1.3916144654748392\n")
 
 
 def test_waterfill_length_mismatch_exits_2():

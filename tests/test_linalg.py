@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdwiretap import linalg
+from fdwiretap import linalg, maxdet
 from fdwiretap.errors import NonPositiveDefinite
 
 
@@ -18,6 +18,13 @@ def dominant_eigenvector(m):
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return linalg.hermitize(a + a.conj().T)
+
+
+def clip_psd(m):
+    """Projection onto the PSD cone: that of a variable outside every
+    budget group."""
+    prob = maxdet.MaxDetProblem(variables=[("v", m.shape[-1])])
+    return maxdet.project_feasible(prob, {"v": m})["v"]
 
 
 def random_pd(rng, dim, floor=0.1):
@@ -71,17 +78,18 @@ def test_logdet_of_stack_rejects_indefinite_member():
             func(stack)
 
 
-def test_psd_clip_of_stack_matches_one_call_each():
-    """Clipping a stack gives bitwise the matrices of one call each, and
-    leaves a PSD stack as its Hermitian part."""
+def test_ungrouped_projection_of_stack_matches_one_call_each():
+    """Projecting an ungrouped stack variable onto the PSD cone gives
+    bitwise the matrices of one call each, and leaves a PSD stack at its
+    Hermitian part up to rounding."""
     rng = np.random.default_rng(5)
     stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
-    clipped = linalg.psd_clip(stack)
+    clipped = clip_psd(stack)
     for m, out in zip(stack, clipped):
-        np.testing.assert_array_equal(out, linalg.psd_clip(m))
+        np.testing.assert_array_equal(out, clip_psd(m))
     assert linalg.min_eigenvalue(clipped) >= -1e-12
     pd = np.array([random_pd(rng, 3) for _ in range(4)])
-    np.testing.assert_array_equal(linalg.psd_clip(pd), linalg.hermitize(pd))
+    np.testing.assert_allclose(clip_psd(pd), linalg.hermitize(pd), atol=1e-12)
 
 
 def test_psd_inverse_identity():
@@ -129,6 +137,24 @@ def test_dominant_eigenvector_degenerate_identity():
     np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-10)
 
 
+def test_dominant_eigenpair_of_stack_matches_one_call_each():
+    """A stack holding degenerate members gives each member's eigenvalue,
+    vector and flag of one call per matrix."""
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 3, 4):
+        stack = np.array([random_hermitian(rng, dim), 2.0 * np.eye(dim),
+                          random_pd(rng, dim),
+                          np.diag(np.r_[3.0, 3.0, np.ones(dim)][:dim])
+                          .astype(complex)])
+        lams, vecs, flags = linalg.dominant_eigenpair(stack)
+        assert lams.shape == (4,) and vecs.shape == (4, dim)
+        assert list(flags) == [False, dim > 1, False, dim > 1]
+        for m, lam, v, flag in zip(stack, lams, vecs, flags):
+            lam_1, v_1, flag_1 = linalg.dominant_eigenpair(m)
+            assert lam == lam_1 and flag == flag_1
+            np.testing.assert_allclose(v, v_1, rtol=0, atol=1e-13)
+
+
 def test_dominant_eigenvector_satisfies_eigen_equation():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -159,9 +185,9 @@ def test_rayleigh_quotient_dominance():
         assert rq >= np.real(u.conj() @ m @ u) - 1e-10
 
 
-def test_psd_clip():
+def test_ungrouped_projection_clips_negative_eigenvalues():
     m = np.diag([1.0, -0.5]).astype(complex)
-    out = linalg.psd_clip(m)
+    out = clip_psd(m)
     assert linalg.min_eigenvalue(out) >= -1e-12
     np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 

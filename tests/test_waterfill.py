@@ -52,6 +52,21 @@ def test_closed_form_classic_waterfilling_limit():
     assert closed_form_power(3.0, 2.0, 0.0) == 0.0
 
 
+def test_closed_forms_on_arrays_match_scalar_calls():
+    """Elementwise power and secrecy equal one scalar call per subcarrier
+    bit for bit, dominated and zero-gain subcarriers included."""
+    rng = np.random.default_rng(9)
+    alpha = np.r_[rng.exponential(size=40), 0.0, 1.0, 2.0, 0.5]
+    beta = np.r_[rng.exponential(size=40), 0.0, 1.0, 0.0, 3.0]
+    for lam in (1e-3, 0.2, 1.0, 5.0):
+        x = closed_form_power(lam, alpha, beta)
+        np.testing.assert_array_equal(
+            x, [closed_form_power(lam, a, b) for a, b in zip(alpha, beta)])
+        np.testing.assert_array_equal(
+            secrecy_per_subcarrier(x, alpha, beta),
+            [secrecy_per_subcarrier(*v) for v in zip(x, alpha, beta)])
+
+
 def test_closed_form_satisfies_first_order_condition():
     x = closed_form_power(0.2, 3.0, 1.0)
     assert x > 0
