@@ -180,7 +180,7 @@ def _subproblem(params: SystemParams, ch: ChannelRealization,
     return maxdet.MaxDetProblem(
         variables=variables,
         logdet_terms=logdet_terms,
-        linear_terms={b: linalg.hermitize(c) for b, c in linear.items()},
+        linear_terms=linear,
         constraints=constraints,
     )
 
@@ -228,14 +228,12 @@ def _spatial_beam(f: np.ndarray, g_gram: np.ndarray, nu_f, nu_g) -> np.ndarray:
     if np.any(~np.any(f, axis=(-2, -1)) & ~np.any(g_gram, axis=(-2, -1))):
         raise DegenerateChannel("both desired and undesired channels are zero")
     eye = np.eye(g_gram.shape[-1])
-    a = linalg.hermitize(f.conj().swapaxes(-1, -2) @ f
-                         + np.multiply.outer(nu_f, eye))
-    b = linalg.hermitize(g_gram + np.multiply.outer(nu_g, eye))
+    a = f.conj().swapaxes(-1, -2) @ f + np.multiply.outer(nu_f, eye)
+    b = g_gram + np.multiply.outer(nu_g, eye)
     vals, vecs = np.linalg.eigh(b)
     b_inv_half = ((vecs / np.sqrt(vals)[..., None, :])
                   @ vecs.conj().swapaxes(-1, -2))
-    _, u, _ = linalg.dominant_eigenpair(
-        linalg.hermitize(b_inv_half @ a @ b_inv_half))
+    _, u, _ = linalg.dominant_eigenpair(b_inv_half @ a @ b_inv_half)
     m = (b_inv_half @ u[..., None])[..., 0]
     m = linalg.fix_phase(m / np.linalg.norm(m, axis=-1, keepdims=True))
     return m[..., :, None] * m.conj()[..., None, :]
@@ -254,8 +252,7 @@ def residual_si_gram(params: SystemParams, ch: ChannelRealization) -> np.ndarray
     diag = np.real(np.diagonal(gram, axis1=-2, axis2=-1))
     out = params.kappa["b"][:, None, None] * (eye * diag[:, None, :])
     out = out + params.beta["b"][:, None, None] * gram
-    out = out + linalg.real_trace(params.D_corr["b"]) * eye
-    return linalg.hermitize(out)
+    return out + linalg.real_trace(params.D_corr["b"]) * eye
 
 
 def init_optimal_beam(params: SystemParams, ch: ChannelRealization) -> TransmitDesign:

@@ -188,12 +188,6 @@ class ExperimentResult:
                 mean_iters=float(np.mean([r.iters for r in rows]))))
         return out
 
-    def cell(self, strategy: str, sweep_value: float) -> AggregateRow:
-        for agg in self.aggregates():
-            if agg.strategy == strategy and agg.sweep_value == sweep_value:
-                return agg
-        raise KeyError((strategy, sweep_value))
-
     def any_failed(self) -> bool:
         return any(r.status == "NumericalTrouble" for r in self.trial_rows)
 

@@ -1,11 +1,15 @@
 """Complex-Hermitian matrix primitives used throughout the package.
 
-All covariance matrices in the model are Hermitian positive semidefinite;
-these helpers keep them that way under floating-point drift and give the
-rest of the code a single place for log-determinants, PSD-safe inverses
-and dominant eigenvectors with a deterministic phase convention.  Every
-helper that takes a matrix also takes a stack of matrices along leading
-axes.
+All covariance matrices in the model are Hermitian positive semidefinite.
+These helpers give the rest of the code a single place for
+log-determinants, PSD-safe inverses and dominant eigenvectors with a
+deterministic phase convention.  Every helper that takes a matrix also
+takes a stack of matrices along leading axes.
+
+A matrix is re-symmetrized only where it enters the package from outside
+(:func:`hermitize`).  Computed values are left as computed: a product or
+inverse of Hermitian matrices is Hermitian up to rounding, and ``eigh``,
+``eigvalsh`` and ``cholesky`` read only one triangle.
 """
 
 import numpy as np
@@ -17,12 +21,10 @@ DEGENERATE_GAP = 1e-10
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Average a matrix with its conjugate transpose.
-
-    Re-enforced after arithmetic compositions so accumulated drift does not
-    break downstream PSD checks.  A stack of matrices is hermitized matrix
-    by matrix.
-    """
+    """Average a matrix, or each matrix of a stack, with its conjugate
+    transpose.  Applied only where a matrix enters the package from outside
+    (a solver's initial point, a matrix under validation); a value computed
+    from Hermitian matrices is used as computed."""
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
@@ -47,11 +49,11 @@ def logdet(m: np.ndarray):
 
 def psd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a Hermitian positive definite matrix, or of each matrix
-    of a stack, re-symmetrized.  Raises NonPositiveDefinite if a Cholesky
-    factorization fails, so a singular or indefinite covariance is never
-    inverted."""
+    of a stack, Hermitian up to rounding.  Raises NonPositiveDefinite if a
+    Cholesky factorization fails, so a singular or indefinite covariance is
+    never inverted."""
     cholesky(m)
-    return hermitize(np.linalg.inv(m))
+    return np.linalg.inv(m)
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:
@@ -87,9 +89,8 @@ def dominant_eigenpair(m: np.ndarray) -> tuple:
 
 def from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """The Hermitian matrix V diag(w) V^H of eigenpairs (w, V), or of each
-    set of a stack."""
-    return hermitize((vecs * vals[..., None, :])
-                     @ vecs.conj().swapaxes(-1, -2))
+    set of a stack, Hermitian up to rounding."""
+    return (vecs * vals[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def min_eigenvalue(m: np.ndarray) -> float:

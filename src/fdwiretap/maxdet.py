@@ -81,8 +81,8 @@ class MaxDetProblem:
     """Problem data; see the module docstring for the optimization form.
 
     ``variables`` gives each variable's matrix size; its value is a matrix or
-    a stack of them.  ``linear_terms`` maps variable names to Hermitian
-    coefficients C of the value's shape, contributing -tr(C V).
+    a stack of them.  ``linear_terms`` maps variable names to coefficients C
+    of the value's shape, Hermitian up to rounding, contributing -tr(C V).
     ``constraints`` is a list of (variable-name tuple, budget); a variable
     may appear in at most one group.
     """
@@ -142,7 +142,7 @@ def _term_matrix(term: LogDetTerm, point: dict, const=None) -> np.ndarray:
     y = term.const if const is None else const
     for name, lmap in term.maps:
         y = y + lmap.apply(point[name])
-    return linalg.hermitize(y)
+    return y
 
 
 def _eval_state(prob: MaxDetProblem, point: dict,
@@ -166,7 +166,7 @@ def _eval_state(prob: MaxDetProblem, point: dict,
         logdets = [linalg.logdet(y).sum() for y in y_mats]
     for term, y, logdet in zip(prob.logdet_terms, y_mats, logdets):
         total += term.weight * logdet
-        y_inv = linalg.hermitize(np.linalg.inv(y))
+        y_inv = np.linalg.inv(y)
         # A map object listed for several variables has one adjoint.
         adjoints = {}
         for name, lmap in term.maps:
@@ -174,7 +174,6 @@ def _eval_state(prob: MaxDetProblem, point: dict,
             if adj is None:
                 adj = adjoints[id(lmap)] = term.weight * lmap.adjoint(y_inv)
             grads[name] = grads[name] + adj
-    grads = {name: linalg.hermitize(g) for name, g in grads.items()}
     return total, grads, y_mats, logdets
 
 
@@ -221,7 +220,7 @@ def project_feasible(prob: MaxDetProblem, point: dict,
         steps = {name: 1.0 for name, _ in prob.variables}
     out = {}
     for group, budget in prob.projection_groups:
-        eig = [np.linalg.eigh(linalg.hermitize(point[name])) for name in group]
+        eig = [np.linalg.eigh(point[name]) for name in group]
         top = max(steps[name] for name in group)
         clipped = _clip_to_budget(
             np.concatenate([vals.ravel() for vals, _ in eig]), budget,
@@ -328,12 +327,14 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             try:
                 ld_cand = [linalg.logdet(y).sum() for y in y_cand]
             except NonPositiveDefinite:
-                f_cand = -np.inf
+                gain = -np.inf
             else:
-                f_cand = f_cur + step * lin_delta
+                # The increment, not the level: an additive constant in the
+                # objective cannot change which step is accepted.
+                gain = step * lin_delta
                 for term, ld0, ld in zip(prob.logdet_terms, ld_cur, ld_cand):
-                    f_cand += term.weight * (ld - ld0)
-            if f_cand >= f_cur + 1e-4 * step * slope:
+                    gain += term.weight * (ld - ld0)
+            if gain >= 1e-4 * step * slope:
                 accepted = True
                 break
             step *= 0.5
@@ -342,7 +343,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             break
         new_point = {name: point[name] + step * direction[name]
                      for name, _ in prob.variables}
-        f_cand, new_grads, y_cur, ld_cur = _eval_state(
+        f_new, new_grads, y_cur, ld_cur = _eval_state(
             prob, new_point, y_mats=y_cand, logdets=ld_cand)
         # Each variable's Barzilai-Borwein step for the next trial point.
         for name, _ in prob.variables:
@@ -351,7 +352,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             ss = linalg.inner(s, s)
             sy = linalg.inner(s, y)
             steps[name] = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-16 else 1.0
-        point, grads, f_cur = new_point, new_grads, f_cand
+        point, grads, f_cur = new_point, new_grads, f_new
         trace.append(f_cur)
         residual = _stationarity_residual(prob, point, grads)
     report = SolverReport(objective=f_cur, iterations=iters,

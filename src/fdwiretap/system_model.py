@@ -248,14 +248,14 @@ def covariance(params: SystemParams, design, rx: str,
     out = params.noise[rx][:, None, None] * np.eye(dim, dtype=complex)
     for block, op in pairs:
         out = out + op.apply(getattr(nodes, block))
-    return linalg.hermitize(out)
+    return out
 
 
 def with_signal(ch: ChannelRealization, design, tx: str, rx: str,
                 sigma: np.ndarray) -> np.ndarray:
     """``sigma`` plus node ``tx``'s information signal at receiver ``rx``."""
     block, op = signal(ch, tx, rx)
-    return linalg.hermitize(sigma + op.apply(getattr(design.nodes(), block)))
+    return sigma + op.apply(getattr(design.nodes(), block))
 
 
 def sigma_node_bidirectional(params: SystemParams, ch: ChannelRealization,

@@ -8,6 +8,7 @@ from fdwiretap import bcd, linalg, maxdet, system_model, waterfill
 from fdwiretap.channel import ChannelRealization, SystemParams, draw_channels
 from fdwiretap.errors import DegenerateChannel
 from fdwiretap.system_model import BidirectionalDesign, TransmitDesign
+from test_maxdet import assert_hermitian_to_rounding
 
 
 def small_params(**kw):
@@ -203,8 +204,9 @@ def test_convergence_is_declared_only_after_a_full_solve(outer_tol,
 def test_optimizer_invariants_on_random_instances(
         m_a, m_b, m_e, n, kappa_db, beta_db, budget_a_db, budget_b_db,
         two_node, seed):
-    """Feasible PSD result, non-decreasing surrogate trace, and a surrogate
-    tight at the returned design, from tiny budgets to 0 dB residual SI."""
+    """Feasible PSD result, Hermitian to rounding, non-decreasing surrogate
+    trace, and a surrogate tight at the returned design, from tiny budgets
+    to 0 dB residual SI."""
     p = SystemParams.from_db(M_a=m_a, M_bt=m_b, M_br=m_b, M_e=m_e, N=n,
                              kappa_db=kappa_db, beta_db=beta_db,
                              x_max_db=budget_a_db, w_max_db=budget_b_db,
@@ -221,6 +223,7 @@ def test_optimizer_invariants_on_random_instances(
         assert sum(linalg.real_trace(s) for s in stacks) <= budget + 1e-9
         for s in stacks:
             assert linalg.min_eigenvalue(s) >= -1e-9
+            assert_hermitian_to_rounding(s)
     trace = np.array(res.state.objective_trace)
     assert np.all(np.diff(trace) >= -1e-9)
     true = system_model.unclamped_objective_nats(p, ch, res.design)

@@ -194,7 +194,7 @@ def test_aggregate_statistics_by_hand():
             for t, b in enumerate([1.0, 2.0, 4.0])]
     res = ExperimentResult(config_echo={"sweep_param": "none"},
                            master_seed=0, trial_rows=rows)
-    agg = res.cell("S", 0.0)
+    [agg] = res.aggregates()
     assert agg.mean_bits == pytest.approx(7.0 / 3.0)
     assert agg.stderr_bits == pytest.approx(np.std([1, 2, 4], ddof=1)
                                             / np.sqrt(3))
@@ -234,9 +234,9 @@ def test_programming_error_propagates_from_trial(monkeypatch):
 
 def test_optimized_beats_equal_power():
     cfg = desk_config(strategies=["Optimal-HD", "Equal-HD"], trials=5)
-    res = run_experiment(cfg)
-    opt = res.cell("Optimal-HD", 0.0).mean_bits
-    equal = res.cell("Equal-HD", 0.0).mean_bits
+    means = {agg.strategy: agg.mean_bits
+             for agg in run_experiment(cfg).aggregates()}
+    opt, equal = means["Optimal-HD"], means["Equal-HD"]
     assert opt >= equal - 1e-9
 
 

@@ -195,17 +195,24 @@ def test_monotone_objective_trace():
             assert rep.objective >= trace[0] - 1e-10
 
 
+def assert_hermitian_to_rounding(v):
+    assert np.abs(v - v.conj().swapaxes(-1, -2)).max() <= 1e-14 * np.abs(v).max()
+
+
 def test_output_feasibility():
+    """Feasible and, with no final symmetrization, Hermitian to rounding."""
     prob = random_two_term_problem(11)
     point, _ = solve(prob, stack_start())
     for name in ("v", "w"):
         assert linalg.min_eigenvalue(point[name]) >= -1e-9
+        assert_hermitian_to_rounding(point[name])
     assert linalg.real_trace(point["v"]) <= 1.5 + 1e-8
     assert linalg.real_trace(point["w"]) <= 2.0 + 1e-8
     point, rep = solve(shared_budget(prob), stack_start())
     assert rep.status == SolverStatus.CONVERGED
     for name in ("v", "w"):
         assert linalg.min_eigenvalue(point[name]) >= -1e-9
+        assert_hermitian_to_rounding(point[name])
     assert (linalg.real_trace(point["v"])
             + linalg.real_trace(point["w"])) <= 2.5 + 1e-8
 
@@ -235,6 +242,28 @@ def test_convergence_on_the_last_allowed_iteration_is_converged():
         _, capped = solve(prob, stack_start(), max_iter=free.iterations)
         assert capped.status == SolverStatus.CONVERGED
         assert capped.iterations == free.iterations
+
+
+def test_armijo_decision_does_not_depend_on_the_objective_level():
+    """A constant log-det term of large weight shifts the objective by a
+    constant; the line search compares increments, so the solve takes the
+    same steps to the same point."""
+    const = LogDetTerm(const=eye_stack(np.e), maps=[], weight=1e6)
+    shift = const.weight * linalg.logdet(const.const).sum()
+    for seed in range(3):
+        base = random_two_term_problem(seed)
+        for prob in (base, shared_budget(base)):
+            lifted = MaxDetProblem(
+                variables=prob.variables,
+                logdet_terms=prob.logdet_terms + [const],
+                linear_terms=prob.linear_terms, constraints=prob.constraints)
+            p0, r0 = solve(prob, stack_start())
+            p1, r1 = solve(lifted, stack_start())
+            for name, _ in prob.variables:
+                np.testing.assert_array_equal(p1[name], p0[name])
+            assert (r1.iterations, r1.status) == (r0.iterations, r0.status)
+            assert r1.objective - shift == pytest.approx(r0.objective,
+                                                         rel=0, abs=1e-8)
 
 
 def test_logdet_term_permutation_invariance():
@@ -492,7 +521,7 @@ def test_zero_rel_tol_is_the_absolute_solve():
         np.testing.assert_array_equal(p_rel[name], p_abs[name])
     assert r_rel.objective_trace == r_abs.objective_trace
     assert r_rel.threshold == 1e-6
-    assert (r_rel.objective, r_rel.iterations) == (13.768620659540789, 21)
+    assert (r_rel.objective, r_rel.iterations) == (13.768620659540792, 21)
 
 
 def test_rel_tol_stops_at_the_first_iterate_below_its_threshold():

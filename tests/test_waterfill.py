@@ -22,15 +22,11 @@ def grid_best(gains):
     a0, b0 = gains.alpha[0], gains.beta[0]
     a1, b1 = gains.alpha[1], gains.beta[1]
     f0 = np.log1p(a0 * xs) - np.log1p(b0 * xs)
-    best = -np.inf
-    for i, x0 in enumerate(xs):
-        rem = gains.X_max - x0
-        x1s = xs[xs <= rem + 1e-12]
-        f1 = np.log1p(a1 * x1s) - np.log1p(b1 * x1s)
-        cand = f0[i] + np.max(f1)
-        if cand > best:
-            best = cand
-    return best
+    f1 = np.log1p(a1 * xs) - np.log1p(b1 * xs)
+    # The x1 that fit beside xs[i], xs[j] <= X_max - xs[i] + 1e-12, are a
+    # prefix of the sorted grid, so the best f1 among them is a running max.
+    fits = np.searchsorted(xs, gains.X_max - xs + 1e-12, side="right")
+    return (f0 + np.maximum.accumulate(f1)[fits - 1]).max()
 
 
 def test_secrecy_per_subcarrier_values():
