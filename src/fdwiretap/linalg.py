@@ -105,10 +105,5 @@ def real_trace(m: np.ndarray) -> float:
 
 def inner(a: np.ndarray, b: np.ndarray) -> float:
     """Real inner product Re tr(a^H b) on the space of complex matrices,
-    summed over a stack.
-
-    Each matrix is summed on its own and the stack in order after, so a
-    stack gives the bits of one call per matrix added up in order; the
-    solver's line-search decisions depend on that rounding.
-    """
-    return float((a.conj() * b).sum(axis=(-2, -1)).real.sum())
+    summed over a stack."""
+    return float(np.vdot(a, b).real)

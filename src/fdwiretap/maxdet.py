@@ -146,14 +146,11 @@ def _term_matrix(term: LogDetTerm, point: dict, const=None) -> np.ndarray:
 
 
 def _eval_state(prob: MaxDetProblem, point: dict,
-                y_mats: list | None = None,
-                logdets: list | None = None) -> tuple:
-    """Objective, gradient and per-term matrices/log-dets at a point.
-
-    ``y_mats`` can carry the affinely updated term matrices from the line
-    search to avoid re-applying the linear maps, and ``logdets`` their
-    summed log-determinants to avoid factoring them again.
-    """
+                y_mats: list | None = None) -> tuple:
+    """Objective, gradient, term matrices and their inverse Cholesky
+    factors W = L^-1 at a point: each Y = L L^H is factored once, for its
+    log-det 2 sum log diag L and its inverse W^H W.  ``y_mats`` can carry
+    the term matrices the line search formed."""
     total = 0.0
     grads = {name: -prob.linear_terms[name] if name in prob.linear_terms
              else np.zeros_like(point[name])
@@ -162,11 +159,14 @@ def _eval_state(prob: MaxDetProblem, point: dict,
         total -= linalg.inner(coeff, point[name])
     if y_mats is None:
         y_mats = [_term_matrix(term, point) for term in prob.logdet_terms]
-    if logdets is None:
-        logdets = [linalg.logdet(y).sum() for y in y_mats]
-    for term, y, logdet in zip(prob.logdet_terms, y_mats, logdets):
-        total += term.weight * logdet
-        y_inv = np.linalg.inv(y)
+    factors = []
+    for term, y in zip(prob.logdet_terms, y_mats):
+        chol = linalg.cholesky(y)
+        total += term.weight * 2.0 * np.log(
+            chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1).sum()
+        w = np.linalg.inv(chol)
+        factors.append(w)
+        y_inv = w.conj().swapaxes(-1, -2) @ w
         # A map object listed for several variables has one adjoint.
         adjoints = {}
         for name, lmap in term.maps:
@@ -174,7 +174,15 @@ def _eval_state(prob: MaxDetProblem, point: dict,
             if adj is None:
                 adj = adjoints[id(lmap)] = term.weight * lmap.adjoint(y_inv)
             grads[name] = grads[name] + adj
-    return total, grads, y_mats, logdets
+    return total, grads, y_mats, factors
+
+
+def _logdet_increment(mu: np.ndarray, step: float) -> float:
+    """log|Y0 + t Yd| - log|Y0| = sum log1p(t mu) at step t, with mu the
+    eigenvalues of W Yd W^H for W = L^-1, Y0 = L L^H; -inf where some
+    t mu <= -1, that is where Y0 + t Yd is not positive definite."""
+    t_mu = step * mu
+    return np.log1p(t_mu).sum() if t_mu.min() > -1.0 else -np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +285,8 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     both residuals and the threshold used.  That iterate is feasible
     without a final projection: it lies on the segment between two
     feasible points, the previous iterate and a projected trial point.
-    Every accepted step increases the objective (Armijo condition), so the
+    Every accepted step increases the objective (an Armijo test on exact
+    log-det increments, which factors only the accepted point), so the
     returned objective is never below the objective at ``initial``.
     """
     _check_feasible(prob, initial)
@@ -285,8 +294,8 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
              for name, _ in prob.variables}
     point = project_feasible(prob, point)
     try:
-        f_cur, grads, y_cur, ld_cur = _eval_state(prob, point)
-    except (NonPositiveDefinite, np.linalg.LinAlgError) as exc:
+        f_cur, grads, y_cur, w_cur = _eval_state(prob, point)
+    except NonPositiveDefinite as exc:
         raise InfeasibleStart("objective undefined at the initial point") from exc
     trace = [f_cur]
     steps = {name: 1.0 for name, _ in prob.variables}
@@ -314,37 +323,32 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
                 status = SolverStatus.NUMERICAL_TROUBLE
                 break
             continue
-        # The term matrices are affine along the segment, so each trial
-        # step needs only small factorizations, no map applications.
+        # Each term matrix is affine along the segment, so one eigenvalue
+        # problem per term gives every halving its exact increment, and
+        # halvings are tested lazily, largest first, with no factorization.
+        # Increments, not levels: a constant cannot change the step taken.
         y_dir = [_term_matrix(term, direction, np.zeros_like(term.const))
                  for term in prob.logdet_terms]
+        mus = [np.linalg.eigvalsh(w @ yd @ w.conj().swapaxes(-1, -2))
+               for w, yd in zip(w_cur, y_dir)]
         lin_delta = -sum(linalg.inner(coeff, direction[name])
                          for name, coeff in prob.linear_terms.items())
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            y_cand = [y0 + step * yd for y0, yd in zip(y_cur, y_dir)]
+        passing = (t for t in 0.5 ** np.arange(40) if t * lin_delta + sum(
+            term.weight * _logdet_increment(mu, t)
+            for term, mu in zip(prob.logdet_terms, mus)) >= 1e-4 * t * slope)
+        for step in passing:
+            new_point = {name: point[name] + step * direction[name]
+                         for name, _ in prob.variables}
             try:
-                ld_cand = [linalg.logdet(y).sum() for y in y_cand]
+                f_new, new_grads, y_cur, w_cur = _eval_state(
+                    prob, new_point,
+                    y_mats=[y0 + step * yd for y0, yd in zip(y_cur, y_dir)])
             except NonPositiveDefinite:
-                gain = -np.inf
-            else:
-                # The increment, not the level: an additive constant in the
-                # objective cannot change which step is accepted.
-                gain = step * lin_delta
-                for term, ld0, ld in zip(prob.logdet_terms, ld_cur, ld_cand):
-                    gain += term.weight * (ld - ld0)
-            if gain >= 1e-4 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+                continue  # rounding on the segment's boundary refuses it
+            break
+        else:
             status = SolverStatus.NUMERICAL_TROUBLE
             break
-        new_point = {name: point[name] + step * direction[name]
-                     for name, _ in prob.variables}
-        f_new, new_grads, y_cur, ld_cur = _eval_state(
-            prob, new_point, y_mats=y_cand, logdets=ld_cand)
         # Each variable's Barzilai-Borwein step for the next trial point.
         for name, _ in prob.variables:
             s = new_point[name] - point[name]

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fdwiretap import linalg, maxdet
-from fdwiretap.errors import InfeasibleStart
+from fdwiretap.errors import InfeasibleStart, NonPositiveDefinite
 from fdwiretap.maxdet import (Congruence, LinearMap, LogDetTerm,
                               MaxDetProblem, SolverStatus, _clip_to_budget,
-                              _eval_state, _stationarity_residual,
+                              _eval_state, _logdet_increment,
+                              _stationarity_residual, _term_matrix,
                               project_feasible, solve)
 from fdwiretap.system_model import (ReceiveDistortion, TraceCorrelation,
                                     TransmitDistortion)
@@ -42,6 +43,21 @@ def test_scalar_grid_of_instances():
         point, rep = solve(prob, {"x": 0.01 * np.eye(1, dtype=complex)},
                            tol=1e-12, max_iter=2000)
         assert point["x"][0, 0].real == pytest.approx(target, abs=1e-6), (a, q)
+
+
+def test_tight_scalar_solves_all_converge():
+    """criterion_05's scalar grid at tol=1e-12: every solve converges to
+    the analytic optimum.  A line search that differences two factored
+    log-dets stalls at the rounding floor here (78 Converged, 12 MaxIter,
+    10 NumericalTrouble)."""
+    for a in np.linspace(0.2, 5.0, 10):
+        for q in np.linspace(0.05, 3.0, 10):
+            target = max(1.0 / q - 1.0 / a, 0.0)
+            point, rep = solve(scalar_problem(float(a), float(q)),
+                               {"x": 0.1 * np.eye(1, dtype=complex)},
+                               tol=1e-12, max_iter=2000)
+            assert rep.status == SolverStatus.CONVERGED, (a, q)
+            assert abs(point["x"][0, 0].real - target) <= 1e-9, (a, q)
 
 
 def test_linear_only_returns_zero():
@@ -264,6 +280,79 @@ def test_armijo_decision_does_not_depend_on_the_objective_level():
             assert (r1.iterations, r1.status) == (r0.iterations, r0.status)
             assert r1.objective - shift == pytest.approx(r0.objective,
                                                          rel=0, abs=1e-8)
+
+
+def first_direction(prob):
+    """At the projected start: each term's matrix, its inverse Cholesky
+    factor and its change along the first projected direction."""
+    point = project_feasible(prob, stack_start())
+    _, grads, y0, w0 = _eval_state(prob, point)
+    proj = project_feasible(prob, {name: point[name] + grads[name]
+                                   for name in point})
+    direction = {name: proj[name] - point[name] for name in point}
+    y_dir = [_term_matrix(term, direction, np.zeros_like(term.const))
+             for term in prob.logdet_terms]
+    return y0, w0, y_dir
+
+
+def whitened_eigvals(w, y_dir):
+    """The eigenvalues the solver takes for a term: those of W Yd W^H."""
+    return np.linalg.eigvalsh(w @ y_dir @ w.conj().swapaxes(-1, -2))
+
+
+def test_line_search_increments_are_exact_log_det_differences():
+    for seed in range(4):
+        for y0, w0, yd in zip(*first_direction(random_two_term_problem(seed))):
+            mu = whitened_eigvals(w0, yd)
+            for t in (1.0, 0.5, 2.0 ** -10):
+                want = (linalg.logdet(y0 + t * yd).sum()
+                        - linalg.logdet(y0).sum())
+                assert _logdet_increment(mu, t) == pytest.approx(
+                    want, rel=1e-12, abs=0)
+
+
+def test_line_search_feasibility_agrees_with_cholesky():
+    """A step has a finite increment (every t mu > -1) exactly when
+    Y0 + t Yd factors, on both sides of each boundary of the line through
+    Y0 along Yd."""
+    for seed in range(4):
+        for y0, w0, yd in zip(*first_direction(random_two_term_problem(seed))):
+            mu = np.linalg.eigvals(np.linalg.solve(y0, yd)).real
+            w_mu = whitened_eigvals(w0, yd)
+            edges = ([-1.0 / mu.min()] if mu.min() < 0 else []) + (
+                [-1.0 / mu.max()] if mu.max() > 0 else [])
+            steps = np.array([e * f for e in edges
+                              for f in (1 - 1e-6, 1 + 1e-6)])
+            inside = [_logdet_increment(w_mu, t) > -np.inf for t in steps]
+            assert inside == [True, False] * len(edges)
+            for t, ok in zip(steps, inside):
+                try:
+                    linalg.cholesky(y0 + t * yd)
+                except NonPositiveDefinite:
+                    assert not ok, (seed, t)
+                else:
+                    assert ok, (seed, t)
+
+
+def test_a_refused_factorization_halves_the_step(monkeypatch):
+    """A step whose point fails to factor, as rounding on the segment's
+    boundary can make it, is refused like any other: the solve goes on
+    with the next halving and never raises."""
+    prob = random_two_term_problem(0)
+    calls = {"n": 0}
+    factor = linalg.cholesky
+
+    def fail_once(m):
+        calls["n"] += 1
+        if calls["n"] == 3:  # the first accepted step's first term
+            raise NonPositiveDefinite("refused for the test")
+        return factor(m)
+
+    monkeypatch.setattr(linalg, "cholesky", fail_once)
+    point, rep = solve(prob, stack_start())
+    assert calls["n"] > 3
+    assert rep.status == SolverStatus.CONVERGED
+    assert np.all(np.diff(rep.objective_trace) >= -1e-9)
 
 
 def test_logdet_term_permutation_invariance():
@@ -521,7 +610,7 @@ def test_zero_rel_tol_is_the_absolute_solve():
         np.testing.assert_array_equal(p_rel[name], p_abs[name])
     assert r_rel.objective_trace == r_abs.objective_trace
     assert r_rel.threshold == 1e-6
-    assert (r_rel.objective, r_rel.iterations) == (13.768620659540792, 21)
+    assert (r_rel.objective, r_rel.iterations) == (13.768620659540794, 21)
 
 
 def test_rel_tol_stops_at_the_first_iterate_below_its_threshold():
