@@ -48,12 +48,12 @@ def logdet(m: np.ndarray):
 
 
 def psd_inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix, or of each matrix
-    of a stack, Hermitian up to rounding.  Raises NonPositiveDefinite if a
-    Cholesky factorization fails, so a singular or indefinite covariance is
-    never inverted."""
-    cholesky(m)
-    return np.linalg.inv(m)
+    """Inverse W^H W, with W = L^-1 for the Cholesky factor L, of a
+    Hermitian positive definite matrix or of each matrix of a stack.
+    Raises NonPositiveDefinite if the factorization fails, so a singular or
+    indefinite covariance is never inverted."""
+    w = np.linalg.inv(cholesky(m))
+    return w.conj().swapaxes(-1, -2) @ w
 
 
 def fix_phase(v: np.ndarray) -> np.ndarray:

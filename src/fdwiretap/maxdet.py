@@ -145,27 +145,29 @@ def _term_matrix(term: LogDetTerm, point: dict, const=None) -> np.ndarray:
     return y
 
 
-def _eval_state(prob: MaxDetProblem, point: dict,
-                y_mats: list | None = None) -> tuple:
-    """Objective, gradient, term matrices and their inverse Cholesky
-    factors W = L^-1 at a point: each Y = L L^H is factored once, for its
-    log-det 2 sum log diag L and its inverse W^H W.  ``y_mats`` can carry
-    the term matrices the line search formed."""
+def _eval_state(prob: MaxDetProblem, point: dict) -> tuple:
+    """Objective, gradient and the inverse Cholesky factors W = L^-1 of the
+    term matrices Y = L L^H at a point: each Y is factored once, for its
+    log-det 2 sum log diag L and, through :func:`_gradient`, its inverse."""
     total = 0.0
+    for name, coeff in prob.linear_terms.items():
+        total -= linalg.inner(coeff, point[name])
+    factors = []
+    for term in prob.logdet_terms:
+        chol = linalg.cholesky(_term_matrix(term, point))
+        total += term.weight * 2.0 * np.log(
+            chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1).sum()
+        factors.append(np.linalg.inv(chol))
+    return total, _gradient(prob, point, factors), factors
+
+
+def _gradient(prob: MaxDetProblem, point: dict, factors: list) -> dict:
+    """Gradient at a point from whitening factors W of its term matrices,
+    W Y W^H = I, through Y^-1 = W^H W."""
     grads = {name: -prob.linear_terms[name] if name in prob.linear_terms
              else np.zeros_like(point[name])
              for name, _ in prob.variables}
-    for name, coeff in prob.linear_terms.items():
-        total -= linalg.inner(coeff, point[name])
-    if y_mats is None:
-        y_mats = [_term_matrix(term, point) for term in prob.logdet_terms]
-    factors = []
-    for term, y in zip(prob.logdet_terms, y_mats):
-        chol = linalg.cholesky(y)
-        total += term.weight * 2.0 * np.log(
-            chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1).sum()
-        w = np.linalg.inv(chol)
-        factors.append(w)
+    for term, w in zip(prob.logdet_terms, factors):
         y_inv = w.conj().swapaxes(-1, -2) @ w
         # A map object listed for several variables has one adjoint.
         adjoints = {}
@@ -174,13 +176,13 @@ def _eval_state(prob: MaxDetProblem, point: dict,
             if adj is None:
                 adj = adjoints[id(lmap)] = term.weight * lmap.adjoint(y_inv)
             grads[name] = grads[name] + adj
-    return total, grads, y_mats, factors
+    return grads
 
 
 def _logdet_increment(mu: np.ndarray, step: float) -> float:
     """log|Y0 + t Yd| - log|Y0| = sum log1p(t mu) at step t, with mu the
-    eigenvalues of W Yd W^H for W = L^-1, Y0 = L L^H; -inf where some
-    t mu <= -1, that is where Y0 + t Yd is not positive definite."""
+    eigenvalues of W Yd W^H for a whitening factor W, W Y0 W^H = I; -inf
+    where some t mu <= -1, that is where Y0 + t Yd is not positive definite."""
     t_mu = step * mu
     return np.log1p(t_mu).sum() if t_mu.min() > -1.0 else -np.inf
 
@@ -286,15 +288,17 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     without a final projection: it lies on the segment between two
     feasible points, the previous iterate and a projected trial point.
     Every accepted step increases the objective (an Armijo test on exact
-    log-det increments, which factors only the accepted point), so the
-    returned objective is never below the objective at ``initial``.
+    log-det increments), so the returned objective is never below the
+    objective at ``initial``.  Each term matrix is factored once, at the
+    projected start; an accepted step updates its whitening factor, and
+    the objective by the increment tested, in closed form.
     """
     _check_feasible(prob, initial)
     point = {name: linalg.hermitize(np.asarray(initial[name], complex))
              for name, _ in prob.variables}
     point = project_feasible(prob, point)
     try:
-        f_cur, grads, y_cur, w_cur = _eval_state(prob, point)
+        f_cur, grads, w_cur = _eval_state(prob, point)
     except NonPositiveDefinite as exc:
         raise InfeasibleStart("objective undefined at the initial point") from exc
     trace = [f_cur]
@@ -323,32 +327,32 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
                 status = SolverStatus.NUMERICAL_TROUBLE
                 break
             continue
-        # Each term matrix is affine along the segment, so one eigenvalue
-        # problem per term gives every halving its exact increment, and
+        # Each term matrix is affine along the segment: with W Y W^H = I and
+        # W Yd W^H = U diag(mu) U^H, every halving's increment is exact, and
         # halvings are tested lazily, largest first, with no factorization.
         # Increments, not levels: a constant cannot change the step taken.
         y_dir = [_term_matrix(term, direction, np.zeros_like(term.const))
                  for term in prob.logdet_terms]
-        mus = [np.linalg.eigvalsh(w @ yd @ w.conj().swapaxes(-1, -2))
-               for w, yd in zip(w_cur, y_dir)]
+        eigs = [np.linalg.eigh(w @ yd @ w.conj().swapaxes(-1, -2))
+                for w, yd in zip(w_cur, y_dir)]
         lin_delta = -sum(linalg.inner(coeff, direction[name])
                          for name, coeff in prob.linear_terms.items())
-        passing = (t for t in 0.5 ** np.arange(40) if t * lin_delta + sum(
-            term.weight * _logdet_increment(mu, t)
-            for term, mu in zip(prob.logdet_terms, mus)) >= 1e-4 * t * slope)
-        for step in passing:
-            new_point = {name: point[name] + step * direction[name]
-                         for name, _ in prob.variables}
-            try:
-                f_new, new_grads, y_cur, w_cur = _eval_state(
-                    prob, new_point,
-                    y_mats=[y0 + step * yd for y0, yd in zip(y_cur, y_dir)])
-            except NonPositiveDefinite:
-                continue  # rounding on the segment's boundary refuses it
-            break
+        for step in 0.5 ** np.arange(40):
+            gain = step * lin_delta + sum(
+                term.weight * _logdet_increment(mu, step)
+                for term, (mu, _) in zip(prob.logdet_terms, eigs))
+            if gain >= 1e-4 * step * slope:
+                break
         else:
             status = SolverStatus.NUMERICAL_TROUBLE
             break
+        new_point = {name: point[name] + step * direction[name]
+                     for name, _ in prob.variables}
+        # (1 + t mu)^-1/2 U^H W whitens Y + t Yd.
+        w_cur = [(vecs.conj().swapaxes(-1, -2) @ w)
+                 / np.sqrt(1.0 + step * mu)[..., None]
+                 for w, (mu, vecs) in zip(w_cur, eigs)]
+        new_grads = _gradient(prob, new_point, w_cur)
         # Each variable's Barzilai-Borwein step for the next trial point.
         for name, _ in prob.variables:
             s = new_point[name] - point[name]
@@ -356,7 +360,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             ss = linalg.inner(s, s)
             sy = linalg.inner(s, y)
             steps[name] = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-16 else 1.0
-        point, grads, f_cur = new_point, new_grads, f_new
+        point, grads, f_cur = new_point, new_grads, f_cur + gain
         trace.append(f_cur)
         residual = _stationarity_residual(prob, point, grads)
     report = SolverReport(objective=f_cur, iterations=iters,

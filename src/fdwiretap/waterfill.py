@@ -126,17 +126,14 @@ def _objective(gains: SubcarrierGains, x: np.ndarray) -> float:
     return float(sum(secrecy_per_subcarrier(x, gains.alpha, gains.beta)))
 
 
-def waterfill(gains: SubcarrierGains, eps0: float | None = None,
-              max_iter: int = 500) -> Allocation:
-    """Bisection on the water level until the budget residual is in [0, eps0).
+def waterfill(gains: SubcarrierGains) -> Allocation:
+    """Bisection on the water level, at most 500 steps, until the budget
+    residual is in [0, 1e-8 * X_max).
 
     If no subcarrier has alpha > beta the zero allocation is optimal and is
     returned with the ``no_positive_subcarrier`` flag set.
     """
-    if eps0 is None:
-        eps0 = 1e-8 * gains.X_max
-    if eps0 <= 0:
-        raise ValueError("eps0 must be positive")
+    eps0 = 1e-8 * gains.X_max
     lam_full = full_budget_slope_bound(gains)
     lam_zero = zero_power_slope_bound(gains)
     if lam_zero <= 0:
@@ -156,7 +153,7 @@ def waterfill(gains: SubcarrierGains, eps0: float | None = None,
                           objective=_objective(gains, x_lo),
                           budget_active=residual_lo < eps0)
     hi = lam_zero
-    for _ in range(max_iter):
+    for _ in range(500):
         lam = 0.5 * (hi + lo)
         x = closed_form_power(lam, gains.alpha, gains.beta)
         residual = gains.X_max - x.sum()

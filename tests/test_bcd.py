@@ -121,7 +121,7 @@ def test_subproblem_gradient_is_the_objective_gradient(one_directional):
     aux_q, aux_t = bcd.update_auxiliaries(p, ch, view)
     prob = bcd._subproblem(p, ch, view, free, aux_q, aux_t, budgets)
     point = {b: getattr(view, b) for b, _ in prob.variables}
-    _, grads, _, _ = maxdet._eval_state(prob, point)
+    _, grads, _ = maxdet._eval_state(prob, point)
     rng = np.random.default_rng(22)
     eps = 1e-6
     for b, _ in prob.variables:

@@ -119,7 +119,7 @@ def test_budget_residual_in_tolerance():
     for _ in range(50):
         g = random_gains(rng, 5)
         eps0 = 1e-8 * g.X_max
-        alloc = waterfill(g, eps0=eps0)
+        alloc = waterfill(g)
         resid = g.X_max - float(alloc.X.sum())
         assert 0.0 <= resid < eps0 or not alloc.budget_active
 
