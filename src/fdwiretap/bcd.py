@@ -65,18 +65,21 @@ class BcdState:
     surrogate objective in nats after every outer iteration and is
     non-decreasing along the run.  ``status`` ends as "Converged" or, when
     ``max_outer`` iterations ran without passing the stop rule,
-    "MaxOuter".  ``extrapolations`` counts the accepted extrapolation
-    steps.
+    "MaxOuter"; ``converged`` reads it.  ``extrapolations`` counts the
+    accepted extrapolation steps.
     """
 
     aux_Q: dict
     aux_T: dict
     objective_trace: list = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
     status: str = "Running"
     inner_reports: list = field(default_factory=list)
     extrapolations: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "Converged"
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,6 @@ def _ascend(params: SystemParams, ch: ChannelRealization, design,
     f_cur = surrogate_objective(params, ch, view, aux_q, aux_t)
     state.objective_trace.append(f_cur)
     if not free:
-        state.converged = True
         state.status = "Converged"
         return state
     prev_point = None
@@ -380,7 +382,6 @@ def _ascend(params: SystemParams, ch: ChannelRealization, design,
         state.objective_trace.append(f_new)
         if abs(f_new - f_cur) < outer_tol * (1.0 + abs(f_new)):
             if inner_report.threshold <= inner_tol:
-                state.converged = True
                 state.status = "Converged"
                 return state
             # The step was small because its solve was truncated.
@@ -405,17 +406,16 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
 def optimize(params: SystemParams, ch: ChannelRealization,
              init: TransmitDesign | None = None, outer_tol: float = 1e-4,
              max_outer: int = 50, inner_tol: float = 1e-6,
-             inner_max_iter: int = 200, optimize_x: bool = True,
-             optimize_w: bool = True) -> BcdResult:
+             inner_max_iter: int = 200, optimize_w: bool = True) -> BcdResult:
     """One-directional design: alternate the transmit-covariance subproblem
     with the closed-form auxiliary updates until the surrogate objective
     stabilizes.
 
-    X and W are budgeted by X_max and W_max.  Blocks can be frozen
-    (``optimize_x`` / ``optimize_w``), which frees X_a / W_b in
-    :func:`optimize_bidirectional`.
+    X and W are budgeted by X_max and W_max.  X, the two-node block X_a,
+    is always free; ``optimize_w=False`` freezes W, the block W_b.  Other
+    choices of free blocks go through :func:`optimize_bidirectional`.
     """
-    free = {b for b, on in (("X_a", optimize_x), ("W_b", optimize_w)) if on}
+    free = {"X_a", "W_b"} if optimize_w else {"X_a"}
     return _run(params, ch, init or init_uniform(params), free, outer_tol,
                 max_outer, inner_tol, inner_max_iter)
 

@@ -6,7 +6,7 @@ Gaussian entry with variance v has real and imaginary parts each N(0, v/2).
 """
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,9 +142,6 @@ class SystemParams:
             D_corr=D_corr or {},
         )
 
-    def with_updates(self, **kwargs) -> "SystemParams":
-        return replace(self, **kwargs)
-
 
 #: Channel matrix shapes, rows x cols, as functions of the antenna counts.
 def link_shape(params: SystemParams, link: str) -> tuple[int, int]:
@@ -162,12 +159,11 @@ def link_shape(params: SystemParams, link: str) -> tuple[int, int]:
 class ChannelRealization:
     """One draw of every link for every subcarrier.
 
-    ``H[link]`` is an (N, rows, cols) complex array; the same seed with the
-    same parameters reproduces the realization bit for bit.
+    ``H[link]`` is an (N, rows, cols) complex array; :func:`draw_channels`
+    with the same seed and parameters reproduces it bit for bit.
     """
 
     H: dict
-    seed: int
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -192,7 +188,7 @@ def draw_channels(params: SystemParams, seed: int) -> ChannelRealization:
     for link in SI_LINKS:
         shape = (params.N,) + link_shape(params, link)
         h[link] = los + _complex_gaussian(rng, shape, 1.0 / (1.0 + params.K_R))
-    return ChannelRealization(H=h, seed=int(seed))
+    return ChannelRealization(H=h)
 
 
 def perturb_csi(ch: ChannelRealization, sigma_err_sq: float,
@@ -210,7 +206,7 @@ def perturb_csi(ch: ChannelRealization, sigma_err_sq: float,
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         for link in RAYLEIGH_LINKS:
             h[link] = h[link] + _complex_gaussian(rng, h[link].shape, sigma_err_sq)
-    return ChannelRealization(H=h, seed=ch.seed)
+    return ChannelRealization(H=h)
 
 
 def trial_seed(master_seed: int, trial: int, stream: int = 0) -> int:

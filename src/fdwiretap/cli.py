@@ -51,7 +51,7 @@ def run(config_path, outdir):
 @main.command()
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--param", required=True,
-              type=click.Choice([p for p in harness.SWEEPABLE if p != "none"]),
+              type=click.Choice([p for p in harness.SWEEPS if p != "none"]),
               help="Parameter to sweep.")
 @click.option("--values", required=True,
               help="Comma-separated sweep values (dB where applicable).")

@@ -11,10 +11,11 @@ is its schema: the CSV columns are the fields of :class:`TrialRow` and
 """
 
 import csv
+import inspect
 import json
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,30 +29,23 @@ from .errors import ConfigError, FdWiretapError, UnknownStrategy
 
 def _budgets(*names):
     """A sweep that sets every named budget to the value in dB."""
-    return lambda p, v: p.with_updates(**dict.fromkeys(names, db2lin(v)))
+    return lambda p, v: replace(p, **dict.fromkeys(names, db2lin(v)))
 
 
 #: Each sweep parameter and how one of its values updates the base params.
 SWEEPS = {
     "W_max_db": _budgets("W_max"),
     "X_max_db": _budgets("X_max"),
-    "kappa_beta_db": lambda p, v: p.with_updates(
-        kappa=dict.fromkeys("ab", db2lin(v)),
+    "kappa_beta_db": lambda p, v: replace(
+        p, kappa=dict.fromkeys("ab", db2lin(v)),
         beta=dict.fromkeys("ab", db2lin(v))),
-    "noise_db": lambda p, v: p.with_updates(
-        noise=dict.fromkeys("abe", db2lin(v))),
-    "M_b": lambda p, v: p.with_updates(M_bt=v, M_br=v, D_corr={}),
-    "M_e": lambda p, v: p.with_updates(M_e=v),
+    "noise_db": lambda p, v: replace(p, noise=dict.fromkeys("abe", db2lin(v))),
+    "M_b": lambda p, v: replace(p, M_bt=v, M_br=v, D_corr={}),
+    "M_e": lambda p, v: replace(p, M_e=v),
     "P_max_db": _budgets("P_A_max", "P_B_max", "X_max", "W_max"),
     "csi_error_db": lambda p, v: p,  # handled at the trial level
     "none": lambda p, v: p,
 }
-SWEEPABLE = tuple(SWEEPS)
-
-
-def _apply_sweep(params: SystemParams, name: str, value) -> SystemParams:
-    return SWEEPS[name](params, value)
-
 
 #: The config fields handed to the optimizer.
 SOLVER_OPTIONS = ("outer_tol", "max_outer", "inner_tol", "inner_max_iter")
@@ -83,29 +77,25 @@ class ExperimentConfig:
                                   f"not {type(value).__name__} {value!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.sweep_param not in SWEEPABLE:
+        if self.sweep_param not in SWEEPS:
             raise ConfigError(
-                f"sweep_param '{self.sweep_param}' not in {SWEEPABLE}")
+                f"sweep_param '{self.sweep_param}' not in {tuple(SWEEPS)}")
         for name in self.strategies:
-            if name not in STRATEGIES:
+            if name not in STRATEGY_TABLE:
                 raise UnknownStrategy(f"unknown strategy '{name}'")
         if not self.sweep_values:
             raise ConfigError("sweep_values must not be empty")
         for value in self.sweep_values:
             try:
                 float(value)  # each cell records its sweep value as a float
-                _apply_sweep(self.params, self.sweep_param, value)
+                SWEEPS[self.sweep_param](self.params, value)
             except (ConfigError, TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep_values: {value!r}: {exc}") from exc
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         raw = dict(raw)
-        param_keys = ("M_a", "M_bt", "M_br", "M_e", "N", "K_R", "eta_db",
-                      "noise_db", "kappa_db", "beta_db", "x_max_db",
-                      "w_max_db", "p_a_max_db", "p_b_max_db",
-                      "M_at", "M_ar")
-        param_args = {k: raw.pop(k) for k in param_keys if k in raw}
+        param_args = {k: raw.pop(k) for k in _PARAM_KEYS if k in raw}
         try:
             params = SystemParams.from_db(**param_args)
         except TypeError as exc:
@@ -126,6 +116,10 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
+#: The config keys of the system parameters.  D_corr is a matrix per node,
+#: so a config cannot set it.
+_PARAM_KEYS = tuple(k for k in inspect.signature(SystemParams.from_db)
+                    .parameters if k != "D_corr")
 #: The config keys besides the system parameters.
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig)
                      if f.name != "params")
@@ -210,13 +204,13 @@ def _same(params: SystemParams) -> SystemParams:
 
 def _node_budgets(params: SystemParams) -> SystemParams:
     """The one-directional design under the per-node budgets."""
-    return params.with_updates(X_max=params.P_A_max, W_max=params.P_B_max)
+    return replace(params, X_max=params.P_A_max, W_max=params.P_B_max)
 
 
 def _half_duplex(params: SystemParams) -> SystemParams:
     """No node transmits while it receives, so no residual SI."""
-    return params.with_updates(kappa={"a": 0.0, "b": 0.0},
-                               beta={"a": 0.0, "b": 0.0}, D_corr={})
+    return replace(params, kappa={"a": 0.0, "b": 0.0},
+                   beta={"a": 0.0, "b": 0.0}, D_corr={})
 
 
 def _sum_rate(report: system_model.SecrecyReport) -> float:
@@ -272,7 +266,6 @@ STRATEGY_TABLE = {
     "Bob-FD/Bob-Jam": Strategy(_equal_power(False), runs=({"X_a", "W_b"},),
                                params=_node_budgets),
 }
-STRATEGIES = tuple(STRATEGY_TABLE)
 
 
 def _strategy(name: str) -> Strategy:
@@ -308,7 +301,9 @@ class Dispatch(tuple):
 
 def strategy_dispatch(name: str, params: SystemParams, ch,
                       opts: dict | None = None) -> Dispatch:
-    """Run one strategy on one channel realization.
+    """Run one strategy on one channel realization, passing ``opts`` to
+    every optimizer run as keyword arguments, for example the
+    :data:`SOLVER_OPTIONS` of a config.
 
     Returns a :class:`Dispatch`, (design, iterations, status) with the
     inner totals; the status is the first non-converged status of the
@@ -317,8 +312,6 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
     CSI study).
     """
     spec = _strategy(name)
-    opt_kwargs = {k: v for k, v in (opts or {}).items()
-                  if k in SOLVER_OPTIONS}
     params = spec.params(params)
     design = spec.init(params)
     iters, status, states = 0, "Converged", []
@@ -329,7 +322,7 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
                 for block in other:
                     getattr(init.nodes(), block)[:] = 0.0
         result = bcd.optimize_bidirectional(params, ch, init=init, free=free,
-                                            **opt_kwargs)
+                                            **(opts or {}))
         found = result.design.nodes()
         for block in free:
             getattr(design.nodes(), block)[:] = getattr(found, block)
@@ -348,7 +341,7 @@ def _evaluate(name: str, params: SystemParams, design, eval_ch) -> float:
 
 def run_trial(cfg: ExperimentConfig, sweep_value, trial: int) -> list:
     """All strategy rows for one (sweep value, trial) cell."""
-    params = _apply_sweep(cfg.params, cfg.sweep_param, sweep_value)
+    params = SWEEPS[cfg.sweep_param](cfg.params, sweep_value)
     seed = trial_seed(cfg.master_seed, trial)
     ch_true = draw_channels(params, seed)
     csi_var = _csi_variance(cfg.sweep_param, sweep_value)

@@ -244,17 +244,16 @@ def project_feasible(prob: MaxDetProblem, point: dict,
     return out
 
 
-def _check_feasible(prob: MaxDetProblem, point: dict,
-                    psd_tol: float = 1e-8, budget_tol: float = 1e-8) -> None:
+def _check_feasible(prob: MaxDetProblem, point: dict) -> None:
     for name, dim in prob.variables:
         v = point.get(name)
         if v is None or v.shape[-2:] != (dim, dim):
             raise InfeasibleStart(f"variable {name} missing or misshaped")
-        if linalg.min_eigenvalue(v) < -psd_tol:
+        if linalg.min_eigenvalue(v) < -1e-8:
             raise InfeasibleStart(f"variable {name} is not PSD")
     for group, budget in prob.constraints:
         total = sum(linalg.real_trace(point[name]) for name in group)
-        if total > budget + budget_tol:
+        if total > budget + 1e-8:
             raise InfeasibleStart("trace budget violated at the initial point")
 
 

@@ -66,12 +66,10 @@ class TransmitDesign:
 
     def validate(self, params: SystemParams, psd_tol: float = 1e-9,
                  budget_tol: float = 1e-6) -> None:
+        _check_shapes(params, self.nodes())
         budgets = self.budgets(params)
-        for name, stack, dim, node, kind in (
-                ("X", self.X, params.M_a, "a", "information"),
-                ("W", self.W, params.M_bt, "b", "jamming")):
-            if stack.shape != (params.N, dim, dim):
-                raise DimensionMismatch(f"{name} has wrong shape")
+        for stack, node, kind in ((self.X, "a", "information"),
+                                  (self.W, "b", "jamming")):
             if linalg.min_eigenvalue(stack) < -psd_tol:
                 raise ValueError("covariance is not PSD within tolerance")
             if linalg.real_trace(stack) > budgets[node] + budget_tol:
@@ -194,11 +192,15 @@ class ReceiveDistortion(ChannelMap):
 # Receiver covariances.
 
 
-def _check_jam_shapes(params: SystemParams,
-                      design: BidirectionalDesign) -> None:
-    for w, m in ((design.W_a, params.M_a), (design.W_b, params.M_bt)):
-        if w is not None and w.shape != (params.N, m, m):
-            raise DimensionMismatch("jamming covariance has wrong shape")
+def _check_shapes(params: SystemParams, design: BidirectionalDesign) -> None:
+    """Every present block is an (N, M, M) stack, M the transmit antenna
+    count of the block's node."""
+    dims = {"a": params.M_a, "b": params.M_bt}
+    for block in ("X_a", "W_a", "X_b", "W_b"):
+        m = getattr(design, block)
+        shape = (params.N, dims[block[-1]], dims[block[-1]])
+        if m is not None and m.shape != shape:
+            raise DimensionMismatch(f"{block} has shape {m.shape}, not {shape}")
 
 
 def interference(params: SystemParams, ch: ChannelRealization, design,
@@ -213,7 +215,7 @@ def interference(params: SystemParams, ch: ChannelRealization, design,
     Operators whose coefficients are all zero are left out.
     """
     nodes = design.nodes()
-    _check_jam_shapes(params, nodes)
+    _check_shapes(params, nodes)
     if rx == "e":
         return [(f"W_{node}", Congruence(ch.H[node + "e"]))
                 for node in ("a", "b")

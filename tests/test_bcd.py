@@ -38,8 +38,8 @@ def random_design(params, seed):
 
 
 def test_aux_q_scaled_identity():
-    p = small_params(kappa_db=None, beta_db=None).with_updates(
-        noise={"a": 2.0, "b": 2.0, "e": 2.0})
+    p = replace(small_params(kappa_db=None, beta_db=None),
+                noise={"a": 2.0, "b": 2.0, "e": 2.0})
     ch = draw_channels(p, 0)
     aux_q, _ = bcd.update_auxiliaries(p, ch, TransmitDesign.zeros(p))
     assert list(aux_q) == ["ab"]
@@ -359,7 +359,7 @@ def test_point_to_point_capacity():
     ch = draw_channels(p, 6)
     h = dict(ch.H)
     h["ae"] = np.zeros((1, 1, 1), complex)
-    ch = ChannelRealization(H=h, seed=ch.seed)
+    ch = ChannelRealization(H=h)
     res = bcd.optimize(p, ch, outer_tol=1e-8, inner_tol=1e-10)
     cap = np.log2(1.0 + abs(ch.H["ab"][0, 0, 0]) ** 2 * p.X_max
                   / p.noise["b"][0])
@@ -412,7 +412,7 @@ def test_optimize_frozen_information_stays_put():
     p = small_params()
     ch = draw_channels(p, 8)
     init = bcd.init_uniform(p, with_jamming=True)
-    res = bcd.optimize(p, ch, init=init, optimize_x=False)
+    res = bcd.optimize_bidirectional(p, ch, init=init, free={"W_b"})
     np.testing.assert_array_equal(res.design.X, init.X)
 
 
@@ -420,7 +420,7 @@ def test_no_optimization_returns_init():
     p = small_params()
     ch = draw_channels(p, 8)
     init = bcd.init_uniform(p)
-    res = bcd.optimize(p, ch, init=init, optimize_x=False, optimize_w=False)
+    res = bcd.optimize_bidirectional(p, ch, init=init, free=())
     np.testing.assert_array_equal(res.design.X, init.X)
     assert res.state.iterations == 0
 
@@ -527,7 +527,7 @@ def test_bidirectional_reduces_to_one_directional():
         init.X_a[n] = (p.P_A_max / (p.N * p.M_a)) * np.eye(p.M_a)
     res_bi = bcd.optimize_bidirectional(p, ch, init=init,
                                         free={"X_a", "W_b"}, outer_tol=1e-6)
-    p_one = p.with_updates(X_max=p.P_A_max, W_max=p.P_B_max)
+    p_one = replace(p, X_max=p.P_A_max, W_max=p.P_B_max)
     res_one = bcd.optimize(p_one, ch, outer_tol=1e-6)
     assert len(res_bi.state.objective_trace) == len(
         res_one.state.objective_trace)

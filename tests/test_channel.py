@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,13 +34,13 @@ def test_invalid_params_rejected():
     with pytest.raises(ConfigError):
         small_params(N=0)
     with pytest.raises(ConfigError):
-        small_params(x_max_db=0.0).with_updates(X_max=-1.0)
+        replace(small_params(x_max_db=0.0), X_max=-1.0)
 
 
 def test_antenna_counts_are_positive_integers():
     """An integral float count is stored as an int; a fractional, infinite
     or non-numeric one is rejected, never truncated."""
-    p = small_params(M_e=3.0).with_updates(M_bt=2.0)
+    p = replace(small_params(M_e=3.0), M_bt=2.0)
     assert (p.M_e, p.M_bt) == (3, 2)
     assert type(p.M_e) is type(p.M_bt) is int
     for bad in (2.9, 0, -1.0, float("inf"), float("nan"), "2"):

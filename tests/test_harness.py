@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -104,42 +104,42 @@ def test_config_from_yaml_rejects_non_mapping(tmp_path):
 
 def test_apply_sweep_w_max():
     p = SystemParams.from_db(**DESK)
-    swept = harness._apply_sweep(p, "W_max_db", 10.0)
+    swept = harness.SWEEPS["W_max_db"](p, 10.0)
     assert swept.W_max == pytest.approx(10.0)
     assert swept.X_max == p.X_max
 
 
 def test_apply_sweep_p_max_sets_all_budgets():
     p = SystemParams.from_db(**DESK)
-    swept = harness._apply_sweep(p, "P_max_db", 10.0)
+    swept = harness.SWEEPS["P_max_db"](p, 10.0)
     for budget in (swept.X_max, swept.W_max, swept.P_A_max, swept.P_B_max):
         assert budget == pytest.approx(10.0)
 
 
 def test_apply_sweep_kappa_beta():
     p = SystemParams.from_db(**DESK)
-    swept = harness._apply_sweep(p, "kappa_beta_db", -10.0)
+    swept = harness.SWEEPS["kappa_beta_db"](p, -10.0)
     assert swept.kappa["b"] == pytest.approx(0.1)
     assert swept.beta["a"] == pytest.approx(0.1)
 
 
 def test_apply_sweep_antennas():
     p = SystemParams.from_db(**DESK)
-    swept = harness._apply_sweep(p, "M_b", 3)
+    swept = harness.SWEEPS["M_b"](p, 3)
     assert swept.M_bt == 3 and swept.M_br == 3
-    assert harness._apply_sweep(p, "M_e", 3).M_e == 3
+    assert harness.SWEEPS["M_e"](p, 3).M_e == 3
 
 
 def test_apply_sweep_none_is_identity():
     p = SystemParams.from_db(**DESK)
-    assert harness._apply_sweep(p, "none", 0.0) is p
+    assert harness.SWEEPS["none"](p, 0.0) is p
 
 
 def test_sweepable_order():
     """The CLI lists the --param choices in this order."""
-    assert harness.SWEEPABLE == ("W_max_db", "X_max_db", "kappa_beta_db",
-                                 "noise_db", "M_b", "M_e", "P_max_db",
-                                 "csi_error_db", "none")
+    assert tuple(harness.SWEEPS) == ("W_max_db", "X_max_db", "kappa_beta_db",
+                                     "noise_db", "M_b", "M_e", "P_max_db",
+                                     "csi_error_db", "none")
 
 
 def test_csi_variance_mapping():
@@ -273,7 +273,7 @@ def test_both_hd_no_jam_is_half_of_standalone_links():
     assert bits > 0
     assert np.all(design.W_a == 0) and np.all(design.W_b == 0)
     # Each direction alone, without residual SI, scores its own half.
-    hd = p.with_updates(kappa={"a": 0.0, "b": 0.0}, beta={"a": 0.0, "b": 0.0})
+    hd = replace(p, kappa={"a": 0.0, "b": 0.0}, beta={"a": 0.0, "b": 0.0})
     halves = []
     for info in ("X_a", "X_b"):
         alone = system_model.BidirectionalDesign.zeros(p)
@@ -316,6 +316,14 @@ def test_hd_strategies_carry_no_jamming():
     assert np.all(design.W == 0)
     design, _, _ = strategy_dispatch("Equal-HD", p, ch, OPTS)
     assert np.all(design.W == 0)
+
+
+def test_an_unknown_solver_option_is_an_error():
+    """A mistyped option reaches the optimizer instead of being dropped."""
+    p = SystemParams.from_db(**DESK)
+    ch = draw_channels(p, 5)
+    with pytest.raises(TypeError):
+        strategy_dispatch("Optimal-FD", p, ch, {"outer_tolerance": 1e-3})
 
 
 # --- emission and parsing ---------------------------------------------------

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fdwiretap import linalg
 from fdwiretap.channel import ChannelRealization, SystemParams, draw_channels
+from fdwiretap.errors import DimensionMismatch
 from fdwiretap.system_model import (BidirectionalDesign, TransmitDesign,
                                     secrecy_rates, sigma_eve,
                                     sigma_node_bidirectional)
@@ -118,6 +121,17 @@ def test_secrecy_zero_design_is_zero():
     assert np.all(rep.I_sec == 0.0)
 
 
+@pytest.mark.parametrize("block", ["X_a", "W_a", "X_b", "W_b"])
+def test_a_misshaped_block_is_rejected(block):
+    """A block with one subcarrier of two is an error naming the block, not
+    a stack broadcast over the band."""
+    p = small_params()
+    d = BidirectionalDesign.zeros(p)
+    setattr(d, block, getattr(d, block)[:1])
+    with pytest.raises(DimensionMismatch, match=block):
+        secrecy_rates(p, draw_channels(p, 0), d)
+
+
 def test_secrecy_scalar_leakage_free():
     """h_ab = 1, h_ae = 0, X = 1, N_b = 1 gives exactly one bit."""
     p = SystemParams.from_db(M_a=1, M_bt=1, M_br=1, M_e=1, N=1,
@@ -126,7 +140,7 @@ def test_secrecy_scalar_leakage_free():
     h = dict(ch.H)
     h["ab"] = np.ones((1, 1, 1), complex)
     h["ae"] = np.zeros((1, 1, 1), complex)
-    ch = ChannelRealization(H=h, seed=ch.seed)
+    ch = ChannelRealization(H=h)
     d = TransmitDesign.zeros(p)
     d.X[0, 0, 0] = 1.0
     rep = secrecy_rates(p, ch, d)
@@ -188,8 +202,8 @@ def test_rates_monotone_in_eve_noise():
     d = random_design(p, 9)
     prev = None
     for noise_e in (1e-4, 1e-3, 1e-2, 1e-1):
-        pn = p.with_updates(noise={"a": p.noise["a"], "b": p.noise["b"],
-                                   "e": noise_e})
+        pn = replace(p, noise={"a": p.noise["a"], "b": p.noise["b"],
+                               "e": noise_e})
         rep = secrecy_rates(pn, ch, d)
         if prev is not None:
             assert np.all(rep.I_ae <= prev + 1e-12)
@@ -281,10 +295,9 @@ def test_covariance_stacks_match_per_subcarrier_loop():
         g = rng.standard_normal((dim, dim)) \
             + 1j * rng.standard_normal((dim, dim))
         d_corr[node] = 0.01 * g @ g.conj().T
-    p = p.with_updates(
-        kappa={"a": [0.02, 0.005, 0.01], "b": [0.003, 0.03, 0.0]},
-        beta={"a": [0.001, 0.02, 0.007], "b": [0.04, 0.0, 0.01]},
-        D_corr=d_corr)
+    p = replace(p, kappa={"a": [0.02, 0.005, 0.01], "b": [0.003, 0.03, 0.0]},
+                beta={"a": [0.001, 0.02, 0.007], "b": [0.04, 0.0, 0.01]},
+                D_corr=d_corr)
     ch = draw_channels(p, 8)
     d = BidirectionalDesign.zeros(p)
     for stack in (d.X_a, d.W_a, d.X_b, d.W_b):
