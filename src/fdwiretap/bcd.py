@@ -58,20 +58,16 @@ INNER_REL_TOL = 0.1
 
 @dataclass(eq=False)
 class BcdState:
-    """Optimizer state: auxiliaries and objective history.
+    """Optimizer history of one run.
 
-    ``aux_Q`` and ``aux_T`` map each active direction's link name ('ab',
-    'ba') to its (N, M, M) auxiliary stack.  ``objective_trace`` holds the
-    surrogate objective in nats after every outer iteration and is
-    non-decreasing along the run.  ``status`` ends as "Converged" or, when
-    ``max_outer`` iterations ran without passing the stop rule,
-    "MaxOuter"; ``converged`` reads it.  ``extrapolations`` counts the
-    accepted extrapolation steps.
+    ``objective_trace`` holds the surrogate objective in nats at the start
+    and after every outer iteration and is non-decreasing along the run.
+    ``status`` ends as "Converged" or, when ``max_outer`` iterations ran
+    without passing the stop rule, "MaxOuter"; ``converged`` reads it.
+    ``extrapolations`` counts the accepted extrapolation steps.
     """
 
-    aux_Q: dict
-    aux_T: dict
-    objective_trace: list = field(default_factory=list)
+    objective_trace: list
     iterations: int = 0
     status: str = "Running"
     inner_reports: list = field(default_factory=list)
@@ -130,6 +126,13 @@ def surrogate_objective(params: SystemParams, ch: ChannelRealization,
         total += (linalg.logdet(q).sum() + linalg.logdet(t).sum()
                   + _dim_sum(q) + _dim_sum(t))
     return total
+
+
+def _tight(params: SystemParams, ch: ChannelRealization, design) -> tuple:
+    """The surrogate at ``design``, which there equals the unclamped
+    objective, and the auxiliaries (Q, T) that make it tight."""
+    aux = update_auxiliaries(params, ch, design)
+    return surrogate_objective(params, ch, design, *aux), aux
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +331,7 @@ def _extrapolate(params, ch, view, prob, point, prev_point, f_new, aux):
         cand = {b: point[b] + theta * (point[b] - prev_point[b])
                 for b in point}
         cand = maxdet.project_feasible(prob, cand)
-        trial = replace(view, **cand)
-        aux = update_auxiliaries(params, ch, trial)
-        f_cand = surrogate_objective(params, ch, trial, *aux)
+        f_cand, aux = _tight(params, ch, replace(view, **cand))
         if f_cand <= best[1]:
             break
         best = cand, f_cand, aux
@@ -338,67 +339,53 @@ def _extrapolate(params, ch, view, prob, point, prev_point, f_new, aux):
     return best, accepted
 
 
-def _ascend(params: SystemParams, ch: ChannelRealization, design,
-            free: set, outer_tol: float, max_outer: int,
-            inner_tol: float, inner_max_iter: int) -> BcdState:
-    """Alternate the covariance subproblem over the ``free`` blocks with the
-    closed-form auxiliary updates, updating ``design`` in place.
+def _run(params: SystemParams, ch: ChannelRealization, init, free,
+         outer_tol: float, max_outer: int, inner_tol: float,
+         inner_max_iter: int) -> BcdResult:
+    """Alternate the covariance subproblem over the ``free`` blocks, a
+    nonempty subset of :data:`BLOCKS`, of a copy of ``init`` with the
+    closed-form auxiliary updates, and report the result's secrecy rates.
 
     Each node's free blocks share the trace budget the design's type
-    states (``design.budgets``).  The auxiliaries are refreshed from the
-    initial design before the first subproblem so the surrogate starts
-    tight.  The inner tolerance follows the policy of the module docstring.
+    states (``design.budgets``).  Every point is scored by the surrogate
+    made tight there, the start included.  The inner tolerance follows the
+    policy of the module docstring.
     """
+    if not free or not set(free) <= set(BLOCKS):
+        raise ValueError(f"free blocks {sorted(free)} must be a nonempty "
+                         f"subset of {BLOCKS}")
+    design = init.copy()
     budgets = design.budgets(params)
     view = _active_view(design.nodes(), free)
-    aux_q, aux_t = update_auxiliaries(params, ch, view)
-    state = BcdState(aux_Q=aux_q, aux_T=aux_t)
-    f_cur = surrogate_objective(params, ch, view, aux_q, aux_t)
-    state.objective_trace.append(f_cur)
-    if not free:
-        state.status = "Converged"
-        return state
+    f_cur, aux = _tight(params, ch, view)
+    state = BcdState(objective_trace=[f_cur])
     prev_point = None
     rel_tol = INNER_REL_TOL
     for _ in range(max_outer):
         state.iterations += 1
-        prob = _subproblem(params, ch, view, free, state.aux_Q, state.aux_T,
-                           budgets)
+        prob = _subproblem(params, ch, view, free, *aux, budgets)
         point, inner_report = maxdet.solve(
             prob, {b: getattr(view, b) for b, _ in prob.variables},
             max_iter=inner_max_iter, tol=inner_tol, rel_tol=rel_tol)
         state.inner_reports.append(inner_report)
-        trial = replace(view, **point)
-        aux = update_auxiliaries(params, ch, trial)
-        f_new = surrogate_objective(params, ch, trial, *aux)
+        f_new, aux = _tight(params, ch, replace(view, **point))
         if prev_point is not None:
             (point, f_new, aux), accepted = _extrapolate(
                 params, ch, view, prob, point, prev_point, f_new, aux)
             state.extrapolations += accepted
         for b, value in point.items():
             getattr(view, b)[:] = value
-        state.aux_Q, state.aux_T = aux
         prev_point = point
         state.objective_trace.append(f_new)
         if abs(f_new - f_cur) < outer_tol * (1.0 + abs(f_new)):
             if inner_report.threshold <= inner_tol:
                 state.status = "Converged"
-                return state
+                break
             # The step was small because its solve was truncated.
             rel_tol = 0.0
         f_cur = f_new
-    state.status = "MaxOuter"
-    return state
-
-
-def _run(params: SystemParams, ch: ChannelRealization, init, free,
-         *tolerances) -> BcdResult:
-    """Ascend from a copy of ``init`` over its ``free`` blocks and report
-    the secrecy rates of the result."""
-    if not set(free) <= set(BLOCKS):
-        raise ValueError(f"free blocks {sorted(free)} not all in {BLOCKS}")
-    design = init.copy()
-    state = _ascend(params, ch, design, free, *tolerances)
+    else:
+        state.status = "MaxOuter"
     report = system_model.secrecy_rates(params, ch, design)
     return BcdResult(design=design, report=report, state=state)
 
@@ -425,9 +412,9 @@ def optimize_bidirectional(params: SystemParams, ch: ChannelRealization,
                            max_outer: int = 50, inner_tol: float = 1e-6,
                            inner_max_iter: int = 200,
                            free=BLOCKS) -> BcdResult:
-    """Block coordinate ascent over the ``free`` blocks (from
-    :data:`BLOCKS`) of a two-node design, by default the uniform one, or a
-    one-directional design, whose X and W are X_a and W_b.
+    """Block coordinate ascent over the ``free`` blocks, a nonempty subset
+    of :data:`BLOCKS`, of a two-node design, by default the uniform one, or
+    a one-directional design, whose X and W are X_a and W_b.
 
     Each node's blocks share the budget the design's type states.  Frozen
     blocks keep their initial value, so a zero information block silences

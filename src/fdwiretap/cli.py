@@ -12,7 +12,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import bcd, harness, system_model, waterfill as wf
+from . import bcd, harness, waterfill as wf
 from .channel import SystemParams, db2lin, draw_channels, trial_seed
 from .errors import ConfigError, FdWiretapError, UnknownStrategy
 
@@ -132,8 +132,7 @@ def bench_init(kappa_db, trials, restarts, seed, m_ant, subcarriers):
             beam = bcd.optimize(params, ch, init=bcd.init_optimal_beam(params, ch))
             bench = bcd.benchmark_best(params, ch, restarts=restarts,
                                        seed=trial_seed(seed, t, stream=2))
-            rows = [system_model.secrecy_rates(params, ch, r.design).I_sum
-                    for r in (uni, beam, bench)]
+            rows = [r.report.I_sum for r in (uni, beam, bench)]
         except FdWiretapError as exc:
             click.echo(f"{t},failed,failed,failed  # {exc}", err=True)
             failed = True

@@ -280,12 +280,16 @@ _INNER_ORDER = list(maxdet.SolverStatus)
 
 
 class Dispatch(tuple):
-    """A strategy's result on one channel.  It unpacks as (design, outer
-    iterations, outer status); ``inner_iters``, ``worst_inner``,
-    ``extrapolations`` and ``final_residual`` total the optimizer states of
-    its runs as the :class:`TrialRow` fields of those names do."""
+    """A strategy's result on one channel, read off its runs' optimizer
+    states.  It unpacks as (design, outer iterations, outer status): their
+    sum and the first status that is not "Converged".  ``inner_iters``,
+    ``worst_inner``, ``extrapolations`` and ``final_residual`` total the
+    states as the :class:`TrialRow` fields of those names do."""
 
-    def __new__(cls, design, iters: int, status: str, states=()):
+    def __new__(cls, design, states):
+        iters = sum(state.iterations for state in states)
+        status = next((s.status for s in states if not s.converged),
+                      "Converged")
         self = super().__new__(cls, (design, iters, status))
         reports = [r for state in states for r in state.inner_reports]
         self.inner_iters = sum(r.iterations for r in reports)
@@ -303,18 +307,20 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
                       opts: dict | None = None) -> Dispatch:
     """Run one strategy on one channel realization, passing ``opts`` to
     every optimizer run as keyword arguments, for example the
-    :data:`SOLVER_OPTIONS` of a config.
+    :data:`SOLVER_OPTIONS` of a config; any other key is a ``TypeError``,
+    also for a strategy that runs no optimizer.
 
-    Returns a :class:`Dispatch`, (design, iterations, status) with the
-    inner totals; the status is the first non-converged status of the
-    strategy's runs.  The design is evaluated against whatever channel the
-    caller chooses (the estimation channel here, the true channel in the
-    CSI study).
+    Returns a :class:`Dispatch` of the design and the runs' states.  The
+    design is evaluated against whatever channel the caller chooses (the
+    estimation channel here, the true channel in the CSI study).
     """
+    unknown = set(opts or {}) - set(SOLVER_OPTIONS)
+    if unknown:
+        raise TypeError(f"unknown solver options {sorted(unknown)}")
     spec = _strategy(name)
     params = spec.params(params)
     design = spec.init(params)
-    iters, status, states = 0, "Converged", []
+    states = []
     for free in spec.runs:
         init = design.copy()
         for other in spec.runs:
@@ -326,11 +332,8 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
         found = result.design.nodes()
         for block in free:
             getattr(design.nodes(), block)[:] = getattr(found, block)
-        iters += result.state.iterations
-        if status == "Converged":
-            status = result.state.status
         states.append(result.state)
-    return Dispatch(design, iters, status, states)
+    return Dispatch(design, states)
 
 
 def _evaluate(name: str, params: SystemParams, design, eval_ch) -> float:

@@ -83,31 +83,27 @@ class MaxDetProblem:
     ``variables`` gives each variable's matrix size; its value is a matrix or
     a stack of them.  ``linear_terms`` maps variable names to coefficients C
     of the value's shape, Hermitian up to rounding, contributing -tr(C V).
-    ``constraints`` is a list of (variable-name tuple, budget); a variable
-    may appear in at most one group.
+    ``constraints`` is a list of (variable-name tuple, budget) in which
+    every variable appears in exactly one group; a budget of ``np.inf``
+    leaves its group unbudgeted.
     """
 
     variables: list  # list of (name, dim)
     logdet_terms: list = field(default_factory=list)
     linear_terms: dict = field(default_factory=dict)
     constraints: list = field(default_factory=list)
-    # The constraints plus an unbudgeted group for each variable outside them.
-    projection_groups: list = field(init=False, repr=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.variables]
+        grouped = [name for group, _ in self.constraints for name in group]
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
-        seen = set()
-        for group, budget in self.constraints:
-            if budget <= 0:
-                raise ValueError("budgets must be strictly positive")
-            for name in group:
-                if name in seen:
-                    raise ValueError(f"variable {name} in two constraint groups")
-                seen.add(name)
-        self.projection_groups = list(self.constraints) + [
-            ((name,), np.inf) for name in names if name not in seen]
+        if len(set(grouped)) != len(grouped):
+            raise ValueError("a variable in two constraint groups")
+        if not set(names) <= set(grouped):
+            raise ValueError("a variable in no constraint group")
+        if any(budget <= 0 for _, budget in self.constraints):
+            raise ValueError("budgets must be strictly positive")
 
 
 class SolverStatus(str, Enum):
@@ -223,13 +219,12 @@ def project_feasible(prob: MaxDetProblem, point: dict,
     the projection to an eigenvalue problem per variable plus a joint
     water-level clip per constraint group, whose eigenvalues are weighted
     by their variable's step over the group's largest step.  A variable
-    outside every group, or alone in its group, projects the same for any
-    step.
+    alone in its group, budgeted or not, projects the same for any step.
     """
     if steps is None:
         steps = {name: 1.0 for name, _ in prob.variables}
     out = {}
-    for group, budget in prob.projection_groups:
+    for group, budget in prob.constraints:
         eig = [np.linalg.eigh(point[name]) for name in group]
         top = max(steps[name] for name in group)
         clipped = _clip_to_budget(

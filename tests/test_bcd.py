@@ -227,8 +227,8 @@ def test_optimizer_invariants_on_random_instances(
     trace = np.array(res.state.objective_trace)
     assert np.all(np.diff(trace) >= -1e-9)
     true = system_model.unclamped_objective_nats(p, ch, res.design)
-    surrogate = bcd.surrogate_objective(p, ch, res.design, res.state.aux_Q,
-                                        res.state.aux_T)
+    aux = bcd.update_auxiliaries(p, ch, res.design)
+    surrogate = bcd.surrogate_objective(p, ch, res.design, *aux)
     assert surrogate == pytest.approx(true, abs=1e-9)
     assert trace[-1] == pytest.approx(true, abs=1e-9)
 
@@ -416,13 +416,11 @@ def test_optimize_frozen_information_stays_put():
     np.testing.assert_array_equal(res.design.X, init.X)
 
 
-def test_no_optimization_returns_init():
+def test_an_empty_free_set_is_rejected():
     p = small_params()
     ch = draw_channels(p, 8)
-    init = bcd.init_uniform(p)
-    res = bcd.optimize_bidirectional(p, ch, init=init, free=())
-    np.testing.assert_array_equal(res.design.X, init.X)
-    assert res.state.iterations == 0
+    with pytest.raises(ValueError, match="free blocks"):
+        bcd.optimize_bidirectional(p, ch, init=bcd.init_uniform(p), free=())
 
 
 def test_benchmark_best_dominates_restarts():

@@ -318,12 +318,14 @@ def test_hd_strategies_carry_no_jamming():
     assert np.all(design.W == 0)
 
 
-def test_an_unknown_solver_option_is_an_error():
-    """A mistyped option reaches the optimizer instead of being dropped."""
+@pytest.mark.parametrize("name", ["Equal-FD", "Equal-HD", "Optimal-FD"])
+def test_an_unknown_solver_option_is_an_error(name):
+    """A mistyped option is an error, not dropped, also for a strategy that
+    runs no optimizer."""
     p = SystemParams.from_db(**DESK)
     ch = draw_channels(p, 5)
     with pytest.raises(TypeError):
-        strategy_dispatch("Optimal-FD", p, ch, {"outer_tolerance": 1e-3})
+        strategy_dispatch(name, p, ch, {"outer_tolerance": 1e-3})
 
 
 # --- emission and parsing ---------------------------------------------------

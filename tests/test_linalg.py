@@ -21,9 +21,10 @@ def random_hermitian(rng, dim):
 
 
 def clip_psd(m):
-    """Projection onto the PSD cone: that of a variable outside every
-    budget group."""
-    prob = maxdet.MaxDetProblem(variables=[("v", m.shape[-1])])
+    """Projection onto the PSD cone: that of a variable in an unbudgeted
+    group."""
+    prob = maxdet.MaxDetProblem(variables=[("v", m.shape[-1])],
+                                constraints=[(("v",), np.inf)])
     return maxdet.project_feasible(prob, {"v": m})["v"]
 
 

@@ -432,6 +432,19 @@ def test_infeasible_start_rejected():
         solve(prob, {"x": -0.5 * np.eye(1, dtype=complex)})
 
 
+@pytest.mark.parametrize("variables, constraints, message", [
+    ([("v", 2), ("v", 2)], [(("v",), 1.0)], "duplicate variable"),
+    ([("v", 2), ("w", 2)], [(("v", "w"), 1.0), (("w",), 1.0)], "two"),
+    ([("v", 2), ("w", 2)], [(("v",), 1.0)], "no constraint group"),
+    ([("v", 2)], [(("v",), 0.0)], "strictly positive"),
+])
+def test_malformed_groups_are_rejected(variables, constraints, message):
+    """Every variable is in exactly one group, and every budget is
+    positive."""
+    with pytest.raises(ValueError, match=message):
+        MaxDetProblem(variables=variables, constraints=constraints)
+
+
 def test_projection_properties():
     prob = random_two_term_problem(9)
     rng = np.random.default_rng(10)
