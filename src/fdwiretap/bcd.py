@@ -47,10 +47,9 @@ import numpy as np
 from . import linalg, maxdet, system_model
 from .channel import ChannelRealization, SystemParams
 from .errors import DegenerateChannel
-from .system_model import BidirectionalDesign, SecrecyReport, TransmitDesign
+from .system_model import (BLOCKS, BidirectionalDesign, SecrecyReport,
+                           TransmitDesign)
 
-#: Blocks of the two-node design, in the order of the solver's variables.
-BLOCKS = ("X_a", "W_a", "X_b", "W_b")
 #: Each subproblem is solved to this fraction of its starting stationarity
 #: residual until the outer stop rule first fires.
 INNER_REL_TOL = 0.1

@@ -83,9 +83,9 @@ class MaxDetProblem:
     ``variables`` gives each variable's matrix size; its value is a matrix or
     a stack of them.  ``linear_terms`` maps variable names to coefficients C
     of the value's shape, Hermitian up to rounding, contributing -tr(C V).
-    ``constraints`` is a list of (variable-name tuple, budget) in which
-    every variable appears in exactly one group; a budget of ``np.inf``
-    leaves its group unbudgeted.
+    ``constraints`` is a list of (variable-name tuple, budget) that names
+    only declared variables and in which every variable appears in exactly
+    one group; a budget of ``np.inf`` leaves its group unbudgeted.
     """
 
     variables: list  # list of (name, dim)
@@ -102,6 +102,10 @@ class MaxDetProblem:
             raise ValueError("a variable in two constraint groups")
         if not set(names) <= set(grouped):
             raise ValueError("a variable in no constraint group")
+        for name in grouped:
+            if name not in names:
+                raise ValueError(f"a constraint group names an undeclared "
+                                 f"variable {name!r}")
         if any(budget <= 0 for _, budget in self.constraints):
             raise ValueError("budgets must be strictly positive")
 
@@ -188,17 +192,23 @@ def _logdet_increment(mu: np.ndarray, step: float) -> float:
 
 
 def _clip_to_budget(vals: np.ndarray, budget: float,
-                    weights: np.ndarray) -> np.ndarray:
+                    weights: np.ndarray | None = None) -> np.ndarray:
     """Project eigenvalues onto {p >= 0, sum p <= budget} in the metric
     sum_i (vals_i - p_i)^2 / weights_i, for positive weights.
 
     The result is the weighted water level p_i = max(vals_i - theta *
     weights_i, 0), with theta >= 0 the smallest level that meets the
-    budget; unit weights give the Euclidean projection.
+    budget.  Without ``weights`` it is the Euclidean projection, levelled
+    over the plainly sorted eigenvalues with no ratios; unit weights give
+    the same bits.
     """
     clipped = np.maximum(vals, 0.0)
     if clipped.sum() <= budget:
         return clipped
+    if weights is None:
+        srt = np.sort(vals)[::-1]
+        theta = (srt.cumsum() - budget) / np.arange(1, srt.size + 1)
+        return np.maximum(vals - theta[np.nonzero(theta < srt)[0][-1]], 0.0)
     # Each eigenvalue leaves the active set at theta = vals / weights.  With
     # the k largest of these ratios active, sum (vals - theta weights) =
     # budget gives theta[k]; the level is that of the largest k whose
@@ -206,7 +216,7 @@ def _clip_to_budget(vals: np.ndarray, budget: float,
     ratios = vals / weights
     order = np.argsort(ratios)[::-1]
     theta = (vals[order].cumsum() - budget) / weights[order].cumsum()
-    k_star = np.flatnonzero(theta < ratios[order])[-1]
+    k_star = np.nonzero(theta < ratios[order])[0][-1]
     return np.maximum(vals - theta[k_star] * weights, 0.0)
 
 
@@ -219,12 +229,20 @@ def project_feasible(prob: MaxDetProblem, point: dict,
     the projection to an eigenvalue problem per variable plus a joint
     water-level clip per constraint group, whose eigenvalues are weighted
     by their variable's step over the group's largest step.  A variable
-    alone in its group, budgeted or not, projects the same for any step.
+    alone in its group, budgeted or not, projects the same for any step:
+    its weights are all 1.0, so its level is taken unweighted, with no
+    weight vector and no sort by ratio.
     """
     if steps is None:
         steps = {name: 1.0 for name, _ in prob.variables}
     out = {}
     for group, budget in prob.constraints:
+        if len(group) == 1:
+            (name,) = group
+            vals, vecs = np.linalg.eigh(point[name])
+            clipped = _clip_to_budget(vals.ravel(), budget)
+            out[name] = linalg.from_eigh(clipped.reshape(vals.shape), vecs)
+            continue
         eig = [np.linalg.eigh(point[name]) for name in group]
         top = max(steps[name] for name in group)
         clipped = _clip_to_budget(
@@ -252,15 +270,17 @@ def _check_feasible(prob: MaxDetProblem, point: dict) -> None:
             raise InfeasibleStart("trace budget violated at the initial point")
 
 
-def _stationarity_residual(prob: MaxDetProblem, point: dict, grads: dict) -> float:
-    """Norm of the unit-step projected-gradient mapping."""
+def _stationarity_residual(prob: MaxDetProblem, point: dict,
+                           grads: dict) -> tuple:
+    """Norm of the unit-step projected-gradient mapping, and the unit-step
+    projection of ``point + grads`` it is taken from."""
     shifted = {name: point[name] + grads[name] for name, _ in prob.variables}
     projected = project_feasible(prob, shifted)
     sq = 0.0
     for name, _ in prob.variables:
         diff = point[name] - projected[name]
         sq += linalg.inner(diff, diff)
-    return float(np.sqrt(sq))
+    return float(np.sqrt(sq)), projected
 
 
 def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
@@ -285,7 +305,10 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     log-det increments), so the returned objective is never below the
     objective at ``initial``.  Each term matrix is factored once, at the
     projected start; an accepted step updates its whitening factor, and
-    the objective by the increment tested, in closed form.
+    the objective by the increment tested, in closed form.  When every
+    step is 1.0, as on each solve's first iteration, the trial point is the
+    point the stationarity test has just projected, and that projection is
+    reused for the trial.
     """
     _check_feasible(prob, initial)
     point = {name: linalg.hermitize(np.asarray(initial[name], complex))
@@ -297,7 +320,8 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         raise InfeasibleStart("objective undefined at the initial point") from exc
     trace = [f_cur]
     steps = {name: 1.0 for name, _ in prob.variables}
-    residual = first_residual = _stationarity_residual(prob, point, grads)
+    residual, unit_proj = _stationarity_residual(prob, point, grads)
+    first_residual = residual
     threshold = max(tol, rel_tol * first_residual)
     status = SolverStatus.CONVERGED
     iters = 0
@@ -306,9 +330,14 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             status = SolverStatus.MAX_ITER
             break
         iters += 1
-        trial = {name: point[name] + steps[name] * grads[name]
-                 for name, _ in prob.variables}
-        proj = project_feasible(prob, trial, steps)
+        if all(alpha == 1.0 for alpha in steps.values()):
+            # point + 1.0 * grads is, in value, the point the residual test
+            # has just projected.
+            proj = unit_proj
+        else:
+            trial = {name: point[name] + steps[name] * grads[name]
+                     for name, _ in prob.variables}
+            proj = project_feasible(prob, trial, steps)
         direction = {name: proj[name] - point[name] for name, _ in prob.variables}
         slope = sum(linalg.inner(grads[name], direction[name])
                     for name, _ in prob.variables)
@@ -356,7 +385,7 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             steps[name] = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-16 else 1.0
         point, grads, f_cur = new_point, new_grads, f_cur + gain
         trace.append(f_cur)
-        residual = _stationarity_residual(prob, point, grads)
+        residual, unit_proj = _stationarity_residual(prob, point, grads)
     report = SolverReport(objective=f_cur, iterations=iters,
                           residual=residual, status=status,
                           first_residual=first_residual, threshold=threshold,

@@ -21,6 +21,7 @@ concave subproblem.  Rates are reported in bits/s/Hz (base-2 logs); the
 optimizer works in nats internally.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ LN2 = float(np.log(2.0))
 
 #: Rate directions as (transmitting node, receiving node).
 DIRECTIONS = (("a", "b"), ("b", "a"))
+#: Blocks of the two-node design, in the order of the solver's variables.
+BLOCKS = ("X_a", "W_a", "X_b", "W_b")
 
 
 @dataclass(eq=False)
@@ -196,7 +199,7 @@ def _check_shapes(params: SystemParams, design: BidirectionalDesign) -> None:
     """Every present block is an (N, M, M) stack, M the transmit antenna
     count of the block's node."""
     dims = {"a": params.M_a, "b": params.M_bt}
-    for block in ("X_a", "W_a", "X_b", "W_b"):
+    for block in BLOCKS:
         m = getattr(design, block)
         shape = (params.N, dims[block[-1]], dims[block[-1]])
         if m is not None and m.shape != shape:
@@ -212,19 +215,38 @@ def interference(params: SystemParams, ch: ChannelRealization, design,
     through the cross channel, and residual SI driven by its own blocks X
     and W: the CSI-error term, and transmit and receive distortion summed
     over the whole band, each one operator shared by both blocks.
-    Operators whose coefficients are all zero are left out.
+    Operators whose coefficients are all zero are left out.  The design's
+    shapes are checked on every call; the operators depend only on
+    ``params``, ``ch``, ``rx`` and which blocks are present, and are built
+    once per such combination (:func:`_receiver_pairs`).
     """
     nodes = design.nodes()
     _check_shapes(params, nodes)
+    present = tuple(b for b in BLOCKS if getattr(nodes, b) is not None)
+    return list(_receiver_pairs(params, ch, rx, present))
+
+
+# SystemParams and ChannelRealization hash by identity, and a cache entry
+# holds its key objects, so an id is not reused while its entry lives.
+# Neither is mutated in place after construction.
+@functools.lru_cache(maxsize=32)
+def _link(ch: ChannelRealization, link: str) -> Congruence:
+    """The congruence through ``ch.H[link]``, built once per channel."""
+    return Congruence(ch.H[link])
+
+
+@functools.lru_cache(maxsize=32)
+def _receiver_pairs(params: SystemParams, ch: ChannelRealization, rx: str,
+                    present: tuple) -> tuple:
+    """:func:`interference`'s pairs for the blocks named in ``present``."""
     if rx == "e":
-        return [(f"W_{node}", Congruence(ch.H[node + "e"]))
-                for node in ("a", "b")
-                if getattr(nodes, f"W_{node}") is not None]
+        return tuple((f"W_{node}", _link(ch, node + "e"))
+                     for node in ("a", "b") if f"W_{node}" in present)
     partner = "b" if rx == "a" else "a"
     pairs = []
-    if getattr(nodes, f"W_{partner}") is not None:
-        pairs.append((f"W_{partner}", Congruence(ch.H[partner + rx])))
-    own = [b for b in (f"X_{rx}", f"W_{rx}") if getattr(nodes, b) is not None]
+    if f"W_{partner}" in present:
+        pairs.append((f"W_{partner}", _link(ch, partner + rx)))
+    own = [b for b in (f"X_{rx}", f"W_{rx}") if b in present]
     si = ch.H[rx + rx]
     ops = []
     if np.any(params.D_corr[rx]):
@@ -233,13 +255,14 @@ def interference(params: SystemParams, ch: ChannelRealization, design,
         ops.append(TransmitDistortion(si, params.kappa[rx]))
     if np.any(params.beta[rx]):
         ops.append(ReceiveDistortion(si, params.beta[rx]))
-    return pairs + [(b, op) for op in ops for b in own]
+    return tuple(pairs + [(b, op) for op in ops for b in own])
 
 
 def signal(ch: ChannelRealization, tx: str, rx: str) -> tuple:
     """Node ``tx``'s information signal at receiver ``rx``, as a (block,
-    operator) pair."""
-    return f"X_{tx}", Congruence(ch.H[tx + rx])
+    operator) pair; the operator is the one :func:`interference` uses for
+    that link."""
+    return f"X_{tx}", _link(ch, tx + rx)
 
 
 def covariance(params: SystemParams, design, rx: str,

@@ -361,7 +361,7 @@ def test_carried_factor_gives_the_fresh_gradient():
             point, rep = solve(prob, stack_start(), tol=1e-10)
             f, grads, _ = _eval_state(prob, point)
             assert rep.residual == pytest.approx(
-                _stationarity_residual(prob, point, grads), rel=1e-6)
+                _stationarity_residual(prob, point, grads)[0], rel=1e-6)
             assert rep.objective == pytest.approx(f, rel=0, abs=1e-12)
 
 
@@ -437,10 +437,11 @@ def test_infeasible_start_rejected():
     ([("v", 2), ("w", 2)], [(("v", "w"), 1.0), (("w",), 1.0)], "two"),
     ([("v", 2), ("w", 2)], [(("v",), 1.0)], "no constraint group"),
     ([("v", 2)], [(("v",), 0.0)], "strictly positive"),
+    ([("v", 2)], [(("v", "w"), 1.0)], "undeclared variable 'w'"),
 ])
 def test_malformed_groups_are_rejected(variables, constraints, message):
-    """Every variable is in exactly one group, and every budget is
-    positive."""
+    """Every variable is in exactly one group, every group names only
+    declared variables, and every budget is positive."""
     with pytest.raises(ValueError, match=message):
         MaxDetProblem(variables=variables, constraints=constraints)
 
@@ -505,9 +506,56 @@ def test_unit_weights_give_the_euclidean_clip_bit_for_bit():
             vals[rng.integers(vals.size, size=3)] = vals[0]  # ties
         cases.append((vals, float(rng.uniform(0.01, 3.0))))
     for vals, budget in cases:
+        want = euclidean_clip(vals, budget)
         np.testing.assert_array_equal(
-            _clip_to_budget(vals, budget, np.ones(vals.size)),
-            euclidean_clip(vals, budget))
+            _clip_to_budget(vals, budget, np.ones(vals.size)), want)
+        np.testing.assert_array_equal(_clip_to_budget(vals, budget), want)
+
+
+def test_one_variable_groups_take_the_unit_weight_level_bit_for_bit():
+    """A variable alone in its group is levelled without weights; the
+    result is the weighted clip at unit weights, bit for bit, for stacks
+    and single matrices, M=1, negative eigenvalues, and budgets that bind,
+    do not bind or are infinite."""
+    rng = np.random.default_rng(17)
+    shapes = [(3, 2, 2), (2, 2), (4, 1, 1), (1, 1), (2, 4, 4)]
+    for k in range(120):
+        shape = shapes[k % len(shapes)]
+        m = linalg.hermitize(random_stack(rng, *shape))
+        if k % 3 == 0:
+            m = m - 2.0 * np.eye(shape[-1])  # mostly negative eigenvalues
+        vals, vecs = np.linalg.eigh(m)
+        total = np.maximum(vals, 0.0).sum()
+        budget = [0.3 * total + 0.01, total + 1.0, np.inf][k % 3]
+        prob = MaxDetProblem(variables=[("v", shape[-1])],
+                             constraints=[(("v",), budget)])
+        want = linalg.from_eigh(_clip_to_budget(
+            vals.ravel(), budget, np.ones(vals.size)).reshape(vals.shape),
+            vecs)
+        np.testing.assert_array_equal(project_feasible(prob, {"v": m})["v"],
+                                      want)
+        steps = {"v": float(np.exp(rng.uniform(-9.0, 9.0)))}
+        np.testing.assert_array_equal(
+            project_feasible(prob, {"v": m}, steps)["v"], want)
+
+
+def test_the_first_trial_reuses_the_unit_step_projection(monkeypatch):
+    """Every solve starts with unit steps, so its first trial point is the
+    point the residual test has just projected.  A fresh projection of
+    every trial would take one at the start, one per residual test and one
+    per iteration; a solve takes one fewer."""
+    calls = []
+    project = maxdet.project_feasible
+    monkeypatch.setattr(maxdet, "project_feasible",
+                        lambda *a: calls.append(a) or project(*a))
+    for seed in range(3):
+        base = random_two_term_problem(seed)
+        for prob in (base, shared_budget(base)):
+            calls.clear()
+            _, rep = solve(prob, stack_start())
+            assert rep.iterations > 10
+            residual_tests = len(rep.objective_trace)
+            assert len(calls) == 1 + residual_tests + rep.iterations - 1
 
 
 def bisect_level(vals, budget, weights):
@@ -662,5 +710,5 @@ def test_first_residual_is_taken_at_the_projected_start():
                                         for name, m in start.items()})
     _, grads, _ = _eval_state(prob, projected)
     assert rep.first_residual == _stationarity_residual(prob, projected,
-                                                        grads)
+                                                        grads)[0]
     assert rep.threshold == max(1e-6, 0.1 * rep.first_residual)

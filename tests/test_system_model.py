@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdwiretap import linalg
-from fdwiretap.channel import ChannelRealization, SystemParams, draw_channels
+from fdwiretap import harness, linalg, system_model
+from fdwiretap.channel import (ChannelRealization, SystemParams, draw_channels,
+                               perturb_csi)
 from fdwiretap.errors import DimensionMismatch
 from fdwiretap.system_model import (BidirectionalDesign, TransmitDesign,
                                     secrecy_rates, sigma_eve,
@@ -354,3 +355,35 @@ def test_bidirectional_report_structure():
               + np.maximum(rep.I_ba - rep.I_be, 0.0))
     np.testing.assert_allclose(rep.I_sec, expect, atol=0.0)
     assert rep.I_sum >= 0.0
+
+
+def test_cached_operators_never_cross_inputs():
+    """The receiver operators are built once per (params, channel,
+    receiver, present blocks): a channel, its CSI-perturbed copy and the
+    half-duplex form of the params each get their own, so every report
+    equals one computed from an empty cache."""
+    p = small_params(kappa_db=-20.0, beta_db=-20.0)
+    ch = draw_channels(p, 31)
+    rng = np.random.default_rng(31)
+    d = BidirectionalDesign.zeros(p)
+    for stack in (d.X_a, d.W_a, d.X_b, d.W_b):
+        for n in range(p.N):
+            g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            stack[n] = 0.1 * g @ g.conj().T
+    one_way = random_design(p, 32)
+    cases = [(p, ch), (p, perturb_csi(ch, 0.1, 33)),
+             (harness._half_duplex(p), ch)]
+    for design in (d, one_way):
+        warm = [secrecy_rates(q, c, design) for q, c in cases]
+        legit = [float(rep.I_ab.sum()) for rep in warm]
+        assert len(set(legit)) == len(legit)
+        for (q, c), rep in zip(cases, warm):
+            system_model._receiver_pairs.cache_clear()
+            system_model._link.cache_clear()
+            cold = secrecy_rates(q, c, design)
+            for rates in ("I_ab", "I_ae", "I_ba", "I_be", "I_sec"):
+                got, want = getattr(rep, rates), getattr(cold, rates)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    np.testing.assert_array_equal(got, want)
+            assert rep.I_sum == cold.I_sum
