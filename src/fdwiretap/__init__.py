@@ -1,6 +1,9 @@
 """Secrecy rate maximization for a multi-carrier MIMO wiretap channel
 with a full-duplex jamming receiver."""
 
+# Assigned before the submodule imports: harness reads it.
+__version__ = "0.1.0"
+
 from .channel import (ChannelRealization, SystemParams, db2lin, draw_channels,
                       lin2db, perturb_csi, trial_seed)
 from .errors import (ConfigError, DegenerateChannel, DimensionMismatch,
@@ -13,8 +16,6 @@ from .bcd import (init_optimal_beam, init_random, init_uniform, optimize,
 from .waterfill import Allocation, SubcarrierGains
 from .harness import ExperimentConfig, ExperimentResult, run_experiment
 from . import waterfill  # keep the submodule reachable as an attribute
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Allocation", "BidirectionalDesign", "ChannelRealization", "ConfigError",

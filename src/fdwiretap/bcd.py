@@ -101,7 +101,7 @@ def update_auxiliaries(params: SystemParams, ch: ChannelRealization,
         aux_q[tx + rx] = linalg.psd_inverse(
             system_model.sigma_node_bidirectional(params, ch, nodes, rx))
         aux_t[tx + rx] = linalg.psd_inverse(
-            system_model.with_signal(ch, nodes, tx, "e", se))
+            system_model.with_signal(params, ch, nodes, tx, "e", se))
     return aux_q, aux_t
 
 
@@ -118,8 +118,8 @@ def surrogate_objective(params: SystemParams, ch: ChannelRealization,
     for tx, rx in nodes.active():
         q, t = aux_q[tx + rx], aux_t[tx + rx]
         s_rx = system_model.sigma_node_bidirectional(params, ch, nodes, rx)
-        received = system_model.with_signal(ch, nodes, tx, rx, s_rx)
-        leaked = system_model.with_signal(ch, nodes, tx, "e", se)
+        received = system_model.with_signal(params, ch, nodes, tx, rx, s_rx)
+        leaked = system_model.with_signal(params, ch, nodes, tx, "e", se)
         total += linalg.logdet(received).sum() + linalg.logdet(se).sum()
         total -= linalg.inner(q, s_rx) + linalg.inner(t, leaked)
         total += (linalg.logdet(q).sum() + linalg.logdet(t).sum()
@@ -171,9 +171,9 @@ def _subproblem(params: SystemParams, ch: ChannelRealization,
         # log|Sigma_rx + H X_tx H^H| - tr(Q Sigma_rx)
         # - tr(T (Sigma_e + H_e X_tx H_e^H)), up to a constant.
         logdet_terms.append(maxdet.LogDetTerm(
-            *split(rx, pairs + [system_model.signal(ch, tx, rx)])))
+            *split(rx, pairs + [system_model.signal(params, ch, tx, rx)])))
         add_linear(pairs, q)
-        add_linear(eve + [system_model.signal(ch, tx, "e")], t)
+        add_linear(eve + [system_model.signal(params, ch, tx, "e")], t)
     # log|Sigma_e| once for every active direction.
     logdet_terms.append(maxdet.LogDetTerm(*split("e", eve),
                                           weight=float(len(active))))

@@ -29,13 +29,21 @@ def lin2db(lin: float) -> float:
     return float(10.0 * np.log10(lin))
 
 
+def _read_only(value) -> np.ndarray:
+    """A read-only copy of ``value``: a stored array cannot be changed in
+    place, so nothing built from it goes stale."""
+    arr = np.array(value)
+    arr.flags.writeable = False
+    return arr
+
+
 def _per_subcarrier(value, n: int, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.size == 1:
         arr = np.full(n, float(arr[0]))
     if arr.shape != (n,):
         raise ConfigError(f"{name}: expected scalar or length-{n} sequence")
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,6 +56,7 @@ class SystemParams:
     Per-subcarrier fields (noise, kappa, beta) are length-N arrays; scalar
     inputs are broadcast.  ``kappa``/``beta`` and the CSI-error correlation
     matrices ``D_corr`` may be zero, everything else must be positive.
+    The stored arrays are read-only copies of the inputs.
     """
 
     M_a: int
@@ -101,7 +110,7 @@ class SystemParams:
                                         np.zeros((dim, dim))), dtype=complex)
             if mat.shape != (dim, dim):
                 raise ConfigError(f"D_corr[{node}] must be {dim}x{dim}")
-            d_corr[node] = mat
+            d_corr[node] = _read_only(mat)
         object.__setattr__(self, "D_corr", d_corr)
         for name in ("X_max", "W_max", "P_A_max", "P_B_max"):
             if getattr(self, name) <= 0:
@@ -159,11 +168,16 @@ def link_shape(params: SystemParams, link: str) -> tuple[int, int]:
 class ChannelRealization:
     """One draw of every link for every subcarrier.
 
-    ``H[link]`` is an (N, rows, cols) complex array; :func:`draw_channels`
-    with the same seed and parameters reproduces it bit for bit.
+    ``H[link]`` is an (N, rows, cols) complex array, a read-only copy of
+    the input; :func:`draw_channels` with the same seed and parameters
+    reproduces it bit for bit.
     """
 
     H: dict
+
+    def __post_init__(self):
+        object.__setattr__(self, "H", {link: _read_only(h)
+                                       for link, h in self.H.items()})
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bcd, harness, waterfill as wf
 from .channel import SystemParams, db2lin, draw_channels, trial_seed
-from .errors import ConfigError, FdWiretapError, UnknownStrategy
+from .errors import ConfigError, FdWiretapError
 
 
 def _run_and_emit(cfg: harness.ExperimentConfig, outdir: str) -> None:
@@ -42,7 +42,7 @@ def run(config_path, outdir):
     """Run the experiment described by a YAML config file."""
     try:
         cfg = harness.ExperimentConfig.from_yaml(config_path)
-    except (ConfigError, UnknownStrategy) as exc:
+    except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     _run_and_emit(cfg, outdir)
@@ -62,7 +62,7 @@ def sweep(config_path, param, values, outdir):
         cfg = harness.ExperimentConfig.from_yaml(config_path)
         vals = [float(v) for v in values.split(",")]
         cfg = dataclasses.replace(cfg, sweep_param=param, sweep_values=vals)
-    except (ConfigError, UnknownStrategy, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     _run_and_emit(cfg, outdir)

@@ -31,5 +31,5 @@ class ConfigError(FdWiretapError):
     """An experiment configuration is invalid; the message names the field."""
 
 
-class UnknownStrategy(FdWiretapError):
+class UnknownStrategy(ConfigError):
     """A strategy identifier is not in the recognized set."""

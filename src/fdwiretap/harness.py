@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import bcd, maxdet, system_model
+from . import __version__, bcd, maxdet, system_model
 from .channel import (SystemParams, db2lin, draw_channels, perturb_csi,
                       trial_seed)
 from .errors import ConfigError, FdWiretapError, UnknownStrategy
@@ -81,8 +81,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"sweep_param '{self.sweep_param}' not in {tuple(SWEEPS)}")
         for name in self.strategies:
-            if name not in STRATEGY_TABLE:
-                raise UnknownStrategy(f"unknown strategy '{name}'")
+            _strategy(name)  # raises UnknownStrategy
         if not self.sweep_values:
             raise ConfigError("sweep_values must not be empty")
         for value in self.sweep_values:
@@ -163,7 +162,7 @@ class ExperimentResult:
     config_echo: dict
     master_seed: int
     trial_rows: list
-    version: str = "fdwiretap-0.1.0"
+    version: str = f"fdwiretap-{__version__}"
 
     def aggregates(self) -> list:
         """Mean, standard error and mean iteration count per cell."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channel import ChannelRealization, SystemParams
+from .channel import RAYLEIGH_LINKS, ChannelRealization, SystemParams
 from .errors import DimensionMismatch
 from .maxdet import ChannelMap, Congruence, LinearMap
 
@@ -215,54 +215,50 @@ def interference(params: SystemParams, ch: ChannelRealization, design,
     through the cross channel, and residual SI driven by its own blocks X
     and W: the CSI-error term, and transmit and receive distortion summed
     over the whole band, each one operator shared by both blocks.
-    Operators whose coefficients are all zero are left out.  The design's
-    shapes are checked on every call; the operators depend only on
-    ``params``, ``ch``, ``rx`` and which blocks are present, and are built
-    once per such combination (:func:`_receiver_pairs`).
+    Operators whose coefficients are all zero are left out, and so are the
+    pairs of blocks the design does not have.  The design's shapes are
+    checked on every call; the operators come from :func:`_operators`.
     """
     nodes = design.nodes()
     _check_shapes(params, nodes)
-    present = tuple(b for b in BLOCKS if getattr(nodes, b) is not None)
-    return list(_receiver_pairs(params, ch, rx, present))
+    return [(b, op) for b, op in _operators(params, ch)[rx]
+            if getattr(nodes, b) is not None]
 
 
-# SystemParams and ChannelRealization hash by identity, and a cache entry
-# holds its key objects, so an id is not reused while its entry lives.
-# Neither is mutated in place after construction.
+# SystemParams and ChannelRealization hash by identity and hold read-only
+# arrays, and a cache entry holds its key objects, so an id is not reused
+# while its entry lives and an entry never goes stale.
 @functools.lru_cache(maxsize=32)
-def _link(ch: ChannelRealization, link: str) -> Congruence:
-    """The congruence through ``ch.H[link]``, built once per channel."""
-    return Congruence(ch.H[link])
+def _operators(params: SystemParams, ch: ChannelRealization) -> dict:
+    """Every operator of the model for one (params, channel), built once.
+
+    Each cross link (:data:`RAYLEIGH_LINKS`) maps to its congruence, one
+    object wherever the link appears, and each receiver to its (block,
+    operator) pairs over all four blocks: at a node, partner jamming and
+    then the own blocks X and W for each SI operator; at Eve, W_a and W_b.
+    """
+    table = {link: Congruence(ch.H[link]) for link in RAYLEIGH_LINKS}
+    table["e"] = (("W_a", table["ae"]), ("W_b", table["be"]))
+    for rx, partner in (("a", "b"), ("b", "a")):
+        si = ch.H[rx + rx]
+        ops = []
+        if np.any(params.D_corr[rx]):
+            ops.append(TraceCorrelation(params.D_corr[rx], si.shape[-1]))
+        if np.any(params.kappa[rx]):
+            ops.append(TransmitDistortion(si, params.kappa[rx]))
+        if np.any(params.beta[rx]):
+            ops.append(ReceiveDistortion(si, params.beta[rx]))
+        table[rx] = ((f"W_{partner}", table[partner + rx]),
+                     *((b, op) for op in ops for b in (f"X_{rx}", f"W_{rx}")))
+    return table
 
 
-@functools.lru_cache(maxsize=32)
-def _receiver_pairs(params: SystemParams, ch: ChannelRealization, rx: str,
-                    present: tuple) -> tuple:
-    """:func:`interference`'s pairs for the blocks named in ``present``."""
-    if rx == "e":
-        return tuple((f"W_{node}", _link(ch, node + "e"))
-                     for node in ("a", "b") if f"W_{node}" in present)
-    partner = "b" if rx == "a" else "a"
-    pairs = []
-    if f"W_{partner}" in present:
-        pairs.append((f"W_{partner}", _link(ch, partner + rx)))
-    own = [b for b in (f"X_{rx}", f"W_{rx}") if b in present]
-    si = ch.H[rx + rx]
-    ops = []
-    if np.any(params.D_corr[rx]):
-        ops.append(TraceCorrelation(params.D_corr[rx], si.shape[-1]))
-    if np.any(params.kappa[rx]):
-        ops.append(TransmitDistortion(si, params.kappa[rx]))
-    if np.any(params.beta[rx]):
-        ops.append(ReceiveDistortion(si, params.beta[rx]))
-    return tuple(pairs + [(b, op) for op in ops for b in own])
-
-
-def signal(ch: ChannelRealization, tx: str, rx: str) -> tuple:
+def signal(params: SystemParams, ch: ChannelRealization, tx: str,
+           rx: str) -> tuple:
     """Node ``tx``'s information signal at receiver ``rx``, as a (block,
     operator) pair; the operator is the one :func:`interference` uses for
-    that link."""
-    return f"X_{tx}", _link(ch, tx + rx)
+    link ``tx + rx``, from :func:`_operators`."""
+    return f"X_{tx}", _operators(params, ch)[tx + rx]
 
 
 def covariance(params: SystemParams, design, rx: str,
@@ -276,10 +272,10 @@ def covariance(params: SystemParams, design, rx: str,
     return out
 
 
-def with_signal(ch: ChannelRealization, design, tx: str, rx: str,
-                sigma: np.ndarray) -> np.ndarray:
-    """``sigma`` plus node ``tx``'s information signal at receiver ``rx``."""
-    block, op = signal(ch, tx, rx)
+def with_signal(params: SystemParams, ch: ChannelRealization, design,
+                tx: str, rx: str, sigma: np.ndarray) -> np.ndarray:
+    """``sigma`` plus :func:`signal`'s pair for ``tx``, ``rx`` applied."""
+    block, op = signal(params, ch, tx, rx)
     return sigma + op.apply(getattr(design.nodes(), block))
 
 
@@ -321,8 +317,9 @@ def secrecy_rates(params: SystemParams, ch: ChannelRealization,
     legit, leak = {}, {}
     for tx, rx in nodes.active():
         s_rx = sigma_node_bidirectional(params, ch, nodes, rx)
-        legit[tx] = _rate_bits(with_signal(ch, nodes, tx, rx, s_rx), s_rx)
-        leak[tx] = _rate_bits(with_signal(ch, nodes, tx, "e", se), se)
+        legit[tx] = _rate_bits(with_signal(params, ch, nodes, tx, rx, s_rx),
+                               s_rx)
+        leak[tx] = _rate_bits(with_signal(params, ch, nodes, tx, "e", se), se)
     i_sec = np.sum([np.maximum(legit[tx] - leak[tx], 0.0) for tx in legit],
                    axis=0)
     return SecrecyReport(I_ab=legit.get("a"), I_ae=leak.get("a"), I_sec=i_sec,

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdwiretap import bcd, linalg, maxdet, system_model, waterfill
 from fdwiretap.channel import ChannelRealization, SystemParams, draw_channels
@@ -201,6 +201,11 @@ def test_convergence_is_declared_only_after_a_full_solve(outer_tol,
        beta_db=st.floats(-50.0, 0.0), budget_a_db=st.floats(-30.0, 10.0),
        budget_b_db=st.floats(-30.0, 10.0), two_node=st.booleans(),
        seed=st.integers(0, 10**6))
+# Large N: the desk system on 64 subcarriers, one-directional and two-node.
+@example(m_a=2, m_b=2, m_e=2, n=64, kappa_db=-30.0, beta_db=-30.0,
+         budget_a_db=0.0, budget_b_db=0.0, two_node=False, seed=1802)
+@example(m_a=2, m_b=2, m_e=2, n=64, kappa_db=-30.0, beta_db=-30.0,
+         budget_a_db=0.0, budget_b_db=0.0, two_node=True, seed=1802)
 def test_optimizer_invariants_on_random_instances(
         m_a, m_b, m_e, n, kappa_db, beta_db, budget_a_db, budget_b_db,
         two_node, seed):

@@ -44,6 +44,17 @@ def test_run_bad_config_exits_2(tmp_path):
     assert "config error" in result.output
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--param", "W_max_db", "--values", "0"]])
+def test_unknown_strategy_exits_2(tmp_path, command):
+    cfg = write_config(tmp_path, CONFIG.replace("Equal-HD", "Maximal-FD"))
+    outdir = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, [*command, cfg, "-o", str(outdir)])
+    assert result.exit_code == 2, result.output
+    assert "config error: unknown strategy 'Maximal-FD'" in result.output
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("old, new, key", [
     ("trials: 2", 'trials: "2"', "trials"),
     ("trials: 2", 'trials: 2\nmax_outer: "5"', "max_outer"),

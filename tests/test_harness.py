@@ -32,7 +32,8 @@ def test_config_rejects_unknown_keys():
 
 
 def test_config_rejects_unknown_strategy():
-    with pytest.raises(UnknownStrategy):
+    assert issubclass(UnknownStrategy, ConfigError)
+    with pytest.raises(UnknownStrategy, match="unknown strategy 'Maximal-FD'"):
         desk_config(strategies=["Optimal-FD", "Maximal-FD"])
 
 

@@ -26,6 +26,14 @@ def test_all_exports_resolve():
     assert missing == []
 
 
+def test_one_version_string():
+    result = fdwiretap.ExperimentResult(config_echo={}, master_seed=0,
+                                        trial_rows=[])
+    assert result.version == f"fdwiretap-{fdwiretap.__version__}"
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert f'version = "{fdwiretap.__version__}"' in pyproject.read_text()
+
+
 def test_a_desk_trial_runs_without_scipy():
     src = str(Path(fdwiretap.__file__).resolve().parents[1])
     env = dict(os.environ)

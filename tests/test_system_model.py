@@ -1,15 +1,18 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fdwiretap import harness, linalg, system_model
+from fdwiretap import bcd, harness, linalg, system_model
 from fdwiretap.channel import (ChannelRealization, SystemParams, draw_channels,
                                perturb_csi)
 from fdwiretap.errors import DimensionMismatch
-from fdwiretap.system_model import (BidirectionalDesign, TransmitDesign,
+from fdwiretap.system_model import (BidirectionalDesign, ReceiveDistortion,
+                                    TraceCorrelation, TransmitDesign,
+                                    TransmitDistortion, interference,
                                     secrecy_rates, sigma_eve,
-                                    sigma_node_bidirectional)
+                                    sigma_node_bidirectional, signal)
 from test_linalg import is_hermitian
 
 
@@ -358,10 +361,9 @@ def test_bidirectional_report_structure():
 
 
 def test_cached_operators_never_cross_inputs():
-    """The receiver operators are built once per (params, channel,
-    receiver, present blocks): a channel, its CSI-perturbed copy and the
-    half-duplex form of the params each get their own, so every report
-    equals one computed from an empty cache."""
+    """The operators are built once per (params, channel): a channel, its
+    CSI-perturbed copy and the half-duplex form of the params each get
+    their own, so every report equals one computed from an empty cache."""
     p = small_params(kappa_db=-20.0, beta_db=-20.0)
     ch = draw_channels(p, 31)
     rng = np.random.default_rng(31)
@@ -378,8 +380,7 @@ def test_cached_operators_never_cross_inputs():
         legit = [float(rep.I_ab.sum()) for rep in warm]
         assert len(set(legit)) == len(legit)
         for (q, c), rep in zip(cases, warm):
-            system_model._receiver_pairs.cache_clear()
-            system_model._link.cache_clear()
+            system_model._operators.cache_clear()
             cold = secrecy_rates(q, c, design)
             for rates in ("I_ab", "I_ae", "I_ba", "I_be", "I_sec"):
                 got, want = getattr(rep, rates), getattr(cold, rates)
@@ -387,3 +388,78 @@ def test_cached_operators_never_cross_inputs():
                 if got is not None:
                     np.testing.assert_array_equal(got, want)
             assert rep.I_sum == cold.I_sum
+
+
+def test_one_operator_table_serves_every_design():
+    """A one-directional design, a two-node one and the optimizer's view
+    with absent blocks share one table per (params, channel), and one
+    congruence object per link."""
+    p = small_params()
+    ch = draw_channels(p, 34)
+    two_node = BidirectionalDesign.zeros(p)
+    view = bcd._active_view(two_node, {"X_a"})
+    assert view.W_a is None and view.X_b is None and view.W_b is None
+    system_model._operators.cache_clear()
+    for design in (random_design(p, 35), two_node, view):
+        secrecy_rates(p, ch, design)
+        for rx in ("a", "b", "e"):
+            interference(p, ch, design, rx)
+    info = system_model._operators.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+    at_bob = dict(interference(p, ch, two_node, "b"))
+    at_eve = dict(interference(p, ch, two_node, "e"))
+    assert at_bob["W_a"] is signal(p, ch, "a", "b")[1]
+    assert at_eve["W_b"] is signal(p, ch, "b", "e")[1]
+
+
+def test_interference_names_only_present_blocks_in_order():
+    """Partner jamming comes first, then the own blocks X and W for each
+    SI operator in turn; Eve sees W_a, then W_b.  Absent blocks and
+    all-zero operators are left out."""
+    p = small_params(D_corr={"a": np.eye(2), "b": np.eye(2)})
+    ch = draw_channels(p, 36)
+    si = (TraceCorrelation, TransmitDistortion, ReceiveDistortion)
+    both = BidirectionalDesign.zeros(p)
+    one_way = random_design(p, 37)
+
+    def named(design, rx, q=p):
+        return [(b, type(op)) for b, op in interference(q, ch, design, rx)]
+
+    assert named(both, "b")[0][0] == "W_a"
+    assert named(both, "b")[1:] == [(b, op) for op in si
+                                    for b in ("X_b", "W_b")]
+    assert named(both, "a")[1:] == [(b, op) for op in si
+                                    for b in ("X_a", "W_a")]
+    assert [b for b, _ in named(both, "e")] == ["W_a", "W_b"]
+    assert named(one_way, "b") == [("W_b", op) for op in si]
+    assert named(one_way, "a")[1:] == [("X_a", op) for op in si]
+    assert [b for b, _ in named(one_way, "e")] == ["W_b"]
+    no_kappa = replace(p, kappa={"a": 0.0, "b": 0.0})
+    assert named(one_way, "b", no_kappa) == [
+        ("W_b", TraceCorrelation), ("W_b", ReceiveDistortion)]
+
+
+def test_params_and_channel_arrays_are_read_only():
+    """An in-place write into a stored array raises, where it used to
+    leave the cached operators stale; inputs are copied, not frozen, and
+    both types still pickle."""
+    p = small_params()
+    ch = draw_channels(p, 38)
+    d = random_design(p, 39)
+    secrecy_rates(p, ch, d)
+    with pytest.raises(ValueError):
+        ch.H["ab"][...] *= 2
+    for field_name in ("noise", "kappa", "beta", "D_corr"):
+        with pytest.raises(ValueError):
+            getattr(p, field_name)["b"][...] = 0.1
+    assert secrecy_rates(p, ch, d).I_sum == secrecy_rates(
+        small_params(), ChannelRealization(H=dict(ch.H)), d).I_sum
+    noise = np.full(p.N, 1e-3)
+    h = np.array(ch.H["ab"])
+    q = replace(p, noise={"a": noise, "b": noise, "e": noise})
+    c = ChannelRealization(H={**ch.H, "ab": h})
+    noise[0] = h[0, 0, 0] = 2.0
+    assert q.noise["a"][0] == 1e-3 and c.H["ab"][0, 0, 0] != 2.0
+    q_copy, c_copy = pickle.loads(pickle.dumps((q, c)))
+    assert q_copy.noise["a"][0] == 1e-3
+    np.testing.assert_array_equal(c_copy.H["ab"], c.H["ab"])
