@@ -5,7 +5,7 @@ with a full-duplex jamming receiver."""
 __version__ = "0.1.0"
 
 from .channel import (ChannelRealization, SystemParams, db2lin, draw_channels,
-                      lin2db, perturb_csi, trial_seed)
+                      perturb_csi, trial_seed)
 from .errors import (ConfigError, DegenerateChannel, DimensionMismatch,
                      FdWiretapError, InfeasibleStart, NonPositiveDefinite,
                      UnknownStrategy, WrongDimension)
@@ -24,7 +24,7 @@ __all__ = [
     "NonPositiveDefinite", "SecrecyReport",
     "SubcarrierGains", "SystemParams", "TransmitDesign", "UnknownStrategy",
     "WrongDimension", "db2lin", "draw_channels", "init_optimal_beam",
-    "init_random", "init_uniform", "lin2db", "optimize",
+    "init_random", "init_uniform", "optimize",
     "optimize_bidirectional", "perturb_csi", "run_experiment",
     "secrecy_rates", "trial_seed",
     "__version__",

@@ -25,10 +25,6 @@ def db2lin(db: float) -> float:
     return float(10.0 ** (db / 10.0))
 
 
-def lin2db(lin: float) -> float:
-    return float(10.0 * np.log10(lin))
-
-
 def _read_only(value) -> np.ndarray:
     """A read-only copy of ``value``: a stored array cannot be changed in
     place, so nothing built from it goes stale."""

@@ -181,9 +181,6 @@ class ExperimentResult:
                 mean_iters=float(np.mean([r.iters for r in rows]))))
         return out
 
-    def any_failed(self) -> bool:
-        return any(r.status == "NumericalTrouble" for r in self.trial_rows)
-
 
 def _csi_variance(sweep_param: str, sweep_value) -> float:
     """CSI error variance for a sweep cell; -inf dB means perfect CSI."""
@@ -197,57 +194,50 @@ def _csi_variance(sweep_param: str, sweep_value) -> float:
 # Strategies.
 
 
-def _same(params: SystemParams) -> SystemParams:
-    return params
-
-
-def _node_budgets(params: SystemParams) -> SystemParams:
-    """The one-directional design under the per-node budgets."""
-    return replace(params, X_max=params.P_A_max, W_max=params.P_B_max)
-
-
 def _half_duplex(params: SystemParams) -> SystemParams:
     """No node transmits while it receives, so no residual SI."""
     return replace(params, kappa={"a": 0.0, "b": 0.0},
                    beta={"a": 0.0, "b": 0.0}, D_corr={})
 
 
-def _sum_rate(report: system_model.SecrecyReport) -> float:
-    return report.I_sum
-
-
-def _time_shared(report: system_model.SecrecyReport) -> float:
-    """Each direction has the channel half the time, so the sum is half of
-    each direction's clamped secrecy rate."""
-    fwd = float(np.maximum(report.I_ab - report.I_ae, 0.0).sum())
-    rev = float(np.maximum(report.I_ba - report.I_be, 0.0).sum())
-    return 0.5 * (fwd + rev)
-
-
 def _equal_power(with_jamming: bool):
     return lambda params: bcd.init_uniform(params, with_jamming=with_jamming)
 
 
+def _bob_silent(params: SystemParams):
+    """The uniform two-node design with Bob's information block silent."""
+    design = bcd.init_uniform_bidirectional(params)
+    design.X_b[:] = 0.0
+    return design
+
+
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """How a strategy designs its covariances and scores them.
+    """A strategy is its starting design and its optimizer runs.
 
-    ``init`` builds the starting design from the mapped parameters: a
-    one-directional ``TransmitDesign``, whose X and W are the two-node
-    blocks 'X_a' and 'W_b', or by default the uniform two-node
-    ``BidirectionalDesign``.  Each entry of ``runs`` is one optimizer run
-    over the named free blocks, a subset of :data:`fdwiretap.bcd.BLOCKS`;
-    the design's type sets the budgets.  With no run the starting design
-    is the answer.  Several runs time-share the channel: each starts with
-    the other runs' blocks silent.  ``params`` maps the system parameters
-    for both the design and the evaluation, and ``score`` turns the
-    secrecy report into the row's bits.
+    ``init`` builds the starting design: a one-directional
+    ``TransmitDesign``, whose X and W are the two-node blocks 'X_a' and
+    'W_b', or by default the uniform two-node ``BidirectionalDesign``.  The
+    design's type sets the budgets: X_max and W_max, or P_A_max and
+    P_B_max.  Each entry of ``runs`` is one optimizer run over the named
+    free blocks, a subset of :data:`fdwiretap.bcd.BLOCKS`; with no run the
+    starting design is the answer.  Several runs time-share the channel:
+    each starts with the other runs' blocks silent, no node transmits
+    while it receives (:meth:`params`), and each run has the channel for
+    its share of the time (:meth:`score`).
     """
 
     init: Callable = bcd.init_uniform_bidirectional
     runs: tuple = ()
-    params: Callable = _same
-    score: Callable = _sum_rate
+
+    def params(self, params: SystemParams) -> SystemParams:
+        """The system parameters of both the design and the evaluation."""
+        return _half_duplex(params) if len(self.runs) > 1 else params
+
+    def score(self, report: system_model.SecrecyReport) -> float:
+        """The row's bits: the sum rate, split evenly between time-shared
+        runs."""
+        return report.I_sum / max(len(self.runs), 1)
 
 
 STRATEGY_TABLE = {
@@ -260,10 +250,8 @@ STRATEGY_TABLE = {
     "Both-FD/No-Jam": Strategy(runs=({"X_a", "X_b"},)),
     "Both-FD/Bob-Jam": Strategy(runs=({"X_a", "X_b", "W_b"},)),
     "Both-FD/Both-Jam": Strategy(runs=({"X_a", "W_a", "X_b", "W_b"},)),
-    "Both-HD/No-Jam": Strategy(runs=({"X_a"}, {"X_b"}), params=_half_duplex,
-                               score=_time_shared),
-    "Bob-FD/Bob-Jam": Strategy(_equal_power(False), runs=({"X_a", "W_b"},),
-                               params=_node_budgets),
+    "Both-HD/No-Jam": Strategy(runs=({"X_a"}, {"X_b"})),
+    "Bob-FD/Bob-Jam": Strategy(_bob_silent, runs=({"X_a", "W_b"},)),
 }
 
 

@@ -29,20 +29,11 @@ from . import linalg
 from .errors import InfeasibleStart, NonPositiveDefinite
 
 # ---------------------------------------------------------------------------
-# Linear maps on Hermitian matrices, with adjoints for gradient assembly.
+# Linear maps on Hermitian matrices, with adjoints for gradient assembly: a
+# map is any object with Hermitian-preserving apply(V) and its adjoint(G).
 
 
-class LinearMap:
-    """A Hermitian-preserving linear map with an explicit adjoint."""
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def adjoint(self, g: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ChannelMap(LinearMap):
+class ChannelMap:
     """A map built on a channel matrix or stack H; H^H is formed once."""
 
     def __post_init__(self):
@@ -72,7 +63,7 @@ class LogDetTerm:
     a stack ``const`` contributes the sum over its matrices."""
 
     const: np.ndarray
-    maps: list  # list of (var_name, LinearMap)
+    maps: list  # list of (var_name, map)
     weight: float = 1.0
 
 

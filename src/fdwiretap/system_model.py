@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .channel import RAYLEIGH_LINKS, ChannelRealization, SystemParams
 from .errors import DimensionMismatch
-from .maxdet import ChannelMap, Congruence, LinearMap
+from .maxdet import ChannelMap, Congruence
 
 LN2 = float(np.log(2.0))
 
@@ -141,7 +141,7 @@ class SecrecyReport:
 
 
 @dataclass(frozen=True, eq=False)
-class TraceCorrelation(LinearMap):
+class TraceCorrelation:
     """V_n -> tr(V_n) D, the CSI-error term with correlation matrix D; V_n
     is dim_in x dim_in."""
 

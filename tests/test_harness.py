@@ -1,10 +1,12 @@
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdwiretap import bcd, harness, system_model
-from fdwiretap.channel import SystemParams, db2lin, draw_channels
+from fdwiretap import bcd, harness, linalg, system_model
+from fdwiretap.channel import (SystemParams, db2lin, draw_channels,
+                               perturb_csi, trial_seed)
 from fdwiretap.errors import ConfigError, NonPositiveDefinite, UnknownStrategy
 from fdwiretap.harness import (ExperimentConfig, ExperimentResult, TrialRow,
                                emit_results, load_results, run_experiment,
@@ -13,6 +15,8 @@ from fdwiretap.harness import (ExperimentConfig, ExperimentResult, TrialRow,
 DESK = dict(M_a=2, M_bt=2, M_br=2, M_e=2, N=2,
             kappa_db=-30.0, beta_db=-30.0)
 OPTS = {"outer_tol": 1e-3, "inner_tol": 1e-4}
+WORKLOADS = sorted((Path(__file__).resolve().parents[1] / "perfbench"
+                    / "workloads").glob("*.yaml"))
 
 
 def desk_config(**overrides):
@@ -100,6 +104,18 @@ def test_config_from_yaml_rejects_non_mapping(tmp_path):
         ExperimentConfig.from_yaml(path)
 
 
+@pytest.mark.parametrize("path", WORKLOADS, ids=lambda path: path.stem)
+def test_each_benchmark_workload_runs_one_trial(path):
+    """Every benchmark workload loads as a config and gives finite bits
+    with no NumericalTrouble in one trial."""
+    cfg = replace(ExperimentConfig.from_yaml(path), trials=1)
+    rows = run_experiment(cfg).trial_rows
+    assert [row.strategy for row in rows] == cfg.strategies
+    for row in rows:
+        assert np.isfinite(row.bits), row
+        assert "NumericalTrouble" not in (row.status, row.worst_inner), row
+
+
 # --- sweeps -----------------------------------------------------------------
 
 
@@ -147,6 +163,35 @@ def test_csi_variance_mapping():
     assert harness._csi_variance("W_max_db", -20.0) == 0.0
     assert harness._csi_variance("csi_error_db", float("-inf")) == 0.0
     assert harness._csi_variance("csi_error_db", -20.0) == pytest.approx(0.01)
+
+
+def test_csi_rows_score_the_estimate_design_on_the_true_channel():
+    """A csi_error_db row scores, on the true channel, the design made on
+    the trial's perturbed estimate; -inf dB is the perfect-CSI row."""
+    strategies = ["Optimal-FD", "Equal-FD"]
+    cfg = desk_config(strategies=strategies, trials=2,
+                      sweep_param="csi_error_db",
+                      sweep_values=[-10.0, float("-inf")])
+    perfect = desk_config(strategies=strategies, trials=2)
+    opts = {k: getattr(cfg, k) for k in harness.SOLVER_OPTIONS}
+    for t in range(cfg.trials):
+        ch_true = draw_channels(cfg.params, trial_seed(cfg.master_seed, t))
+        ch_est = perturb_csi(ch_true, db2lin(-10.0),
+                             trial_seed(cfg.master_seed, t, stream=1))
+        noisy = run_trial(cfg, -10.0, t)
+        exact = run_trial(cfg, float("-inf"), t)
+        for row in noisy:
+            design, iters, _ = strategy_dispatch(row.strategy, cfg.params,
+                                                 ch_est, opts)
+            assert row.bits == harness._evaluate(row.strategy, cfg.params,
+                                                 design, ch_true)
+            assert row.iters == iters
+        for a, b in zip(exact, run_trial(perfect, 0.0, t), strict=True):
+            assert (a.strategy, a.bits, a.iters, a.status) == (
+                b.strategy, b.bits, b.iters, b.status)
+        # Only the optimized design depends on the channel it is made on.
+        assert noisy[0].bits != exact[0].bits
+        assert noisy[1].bits == exact[1].bits
 
 
 # --- trial counting and determinism -----------------------------------------
@@ -214,7 +259,7 @@ def test_failed_trial_marks_result(monkeypatch):
     assert rows[0].worst_inner == "NumericalTrouble"
     assert np.isnan(rows[0].bits)
     res = ExperimentResult(config_echo={}, master_seed=0, trial_rows=rows)
-    assert res.any_failed()
+    assert any(r.status == "NumericalTrouble" for r in res.trial_rows)
 
 
 def test_programming_error_propagates_from_trial(monkeypatch):
@@ -249,8 +294,29 @@ def test_bob_fd_matches_one_directional_at_default_budgets():
     d1, it1, _ = strategy_dispatch("Optimal-FD", p, ch, OPTS)
     d2, it2, _ = strategy_dispatch("Bob-FD/Bob-Jam", p, ch, OPTS)
     assert it1 == it2
-    np.testing.assert_allclose(d1.X, d2.X, atol=1e-12)
-    np.testing.assert_allclose(d1.W, d2.W, atol=1e-12)
+    np.testing.assert_allclose(d1.X, d2.X_a, atol=1e-12)
+    np.testing.assert_allclose(d1.W, d2.W_b, atol=1e-12)
+
+
+def test_each_strategy_design_meets_its_own_budgets():
+    """With node budgets unlike X_max and W_max, a one-directional design
+    keeps X_max and W_max, and a two-node design keeps each node's total
+    power within P_A_max and P_B_max."""
+    p = SystemParams.from_db(p_a_max_db=10.0, p_b_max_db=3.0, **DESK)
+    ch = draw_channels(p, 12)
+    budgets = {"a": p.P_A_max, "b": p.P_B_max}
+    for name in harness.STRATEGY_TABLE:
+        design, _, _ = strategy_dispatch(name, p, ch, OPTS)
+        if isinstance(design, system_model.TransmitDesign):
+            design.validate(p)
+            continue
+        for node, budget in budgets.items():
+            blocks = (getattr(design, f"X_{node}"),
+                      getattr(design, f"W_{node}"))
+            for block in blocks:
+                assert linalg.min_eigenvalue(block) >= -1e-9, (name, node)
+            power = sum(linalg.real_trace(block) for block in blocks)
+            assert power <= budget + 1e-6, (name, node, power)
 
 
 def test_both_hd_no_jam_bits_on_fixed_seed():
@@ -350,7 +416,7 @@ def test_emit_load_round_trip(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bcd, "optimize_bidirectional", boom)
     res.trial_rows += run_trial(cfg, 0.0, 0)
-    assert res.any_failed()
+    assert any(r.status == "NumericalTrouble" for r in res.trial_rows)
     emit_results(res, tmp_path / "out")
     loaded = load_results(tmp_path / "out")
     assert len(loaded.trial_rows) == len(res.trial_rows)

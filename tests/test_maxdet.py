@@ -3,11 +3,10 @@ import pytest
 
 from fdwiretap import linalg, maxdet
 from fdwiretap.errors import InfeasibleStart, NonPositiveDefinite
-from fdwiretap.maxdet import (Congruence, LinearMap, LogDetTerm,
-                              MaxDetProblem, SolverStatus, _clip_to_budget,
-                              _eval_state, _logdet_increment,
-                              _stationarity_residual, _term_matrix,
-                              project_feasible, solve)
+from fdwiretap.maxdet import (Congruence, LogDetTerm, MaxDetProblem,
+                              SolverStatus, _clip_to_budget, _eval_state,
+                              _logdet_increment, _stationarity_residual,
+                              _term_matrix, project_feasible, solve)
 from fdwiretap.system_model import (ReceiveDistortion, TraceCorrelation,
                                     TransmitDistortion)
 
@@ -248,6 +247,25 @@ def test_returned_point_is_the_last_accepted_iterate():
             for group, budget in prob.constraints:
                 assert sum(linalg.real_trace(point[name])
                            for name in group) <= budget + 1e-12
+
+
+def test_exhausted_line_search_returns_the_projected_start(monkeypatch):
+    """When no halving passes the Armijo test the solve stops on its first
+    iteration with NumericalTrouble, at the projected start and its
+    objective."""
+    monkeypatch.setattr(maxdet, "_logdet_increment",
+                        lambda mu, step: -np.inf)
+    prob = random_two_term_problem(0)
+    start = stack_start()
+    point, rep = solve(prob, start)
+    projected = project_feasible(prob, {name: linalg.hermitize(m)
+                                        for name, m in start.items()})
+    assert rep.status == SolverStatus.NUMERICAL_TROUBLE
+    assert rep.iterations == 1
+    for name, _ in prob.variables:
+        np.testing.assert_array_equal(point[name], projected[name])
+    assert rep.objective_trace == [rep.objective]
+    assert rep.objective == _eval_state(prob, projected)[0]
 
 
 def test_convergence_on_the_last_allowed_iteration_is_converged():
@@ -654,7 +672,7 @@ def test_adjoint_consistency():
 def test_programming_error_in_a_map_propagates():
     """Only a failed factorization at the start is an infeasible start; a
     bug in a map surfaces as itself."""
-    class Broken(LinearMap):
+    class Broken:
         def apply(self, v):
             raise TypeError("broken map")
 
