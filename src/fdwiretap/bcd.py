@@ -36,8 +36,8 @@ until its stationarity residual falls to INNER_REL_TOL of its starting
 value, or to ``inner_tol`` if that is larger.  A truncated solve can make
 slow progress look like convergence, so when the outer stop rule fires on
 a step whose solve was truncated, the loop goes on and solves every later
-subproblem to ``inner_tol``; it reports convergence only on a step whose
-solve ran to ``inner_tol``.
+subproblem to ``inner_tol``.  It stops on a step whose solve ran to
+``inner_tol``, and reports convergence only if that solve converged.
 """
 
 from dataclasses import dataclass, field, replace
@@ -61,7 +61,10 @@ class BcdState:
 
     ``objective_trace`` holds the surrogate objective in nats at the start
     and after every outer iteration and is non-decreasing along the run.
-    ``status`` ends as "Converged" or, when ``max_outer`` iterations ran
+    ``status`` ends as "Converged" when the stop rule passes on a step
+    whose solve ran to ``inner_tol`` and converged, "Stalled" when it
+    passes on such a step whose solve did not converge (it hit its
+    iteration cap or rounding), or, when ``max_outer`` iterations ran
     without passing the stop rule, "MaxOuter"; ``converged`` reads it.
     ``extrapolations`` counts the accepted extrapolation steps.
     """
@@ -177,16 +180,13 @@ def _subproblem(params: SystemParams, ch: ChannelRealization,
     # log|Sigma_e| once for every active direction.
     logdet_terms.append(maxdet.LogDetTerm(*split("e", eve),
                                           weight=float(len(active))))
-    constraints = []
-    for node in ("a", "b"):
-        group = tuple(b for b, _ in variables if b[-1] == node)
-        if group:
-            constraints.append((group, budgets[node]))
+    groups = {node: tuple(b for b, _ in variables if view.NODES[b] == node)
+              for node in budgets}
     return maxdet.MaxDetProblem(
         variables=variables,
         logdet_terms=logdet_terms,
         linear_terms=linear,
-        constraints=constraints,
+        constraints=[(g, budgets[node]) for node, g in groups.items() if g],
     )
 
 
@@ -378,7 +378,8 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
         state.objective_trace.append(f_new)
         if abs(f_new - f_cur) < outer_tol * (1.0 + abs(f_new)):
             if inner_report.threshold <= inner_tol:
-                state.status = "Converged"
+                solved = inner_report.status is maxdet.SolverStatus.CONVERGED
+                state.status = "Converged" if solved else "Stalled"
                 break
             # The step was small because its solve was truncated.
             rel_tol = 0.0

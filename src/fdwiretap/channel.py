@@ -6,7 +6,8 @@ Gaussian entry with variance v has real and imaginary parts each N(0, v/2).
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -42,6 +43,15 @@ def _per_subcarrier(value, n: int, name: str) -> np.ndarray:
     return _read_only(arr)
 
 
+def _constructor_args(obj) -> tuple:
+    """A frozen dataclass's fields in order, read-only mappings as dicts:
+    unpickling rebuilds the object through its constructor, which checks
+    the values again and stores read-only copies (a mapping proxy does not
+    pickle, and unpickling ``__dict__`` would skip ``__post_init__``)."""
+    return tuple(dict(v) if isinstance(v, MappingProxyType) else v
+                 for v in (getattr(obj, f.name) for f in fields(obj)))
+
+
 @dataclass(frozen=True, eq=False)
 class SystemParams:
     """Antenna counts, noise/distortion coefficients and power budgets.
@@ -52,7 +62,7 @@ class SystemParams:
     Per-subcarrier fields (noise, kappa, beta) are length-N arrays; scalar
     inputs are broadcast.  ``kappa``/``beta`` and the CSI-error correlation
     matrices ``D_corr`` may be zero, everything else must be positive.
-    The stored arrays are read-only copies of the inputs.
+    The stored mappings and arrays are read-only copies of the inputs.
     """
 
     M_a: int
@@ -86,20 +96,20 @@ class SystemParams:
             eta.setdefault(link, 0.01)
             if eta[link] <= 0:
                 raise ConfigError(f"eta[{link}] must be > 0")
-        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta", MappingProxyType(eta))
         noise = {node: _per_subcarrier(self.noise.get(node, 0.001), self.N,
                                        f"noise[{node}]")
                  for node in ("a", "b", "e")}
         if any((noise[node] <= 0).any() for node in noise):
             raise ConfigError("noise powers must be > 0")
-        object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "noise", MappingProxyType(noise))
         for name in ("kappa", "beta"):
             coeffs = {node: _per_subcarrier(getattr(self, name).get(node, 0.0),
                                             self.N, f"{name}[{node}]")
                       for node in ("a", "b")}
             if any((coeffs[node] < 0).any() for node in coeffs):
                 raise ConfigError(f"{name} coefficients must be >= 0")
-            object.__setattr__(self, name, coeffs)
+            object.__setattr__(self, name, MappingProxyType(coeffs))
         d_corr = dict(self.D_corr)
         for node, dim in (("a", self.M_ar), ("b", self.M_br)):
             mat = np.asarray(d_corr.get(node,
@@ -107,12 +117,15 @@ class SystemParams:
             if mat.shape != (dim, dim):
                 raise ConfigError(f"D_corr[{node}] must be {dim}x{dim}")
             d_corr[node] = _read_only(mat)
-        object.__setattr__(self, "D_corr", d_corr)
+        object.__setattr__(self, "D_corr", MappingProxyType(d_corr))
         for name in ("X_max", "W_max", "P_A_max", "P_B_max"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
         if self.K_R < 0:
             raise ConfigError("K_R must be >= 0")
+
+    def __reduce__(self):
+        return type(self), _constructor_args(self)
 
     @classmethod
     def from_db(cls, *, M_a=None, M_bt=4, M_br=4, M_e=4, N=4, K_R=10.0,
@@ -165,15 +178,18 @@ class ChannelRealization:
     """One draw of every link for every subcarrier.
 
     ``H[link]`` is an (N, rows, cols) complex array, a read-only copy of
-    the input; :func:`draw_channels` with the same seed and parameters
-    reproduces it bit for bit.
+    the input in a read-only mapping; :func:`draw_channels` with the same
+    seed and parameters reproduces it bit for bit.
     """
 
     H: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "H", {link: _read_only(h)
-                                       for link, h in self.H.items()})
+        object.__setattr__(self, "H", MappingProxyType(
+            {link: _read_only(h) for link, h in self.H.items()}))
+
+    def __reduce__(self):
+        return type(self), _constructor_args(self)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:

@@ -80,10 +80,8 @@ def waterfill_cmd(alpha, beta, budget, out):
     try:
         a = np.array([float(v) for v in alpha.split(",")])
         b = np.array([float(v) for v in beta.split(",")])
-        if a.size != b.size:
-            raise ConfigError("alpha and beta must have the same length")
         gains = wf.SubcarrierGains(alpha=a, beta=b, X_max=budget)
-    except (ValueError, ConfigError) as exc:
+    except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     alloc = wf.waterfill(gains)

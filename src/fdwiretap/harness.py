@@ -126,10 +126,12 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig)
 
 @dataclass(eq=False)
 class TrialRow:
-    """One strategy on one trial.  ``iters`` counts outer iterations and
-    ``status`` is the worst outer status; ``inner_iters`` counts the inner
-    solver's iterations and ``worst_inner`` is its worst status (Converged <
-    MaxIter < NumericalTrouble).  ``extrapolations`` counts the accepted
+    """One strategy on one trial.  ``iters`` counts outer iterations, and
+    ``status`` is the first outer status of its runs that is not Converged:
+    Stalled (a run stopped on a step whose solve ran to inner_tol and did
+    not converge) or MaxOuter.  ``inner_iters`` counts the inner solver's
+    iterations and ``worst_inner`` is its worst status (Converged < MaxIter
+    < NumericalTrouble).  ``extrapolations`` counts the accepted
     extrapolation steps, and ``final_residual`` is the largest stationarity
     residual a run's last inner solve returned.  A failed row has status
     and worst_inner NumericalTrouble, NaN bits and no iterations."""

@@ -35,27 +35,64 @@ LN2 = float(np.log(2.0))
 
 #: Rate directions as (transmitting node, receiving node).
 DIRECTIONS = (("a", "b"), ("b", "a"))
-#: Blocks of the two-node design, in the order of the solver's variables.
-BLOCKS = ("X_a", "W_a", "X_b", "W_b")
+
+
+class Design:
+    """A design type is a dataclass whose fields are its blocks; ``NODES``
+    maps each block to the node that sends it, and the type states its
+    nodes' ``budgets`` and its two-node view (``nodes``)."""
+
+    @classmethod
+    def shapes(cls, params: SystemParams) -> dict:
+        """Each block's (N, M, M) shape, M its node's transmit antennas."""
+        dims = {"a": params.M_a, "b": params.M_bt}
+        return {b: (params.N, dims[node], dims[node])
+                for b, node in cls.NODES.items()}
+
+    @classmethod
+    def zeros(cls, params: SystemParams):
+        return cls(**{b: np.zeros(shape, complex)
+                      for b, shape in cls.shapes(params).items()})
+
+    def copy(self):
+        return type(self)(**{b: None if getattr(self, b) is None
+                             else getattr(self, b).copy() for b in self.NODES})
+
+    def validate(self, params: SystemParams, psd_tol: float = 1e-9,
+                 budget_tol: float = 1e-6) -> None:
+        """Raise DimensionMismatch for a misshaped block, and ValueError for
+        a block not PSD within ``psd_tol`` or a node over its budget by more
+        than ``budget_tol``.  Absent (None) blocks are skipped."""
+        _check_shapes(params, self)
+        power = dict.fromkeys("ab", 0.0)
+        for block, node in self.NODES.items():
+            m = getattr(self, block)
+            if m is not None:
+                if linalg.min_eigenvalue(m) < -psd_tol:
+                    raise ValueError(f"{block} is not PSD within tolerance")
+                power[node] += linalg.real_trace(m)
+        for node, budget in self.budgets(params).items():
+            if power[node] > budget + budget_tol:
+                raise ValueError(f"node {node} power {power[node]!r} "
+                                 f"exceeds its budget {budget!r}")
+
+
+def _check_shapes(params: SystemParams, design: Design) -> None:
+    """Every present block has its shape (:meth:`Design.shapes`)."""
+    for block, shape in design.shapes(params).items():
+        m = getattr(design, block)
+        if m is not None and m.shape != shape:
+            raise DimensionMismatch(f"{block} has shape {m.shape}, not {shape}")
 
 
 @dataclass(eq=False)
-class TransmitDesign:
-    """Per-subcarrier information (X) and jamming (W) covariances.
-
-    X has shape (N, M_a, M_a), W has shape (N, M_bt, M_bt).
-    """
+class TransmitDesign(Design):
+    """Alice's information (X) and Bob's jamming (W) covariance stacks."""
 
     X: np.ndarray
     W: np.ndarray
 
-    @classmethod
-    def zeros(cls, params: SystemParams) -> "TransmitDesign":
-        return cls(X=np.zeros((params.N, params.M_a, params.M_a), complex),
-                   W=np.zeros((params.N, params.M_bt, params.M_bt), complex))
-
-    def copy(self) -> "TransmitDesign":
-        return TransmitDesign(X=self.X.copy(), W=self.W.copy())
+    NODES = {"X": "a", "W": "b"}
 
     def nodes(self) -> "BidirectionalDesign":
         """The two-node view: Alice sends X, Bob jams with W, and the other
@@ -67,41 +104,18 @@ class TransmitDesign:
         """Each node's trace budget: X_max for Alice, W_max for Bob."""
         return {"a": params.X_max, "b": params.W_max}
 
-    def validate(self, params: SystemParams, psd_tol: float = 1e-9,
-                 budget_tol: float = 1e-6) -> None:
-        _check_shapes(params, self.nodes())
-        budgets = self.budgets(params)
-        for stack, node, kind in ((self.X, "a", "information"),
-                                  (self.W, "b", "jamming")):
-            if linalg.min_eigenvalue(stack) < -psd_tol:
-                raise ValueError("covariance is not PSD within tolerance")
-            if linalg.real_trace(stack) > budgets[node] + budget_tol:
-                raise ValueError(f"{kind} power budget violated")
-
 
 @dataclass(eq=False)
-class BidirectionalDesign:
-    """Information (X) and jamming (W) covariances of both nodes.
-
-    Alice's blocks are (N, M_a, M_a) stacks, Bob's (N, M_bt, M_bt); a
-    block is None when the system does not have it.
-    """
+class BidirectionalDesign(Design):
+    """Information (X) and jamming (W) covariance stacks of both nodes; a
+    block is None when the system does not have it."""
 
     X_a: np.ndarray | None
     W_a: np.ndarray | None
     X_b: np.ndarray | None
     W_b: np.ndarray | None
 
-    @classmethod
-    def zeros(cls, params: SystemParams) -> "BidirectionalDesign":
-        na, nb = params.M_a, params.M_bt
-        z = lambda m: np.zeros((params.N, m, m), complex)
-        return cls(X_a=z(na), W_a=z(na), X_b=z(nb), W_b=z(nb))
-
-    def copy(self) -> "BidirectionalDesign":
-        return BidirectionalDesign(*(None if m is None else m.copy()
-                                     for m in (self.X_a, self.W_a,
-                                               self.X_b, self.W_b)))
+    NODES = {"X_a": "a", "W_a": "a", "X_b": "b", "W_b": "b"}
 
     def nodes(self) -> "BidirectionalDesign":
         return self
@@ -115,6 +129,10 @@ class BidirectionalDesign:
         """The rate directions whose information block is present."""
         return [(tx, rx) for tx, rx in DIRECTIONS
                 if getattr(self, f"X_{tx}") is not None]
+
+
+#: Blocks of the two-node design, in the order of the solver's variables.
+BLOCKS = tuple(BidirectionalDesign.NODES)
 
 
 @dataclass(eq=False)
@@ -193,17 +211,6 @@ class ReceiveDistortion(ChannelMap):
 
 # ---------------------------------------------------------------------------
 # Receiver covariances.
-
-
-def _check_shapes(params: SystemParams, design: BidirectionalDesign) -> None:
-    """Every present block is an (N, M, M) stack, M the transmit antenna
-    count of the block's node."""
-    dims = {"a": params.M_a, "b": params.M_bt}
-    for block in BLOCKS:
-        m = getattr(design, block)
-        shape = (params.N, dims[block[-1]], dims[block[-1]])
-        if m is not None and m.shape != shape:
-            raise DimensionMismatch(f"{block} has shape {m.shape}, not {shape}")
 
 
 def interference(params: SystemParams, ch: ChannelRealization, design,

@@ -23,7 +23,8 @@ class SubcarrierGains:
 
     ``alpha`` measures the desired link through Bob's interference floor
     (which includes residual SI from jamming); ``beta`` measures the leakage
-    to Eve through Eve's jamming-raised floor.
+    to Eve through Eve's jamming-raised floor.  Both are 1-D arrays with one
+    entry per subcarrier.
     """
 
     alpha: np.ndarray
@@ -31,6 +32,10 @@ class SubcarrierGains:
     X_max: float
 
     def __post_init__(self):
+        if np.ndim(self.alpha) != 1 or np.ndim(self.beta) != 1:
+            raise ValueError("gains must be 1-D")
+        if len(self.alpha) != len(self.beta):
+            raise ValueError("alpha and beta must have the same length")
         if np.any(self.alpha < 0) or np.any(self.beta < 0):
             raise ValueError("gains must be nonnegative")
         if not np.all(np.isfinite(self.alpha)) or not np.all(np.isfinite(self.beta)):

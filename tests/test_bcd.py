@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdwiretap import bcd, linalg, maxdet, system_model, waterfill
-from fdwiretap.channel import ChannelRealization, SystemParams, draw_channels
+from fdwiretap.channel import (ChannelRealization, SystemParams, draw_channels,
+                               perturb_csi)
 from fdwiretap.errors import DegenerateChannel
 from fdwiretap.system_model import BidirectionalDesign, TransmitDesign
 from test_maxdet import assert_hermitian_to_rounding
@@ -195,6 +196,20 @@ def test_convergence_is_declared_only_after_a_full_solve(outer_tol,
     assert guarded > 0  # the rule did fire on truncated solves
 
 
+def test_a_stop_on_an_unconverged_full_solve_is_stalled():
+    """A CSI-perturbed desk channel at loose tolerances: the stop rule
+    passes on a step whose solve ran to inner_tol but hit its iteration
+    cap, so the run stops there and reports Stalled, not Converged."""
+    p = small_params()
+    ch = perturb_csi(draw_channels(p, 10001), 0.1, 20001)
+    state = bcd.optimize(p, ch, outer_tol=1e-3, inner_tol=1e-4).state
+    last = state.inner_reports[-1]
+    assert (state.status, state.converged, state.iterations) == (
+        "Stalled", False, 9)
+    assert last.threshold == 1e-4 and last.residual > 1e-4
+    assert last.status is maxdet.SolverStatus.MAX_ITER
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(m_a=st.integers(1, 3), m_b=st.integers(1, 3), m_e=st.integers(1, 3),
        n=st.integers(1, 4), kappa_db=st.floats(-50.0, 0.0),
@@ -217,18 +232,10 @@ def test_optimizer_invariants_on_random_instances(
                              x_max_db=budget_a_db, w_max_db=budget_b_db,
                              p_a_max_db=budget_a_db, p_b_max_db=budget_b_db)
     ch = draw_channels(p, seed)
-    if two_node:
-        res = bcd.optimize_bidirectional(p, ch)
-        d = res.design
-        blocks = [(p.P_A_max, (d.X_a, d.W_a)), (p.P_B_max, (d.X_b, d.W_b))]
-    else:
-        res = bcd.optimize(p, ch)
-        blocks = [(p.X_max, (res.design.X,)), (p.W_max, (res.design.W,))]
-    for budget, stacks in blocks:
-        assert sum(linalg.real_trace(s) for s in stacks) <= budget + 1e-9
-        for s in stacks:
-            assert linalg.min_eigenvalue(s) >= -1e-9
-            assert_hermitian_to_rounding(s)
+    res = (bcd.optimize_bidirectional if two_node else bcd.optimize)(p, ch)
+    res.design.validate(p, psd_tol=1e-9, budget_tol=1e-9)
+    for block in res.design.NODES:
+        assert_hermitian_to_rounding(getattr(res.design, block))
     trace = np.array(res.state.objective_trace)
     assert np.all(np.diff(trace) >= -1e-9)
     true = system_model.unclamped_objective_nats(p, ch, res.design)
@@ -383,13 +390,7 @@ def test_optimize_monotone_trace_and_budgets():
         # after the first.
         assert 0 <= res.state.extrapolations <= 3 * (res.state.iterations - 1)
         extrapolations += res.state.extrapolations
-        total_x = sum(np.real(np.trace(x)) for x in res.design.X)
-        total_w = sum(np.real(np.trace(w)) for w in res.design.W)
-        assert total_x <= p.X_max + 1e-6
-        assert total_w <= p.W_max + 1e-6
-        for n in range(p.N):
-            assert linalg.min_eigenvalue(res.design.X[n]) >= -1e-9
-            assert linalg.min_eigenvalue(res.design.W[n]) >= -1e-9
+        res.design.validate(p, psd_tol=1e-9, budget_tol=1e-6)
     assert extrapolations > 0
 
 
@@ -492,12 +493,7 @@ def test_bidirectional_monotone_and_budgets():
     res = bcd.optimize_bidirectional(p, ch)
     trace = np.array(res.state.objective_trace)
     assert np.all(np.diff(trace) >= -1e-9)
-    tot_a = sum(np.real(np.trace(m)) for m in res.design.X_a) \
-        + sum(np.real(np.trace(m)) for m in res.design.W_a)
-    tot_b = sum(np.real(np.trace(m)) for m in res.design.X_b) \
-        + sum(np.real(np.trace(m)) for m in res.design.W_b)
-    assert tot_a <= p.P_A_max + 1e-6
-    assert tot_b <= p.P_B_max + 1e-6
+    res.design.validate(p, psd_tol=1e-9, budget_tol=1e-6)
 
 
 def test_bidirectional_surrogate_tightness():

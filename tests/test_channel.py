@@ -36,6 +36,25 @@ def test_invalid_params_rejected():
         replace(small_params(x_max_db=0.0), X_max=-1.0)
 
 
+@pytest.mark.parametrize("field_values, message", [
+    ({"noise": {"a": [1e-3, 1e-3, 1e-3]}},
+     r"noise\[a\]: expected scalar or length-2 sequence"),
+    ({"eta": {"ab": 0.0}}, r"eta\[ab\] must be > 0"),
+    ({"noise": {"e": -1e-3}}, "noise powers must be > 0"),
+    ({"beta": {"b": [1e-3, -1e-3]}}, "beta coefficients must be >= 0"),
+    ({"D_corr": {"b": np.eye(3)}}, r"D_corr\[b\] must be 2x2"),
+    ({"K_R": -1.0}, "K_R must be >= 0"),
+])
+def test_invalid_field_values_name_the_field(field_values, message):
+    with pytest.raises(ConfigError, match=message):
+        replace(small_params(), **field_values)
+
+
+def test_negative_csi_error_variance_rejected():
+    with pytest.raises(ConfigError, match="sigma_err_sq must be >= 0"):
+        perturb_csi(draw_channels(small_params(), 0), -0.1, 1)
+
+
 def test_antenna_counts_are_positive_integers():
     """An integral float count is stored as an int; a fractional, infinite
     or non-numeric one is rejected, never truncated."""

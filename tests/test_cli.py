@@ -142,6 +142,16 @@ def test_waterfill_stdout():
         "total,,,1.9999999894893952,1.3916144654748392\n")
 
 
+def test_waterfill_writes_the_csv_to_a_file(tmp_path):
+    args = ["waterfill", "--alpha", "2,1,3", "--beta", "0.5,1.5,1",
+            "--budget", "2"]
+    out = tmp_path / "alloc.csv"
+    result = CliRunner().invoke(cli.main, args + ["-o", str(out)])
+    assert result.exit_code == 0
+    assert result.stdout == ""
+    assert out.read_text() == CliRunner().invoke(cli.main, args).stdout
+
+
 def test_waterfill_length_mismatch_exits_2():
     result = CliRunner().invoke(cli.main, [
         "waterfill", "--alpha", "2.0,1.0", "--beta", "0.5",
@@ -159,3 +169,21 @@ def test_bench_init_csv_shape():
     fields = lines[1].split(",")
     assert fields[0] == "0"
     assert all(np.isfinite(float(v)) for v in fields[1:])
+
+
+def test_bench_init_bad_antenna_count_exits_2():
+    result = CliRunner().invoke(cli.main, ["bench-init", "--m", "0"])
+    assert result.exit_code == 2
+    assert "config error: M_a must be a positive integer" in result.output
+
+
+def test_bench_init_failed_trial_exits_3(monkeypatch):
+    def boom(*args, **kwargs):
+        raise NonPositiveDefinite("synthetic failure")
+
+    monkeypatch.setattr(bcd, "optimize", boom)
+    result = CliRunner().invoke(cli.main, [
+        "bench-init", "--trials", "2", "--restarts", "2"])
+    assert result.exit_code == 3
+    assert result.stdout == "trial,uniform_bits,beam_bits,benchmark_bits\n"
+    assert "1,failed,failed,failed  # synthetic failure" in result.stderr

@@ -444,10 +444,24 @@ def test_shared_map_object_gives_the_same_gradient():
 
 def test_infeasible_start_rejected():
     prob = scalar_problem(1.0, 0.5, budget=1.0)
-    with pytest.raises(InfeasibleStart):
-        solve(prob, {"x": 5.0 * np.eye(1, dtype=complex)})
-    with pytest.raises(InfeasibleStart):
-        solve(prob, {"x": -0.5 * np.eye(1, dtype=complex)})
+    for start, message in (
+            ({"x": 5.0 * np.eye(1, dtype=complex)}, "trace budget violated"),
+            ({"x": -0.5 * np.eye(1, dtype=complex)}, "variable x is not PSD"),
+            ({"x": np.eye(2, dtype=complex)}, "x missing or misshaped"),
+            ({}, "x missing or misshaped")):
+        with pytest.raises(InfeasibleStart, match=message):
+            solve(prob, start)
+
+
+def test_a_singular_term_at_the_start_is_rejected():
+    """A start at which a log-det term is singular has no objective."""
+    prob = MaxDetProblem(
+        variables=[("x", 1)],
+        logdet_terms=[LogDetTerm(const=np.zeros((1, 1), complex),
+                                 maps=[("x", Congruence(np.eye(1)))])],
+        constraints=[(("x",), 1.0)])
+    with pytest.raises(InfeasibleStart, match="objective undefined"):
+        solve(prob, {"x": np.zeros((1, 1), complex)})
 
 
 @pytest.mark.parametrize("variables, constraints, message", [

@@ -42,6 +42,13 @@ def random_design(params, seed, x_frac=1.0, w_frac=1.0):
     return d
 
 
+def test_sigma_node_is_only_for_the_two_nodes():
+    p = small_params()
+    with pytest.raises(ValueError, match="node must be 'a' or 'b'"):
+        sigma_node_bidirectional(p, draw_channels(p, 0),
+                                 TransmitDesign.zeros(p), "e")
+
+
 def test_sigma_bob_no_jamming_is_noise():
     p = small_params()
     ch = draw_channels(p, 0)
@@ -134,6 +141,35 @@ def test_a_misshaped_block_is_rejected(block):
     setattr(d, block, getattr(d, block)[:1])
     with pytest.raises(DimensionMismatch, match=block):
         secrecy_rates(p, draw_channels(p, 0), d)
+
+
+def test_two_node_validate_checks_each_node():
+    """The feasibility check written once from the layout serves the
+    two-node type: node budgets, PSD blocks and shapes; absent blocks are
+    skipped."""
+    p = small_params(p_a_max_db=3.0)
+    d = bcd.init_uniform_bidirectional(p)
+    d.validate(p)
+    over = d.copy()
+    over.W_a[0] = 0.01 * np.eye(2)  # Alice already spends P_A_max on X_a
+    with pytest.raises(ValueError, match="node a power .* exceeds its budget"):
+        over.validate(p)
+    over.validate(p, budget_tol=0.1)
+    indefinite = d.copy()
+    indefinite.W_b[1] = np.diag([0.0, -1e-6]).astype(complex)
+    with pytest.raises(ValueError, match="W_b is not PSD"):
+        indefinite.validate(p)
+    indefinite.validate(p, psd_tol=1e-5)
+    misshaped = d.copy()
+    misshaped.X_b = misshaped.X_b[:1]
+    with pytest.raises(DimensionMismatch, match="X_b"):
+        misshaped.validate(p)
+    absent = BidirectionalDesign(X_a=d.X_a, W_a=None, X_b=None, W_b=d.W_b)
+    absent.validate(p)
+    copied = absent.copy()
+    assert copied.W_a is None and copied.X_b is None
+    assert copied.X_a is not d.X_a
+    np.testing.assert_array_equal(copied.X_a, d.X_a)
 
 
 def test_secrecy_scalar_leakage_free():
@@ -463,3 +499,27 @@ def test_params_and_channel_arrays_are_read_only():
     q_copy, c_copy = pickle.loads(pickle.dumps((q, c)))
     assert q_copy.noise["a"][0] == 1e-3
     np.testing.assert_array_equal(c_copy.H["ab"], c.H["ab"])
+
+
+def test_params_and_channel_mappings_cannot_be_rebound():
+    """Rebinding an entry of a stored mapping raises, where it used to
+    leave the cached operators stale: after one evaluation,
+    ``ch.H["ab"] = 2 * ch.H["ab"]`` still gave the old channel's I_sum,
+    1.230, where a fresh channel with the doubled link gives 5.699.  A
+    pickled channel is read-only too."""
+    p = small_params()
+    ch = draw_channels(p, 0)
+    d = bcd.init_uniform(p, with_jamming=True)
+    assert secrecy_rates(p, ch, d).I_sum == pytest.approx(1.230, abs=1e-3)
+    with pytest.raises(TypeError):
+        ch.H["ab"] = 2 * ch.H["ab"]
+    for name in ("eta", "noise", "kappa", "beta", "D_corr"):
+        mapping = getattr(p, name)
+        key = next(iter(mapping))
+        with pytest.raises(TypeError):
+            mapping[key] = 2 * mapping[key]
+    assert secrecy_rates(p, ch, d).I_sum == pytest.approx(1.230, abs=1e-3)
+    copy = pickle.loads(pickle.dumps(ch))
+    with pytest.raises(TypeError):
+        copy.H["ab"] = 2 * copy.H["ab"]
+    assert not copy.H["ab"].flags.writeable

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fdwiretap import waterfill as waterfill_module
 from fdwiretap.channel import SystemParams, draw_channels
 from fdwiretap.errors import WrongDimension
 from fdwiretap.system_model import TransmitDesign
@@ -39,6 +40,11 @@ def test_secrecy_per_subcarrier_values():
 def test_closed_form_zero_for_dominated_subcarrier():
     assert closed_form_power(0.3, 1.0, 1.0) == 0.0
     assert closed_form_power(0.3, 1.0, 2.0) == 0.0
+
+
+def test_closed_form_needs_a_positive_water_level():
+    with pytest.raises(ValueError, match="water level must be positive"):
+        closed_form_power(0.0, np.ones(2), np.zeros(2))
 
 
 def test_closed_form_classic_waterfilling_limit():
@@ -217,3 +223,32 @@ def test_invalid_gains_rejected():
         SubcarrierGains(alpha=np.array([np.inf]), beta=np.array([0.0]), X_max=1.0)
     with pytest.raises(ValueError):
         SubcarrierGains(alpha=np.array([1.0]), beta=np.array([0.0]), X_max=0.0)
+
+
+def test_unequal_or_multi_dimensional_gains_rejected():
+    with pytest.raises(ValueError,
+                       match="alpha and beta must have the same length"):
+        SubcarrierGains(alpha=np.array([2.0, 1.0, 3.0]),
+                        beta=np.array([0.5, 0.2]), X_max=1.0)
+    with pytest.raises(ValueError, match="gains must be 1-D"):
+        SubcarrierGains(alpha=np.ones((2, 2)), beta=np.zeros((2, 2)),
+                        X_max=1.0)
+
+
+def test_bisection_ends_on_the_feasible_endpoint(monkeypatch):
+    """At gains of 1e-10 the power sum jumps by more than its 1e-8
+    tolerance between adjacent water levels, so all 500 bisection steps
+    run and the upper endpoint, which fits the budget, is returned."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return closed_form_power(*args)
+
+    monkeypatch.setattr(waterfill_module, "closed_form_power", counted)
+    gains = SubcarrierGains(alpha=np.full(2, 1e-10), beta=np.zeros(2),
+                            X_max=1.0)
+    alloc = waterfill(gains)
+    assert len(calls) == 1 + 500 + 1
+    assert alloc.water_level == calls[-1]
+    assert 0.0 < gains.X_max - alloc.X.sum() < 1e-5
