@@ -305,15 +305,6 @@ class BcdResult:
     state: BcdState
 
 
-def _active_view(design: BidirectionalDesign, free: set) -> BidirectionalDesign:
-    """The design without the blocks that are neither free nor nonzero;
-    the view shares the design's arrays."""
-    blocks = {b: getattr(design, b) for b in BLOCKS}
-    return BidirectionalDesign(**{
-        b: m if m is not None and (b in free or np.any(m)) else None
-        for b, m in blocks.items()})
-
-
 def _extrapolate(params, ch, view, prob, point, prev_point, f_new, aux):
     """Safeguarded extrapolation along the last block-update displacement.
 
@@ -355,7 +346,7 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
                          f"subset of {BLOCKS}")
     design = init.copy()
     budgets = design.budgets(params)
-    view = _active_view(design.nodes(), free)
+    view = design.nodes().sent(free)
     f_cur, aux = _tight(params, ch, view)
     state = BcdState(objective_trace=[f_cur])
     prev_point = None

@@ -34,13 +34,27 @@ def _read_only(value) -> np.ndarray:
     return arr
 
 
-def _per_subcarrier(value, n: int, name: str) -> np.ndarray:
+def require(name: str, value, low: float = 0.0, strict: bool = True):
+    """``value`` if it is a finite number, or an array of them, > ``low``
+    (>= when not ``strict``); otherwise a ConfigError naming the field."""
+    try:
+        arr = value if isinstance(value, np.ndarray) else float(value)
+        ok = np.all(np.isfinite(arr) & (arr > low if strict else arr >= low))
+    except (TypeError, ValueError, OverflowError):  # not a number
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be {'>' if strict else '>='} {low:g} "
+                          f"and finite, not {value!r}")
+    return value
+
+
+def _per_subcarrier(value, n: int, name: str, strict=False) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.size == 1:
         arr = np.full(n, float(arr[0]))
     if arr.shape != (n,):
         raise ConfigError(f"{name}: expected scalar or length-{n} sequence")
-    return _read_only(arr)
+    return _read_only(require(name, arr, strict=strict))
 
 
 def _constructor_args(obj) -> tuple:
@@ -60,9 +74,10 @@ class SystemParams:
     her receive antennas; Bob has ``M_bt`` and ``M_br``.  A count given as
     an integral float is stored as an int; a fractional one is an error.
     Per-subcarrier fields (noise, kappa, beta) are length-N arrays; scalar
-    inputs are broadcast.  ``kappa``/``beta`` and the CSI-error correlation
-    matrices ``D_corr`` may be zero, everything else must be positive.
-    The stored mappings and arrays are read-only copies of the inputs.
+    inputs are broadcast.  Each number is finite (:func:`require`): eta,
+    noise and the budgets > 0, kappa, beta and K_R >= 0.  The CSI-error
+    correlation matrices ``D_corr`` may be zero.  The stored mappings and
+    arrays are read-only copies of the inputs.
     """
 
     M_a: int
@@ -93,22 +108,16 @@ class SystemParams:
             object.__setattr__(self, name, int(value))
         eta = dict(self.eta)
         for link in RAYLEIGH_LINKS:
-            eta.setdefault(link, 0.01)
-            if eta[link] <= 0:
-                raise ConfigError(f"eta[{link}] must be > 0")
+            require(f"eta[{link}]", eta.setdefault(link, 0.01))
         object.__setattr__(self, "eta", MappingProxyType(eta))
         noise = {node: _per_subcarrier(self.noise.get(node, 0.001), self.N,
-                                       f"noise[{node}]")
+                                       f"noise[{node}]", strict=True)
                  for node in ("a", "b", "e")}
-        if any((noise[node] <= 0).any() for node in noise):
-            raise ConfigError("noise powers must be > 0")
         object.__setattr__(self, "noise", MappingProxyType(noise))
         for name in ("kappa", "beta"):
             coeffs = {node: _per_subcarrier(getattr(self, name).get(node, 0.0),
                                             self.N, f"{name}[{node}]")
                       for node in ("a", "b")}
-            if any((coeffs[node] < 0).any() for node in coeffs):
-                raise ConfigError(f"{name} coefficients must be >= 0")
             object.__setattr__(self, name, MappingProxyType(coeffs))
         d_corr = dict(self.D_corr)
         for node, dim in (("a", self.M_ar), ("b", self.M_br)):
@@ -119,10 +128,8 @@ class SystemParams:
             d_corr[node] = _read_only(mat)
         object.__setattr__(self, "D_corr", MappingProxyType(d_corr))
         for name in ("X_max", "W_max", "P_A_max", "P_B_max"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if self.K_R < 0:
-            raise ConfigError("K_R must be >= 0")
+            require(name, getattr(self, name))
+        require("K_R", self.K_R, strict=False)
 
     def __reduce__(self):
         return type(self), _constructor_args(self)
@@ -222,11 +229,10 @@ def perturb_csi(ch: ChannelRealization, sigma_err_sq: float,
     """Return a copy with additive Gaussian CSI error on the Rayleigh links.
 
     Error entries are i.i.d. complex Gaussian with per-element variance
-    sigma_err_sq, drawn link by link in ``RAYLEIGH_LINKS`` order; SI
-    channels are left untouched.
+    sigma_err_sq (finite, >= 0), drawn link by link in ``RAYLEIGH_LINKS``
+    order; SI channels are left untouched.
     """
-    if sigma_err_sq < 0:
-        raise ConfigError("sigma_err_sq must be >= 0")
+    require("sigma_err_sq", sigma_err_sq, strict=False)
     h = {name: arr for name, arr in ch.H.items()}
     if sigma_err_sq > 0:
         rng = np.random.default_rng(np.random.SeedSequence(seed))

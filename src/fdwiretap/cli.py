@@ -1,19 +1,19 @@
 """Command line front end.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when at least one
-trial failed numerically (partial results are still written).
+Exit codes: 0 on success; 2 on a configuration error (also a number out of
+range or not finite, or an output path that cannot be written); 3 when at
+least one trial failed numerically (partial results are still written).
 """
 
 import csv
 import dataclasses
 import sys
-from pathlib import Path
 
 import click
 import numpy as np
 
 from . import bcd, harness, waterfill as wf
-from .channel import SystemParams, db2lin, draw_channels, trial_seed
+from .channel import SystemParams, draw_channels, require, trial_seed
 from .errors import ConfigError, FdWiretapError
 
 
@@ -62,7 +62,7 @@ def sweep(config_path, param, values, outdir):
         cfg = harness.ExperimentConfig.from_yaml(config_path)
         vals = [float(v) for v in values.split(",")]
         cfg = dataclasses.replace(cfg, sweep_param=param, sweep_values=vals)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError, or a value float() rejects
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     _run_and_emit(cfg, outdir)
@@ -81,11 +81,11 @@ def waterfill_cmd(alpha, beta, budget, out):
         a = np.array([float(v) for v in alpha.split(",")])
         b = np.array([float(v) for v in beta.split(",")])
         gains = wf.SubcarrierGains(alpha=a, beta=b, X_max=budget)
-    except ValueError as exc:
+        fh = sys.stdout if out == "-" else open(out, "w", newline="")
+    except (ValueError, OSError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     alloc = wf.waterfill(gains)
-    fh = sys.stdout if out == "-" else open(out, "w", newline="")
     try:
         writer = csv.writer(fh)
         writer.writerow(["subcarrier", "alpha", "beta", "power",
@@ -115,10 +115,12 @@ def bench_init(kappa_db, trials, restarts, seed, m_ant, subcarriers):
     """Compare uniform and beamforming initializations against a
     random-restart benchmark."""
     try:
+        require("--seed", seed, strict=False)
+        require("--restarts", restarts, 1, strict=False)
         params = SystemParams.from_db(
             M_a=m_ant, M_bt=m_ant, M_br=m_ant, M_e=m_ant, N=subcarriers,
             kappa_db=kappa_db, beta_db=kappa_db)
-    except (ValueError, ConfigError) as exc:
+    except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     click.echo("trial,uniform_bits,beam_bits,benchmark_bits")

@@ -27,8 +27,8 @@ class InfeasibleStart(FdWiretapError):
     """The initial point handed to the solver violates the constraints."""
 
 
-class ConfigError(FdWiretapError):
-    """An experiment configuration is invalid; the message names the field."""
+class ConfigError(FdWiretapError, ValueError):
+    """An input value is invalid; the message names the field."""
 
 
 class UnknownStrategy(ConfigError):

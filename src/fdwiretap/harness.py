@@ -23,7 +23,7 @@ import yaml
 
 from . import __version__, bcd, maxdet, system_model
 from .channel import (SystemParams, db2lin, draw_channels, perturb_csi,
-                      trial_seed)
+                      require, trial_seed)
 from .errors import ConfigError, FdWiretapError, UnknownStrategy
 
 
@@ -53,7 +53,9 @@ SOLVER_OPTIONS = ("outer_tol", "max_outer", "inner_tol", "inner_max_iter")
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Everything needed to reproduce an experiment."""
+    """Everything needed to reproduce an experiment.  Its numbers pass
+    :func:`~fdwiretap.channel.require`: ``trials`` >= 1, ``master_seed`` and
+    the :data:`SOLVER_OPTIONS` >= 0, and no sweep value is NaN."""
 
     params: SystemParams
     strategies: list
@@ -75,8 +77,9 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"{f.name} must be {f.type.__name__}, "
                                   f"not {type(value).__name__} {value!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        require("trials", self.trials, 1, strict=False)
+        for name in ("master_seed", *SOLVER_OPTIONS):
+            require(name, getattr(self, name), strict=False)
         if self.sweep_param not in SWEEPS:
             raise ConfigError(
                 f"sweep_param '{self.sweep_param}' not in {tuple(SWEEPS)}")
@@ -86,9 +89,12 @@ class ExperimentConfig:
             raise ConfigError("sweep_values must not be empty")
         for value in self.sweep_values:
             try:
-                float(value)  # each cell records its sweep value as a float
+                if np.isnan(float(value)):  # a cell records it as a float
+                    raise ValueError("not a number")
                 SWEEPS[self.sweep_param](self.params, value)
-            except (ConfigError, TypeError, ValueError) as exc:
+                require(self.sweep_param,
+                        _csi_variance(self.sweep_param, value), strict=False)
+            except (TypeError, ValueError) as exc:
                 raise ConfigError(f"sweep_values: {value!r}: {exc}") from exc
 
     @classmethod

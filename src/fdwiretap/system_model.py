@@ -125,6 +125,15 @@ class BidirectionalDesign(Design):
         """Each node's trace budget: P_A_max for Alice, P_B_max for Bob."""
         return {"a": params.P_A_max, "b": params.P_B_max}
 
+    def sent(self, free=()) -> "BidirectionalDesign":
+        """The view without the blocks that send nothing (absent or all
+        zero) and are not in ``free``; it shares this design's arrays.  A
+        block that sends nothing adds nothing to any covariance."""
+        blocks = {b: getattr(self, b) for b in self.NODES}
+        return BidirectionalDesign(**{
+            b: m if m is not None and (b in free or np.any(m)) else None
+            for b, m in blocks.items()})
+
     def active(self) -> list:
         """The rate directions whose information block is present."""
         return [(tx, rx) for tx, rx in DIRECTIONS
@@ -141,7 +150,7 @@ class SecrecyReport:
 
     ``I_sec[n]`` sums ``max(I_ab[n] - I_ae[n], 0)`` and, when Bob sends
     information, ``max(I_ba[n] - I_be[n], 0)``.  The rates of a direction
-    without an information block are None.
+    whose information block is absent or all zero are None.
     """
 
     I_ab: np.ndarray | None
@@ -318,8 +327,11 @@ def _rate_bits(total: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
 def secrecy_rates(params: SystemParams, ch: ChannelRealization,
                   design) -> SecrecyReport:
     """Per-subcarrier clamped secrecy rates and their sum, in bits/s/Hz,
-    of a one-directional or a two-node design."""
+    of a one-directional or a two-node design; the blocks that send nothing
+    are left out (:meth:`BidirectionalDesign.sent`)."""
     nodes = design.nodes()
+    _check_shapes(params, nodes)  # before an all-zero block is left out
+    nodes = nodes.sent()
     se = sigma_eve(params, ch, nodes)
     legit, leak = {}, {}
     for tx, rx in nodes.active():
@@ -327,8 +339,8 @@ def secrecy_rates(params: SystemParams, ch: ChannelRealization,
         legit[tx] = _rate_bits(with_signal(params, ch, nodes, tx, rx, s_rx),
                                s_rx)
         leak[tx] = _rate_bits(with_signal(params, ch, nodes, tx, "e", se), se)
-    i_sec = np.sum([np.maximum(legit[tx] - leak[tx], 0.0) for tx in legit],
-                   axis=0)
+    i_sec = np.sum([np.maximum(legit[tx] - leak[tx], 0.0) for tx in legit]
+                   or [np.zeros(params.N)], axis=0)
     return SecrecyReport(I_ab=legit.get("a"), I_ae=leak.get("a"), I_sec=i_sec,
                          I_sum=float(i_sec.sum()), I_ba=legit.get("b"),
                          I_be=leak.get("b"))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, system_model
-from .channel import ChannelRealization, SystemParams
+from .channel import ChannelRealization, SystemParams, require
 from .errors import WrongDimension
 from .system_model import TransmitDesign
 
@@ -23,8 +23,8 @@ class SubcarrierGains:
 
     ``alpha`` measures the desired link through Bob's interference floor
     (which includes residual SI from jamming); ``beta`` measures the leakage
-    to Eve through Eve's jamming-raised floor.  Both are 1-D arrays with one
-    entry per subcarrier.
+    to Eve through Eve's jamming-raised floor.  Both are 1-D arrays, one
+    entry >= 0 per subcarrier, and the budget ``X_max`` is > 0; all finite.
     """
 
     alpha: np.ndarray
@@ -36,22 +36,21 @@ class SubcarrierGains:
             raise ValueError("gains must be 1-D")
         if len(self.alpha) != len(self.beta):
             raise ValueError("alpha and beta must have the same length")
-        if np.any(self.alpha < 0) or np.any(self.beta < 0):
-            raise ValueError("gains must be nonnegative")
-        if not np.all(np.isfinite(self.alpha)) or not np.all(np.isfinite(self.beta)):
-            raise ValueError("gains must be finite")
-        if self.X_max <= 0:
-            raise ValueError("X_max must be positive")
+        require("alpha", self.alpha, strict=False)
+        require("beta", self.beta, strict=False)
+        require("X_max", self.X_max)
 
 
 @dataclass(frozen=True, eq=False)
 class Allocation:
-    """Per-subcarrier powers, the water level and the achieved objective."""
+    """Per-subcarrier powers, the water level and the achieved objective.
+    ``budget_active``: the powers spend the budget, X_max - sum(X) is in
+    [0, 1e-8 * X_max)."""
 
     X: np.ndarray
     water_level: float
     objective: float
-    budget_active: bool = True
+    budget_active: bool
     no_positive_subcarrier: bool = False
 
 
@@ -141,35 +140,27 @@ def waterfill(gains: SubcarrierGains) -> Allocation:
     eps0 = 1e-8 * gains.X_max
     lam_full = full_budget_slope_bound(gains)
     lam_zero = zero_power_slope_bound(gains)
+    # (hi, x_hi) fits the budget: no power at the zero-power slope.
+    hi, x_hi = lam_zero, np.zeros_like(gains.alpha)
     if lam_zero <= 0:
-        x = np.zeros_like(gains.alpha)
-        return Allocation(X=x, water_level=lam_full, objective=0.0,
-                          budget_active=False, no_positive_subcarrier=True)
-    # Bisect between the full-budget slope (lower bound on the level) and
-    # the zero-power slope (upper bound); guard the closed form's 1/lambda
-    # against a nonpositive lower endpoint.
-    lo = max(lam_full, 1e-12 * lam_zero)
-    x_lo = closed_form_power(lo, gains.alpha, gains.beta)
-    residual_lo = gains.X_max - x_lo.sum()
-    if residual_lo >= 0.0:
-        # The lower endpoint already fits the budget, which happens exactly
-        # when a single subcarrier absorbs the whole budget.
-        return Allocation(X=x_lo, water_level=lo,
-                          objective=_objective(gains, x_lo),
-                          budget_active=residual_lo < eps0)
-    hi = lam_zero
-    for _ in range(500):
-        lam = 0.5 * (hi + lo)
-        x = closed_form_power(lam, gains.alpha, gains.beta)
-        residual = gains.X_max - x.sum()
-        if 0.0 <= residual < eps0:
-            break
-        if residual < 0.0:
-            lo = lam
-        else:
-            hi = lam
+        hi = lam_full
     else:
-        lam = hi
-        x = closed_form_power(lam, gains.alpha, gains.beta)
-    return Allocation(X=x, water_level=lam, objective=_objective(gains, x))
-
+        # Bisect between the full-budget slope (lower bound on the level)
+        # and the zero-power slope (upper bound); guard the closed form's
+        # 1/lambda against a nonpositive lower endpoint.
+        lam = lo = max(lam_full, 1e-12 * lam_zero)
+        for _ in range(1 + 500):
+            x = closed_form_power(lam, gains.alpha, gains.beta)
+            residual = gains.X_max - x.sum()
+            if residual < 0.0:
+                lo = lam
+            else:
+                hi, x_hi = lam, x
+                # The lower endpoint fits the budget exactly when a single
+                # subcarrier absorbs the whole budget.
+                if residual < eps0 or lam == lo:
+                    break
+            lam = 0.5 * (hi + lo)
+    return Allocation(X=x_hi, water_level=hi, objective=_objective(gains, x_hi),
+                      budget_active=bool(gains.X_max - x_hi.sum() < eps0),
+                      no_positive_subcarrier=lam_zero <= 0)

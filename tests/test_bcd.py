@@ -89,7 +89,7 @@ def test_subproblem_size_is_constant_in_n():
     for n in (2, 16):
         p = small_params(N=n)
         ch = draw_channels(p, 0)
-        view = bcd._active_view(bcd.init_uniform(p).nodes(), free)
+        view = bcd.init_uniform(p).nodes().sent(free)
         aux_q, aux_t = bcd.update_auxiliaries(p, ch, view)
         prob = bcd._subproblem(p, ch, view, free, aux_q, aux_t,
                                {"a": p.X_max, "b": p.W_max})
@@ -118,7 +118,7 @@ def test_subproblem_gradient_is_the_objective_gradient(one_directional):
             getattr(design, b)[:] = 0.1 * g @ g.conj().swapaxes(-1, -2)
         free = set(bcd.BLOCKS)
         budgets = {"a": p.P_A_max, "b": p.P_B_max}
-    view = bcd._active_view(design, free)
+    view = design.sent(free)
     aux_q, aux_t = bcd.update_auxiliaries(p, ch, view)
     prob = bcd._subproblem(p, ch, view, free, aux_q, aux_t, budgets)
     point = {b: getattr(view, b) for b, _ in prob.variables}
@@ -156,7 +156,7 @@ def test_subproblem_objective_is_the_surrogate_up_to_a_constant(
             g = rng.standard_normal((p.N, 2, 2, 2)) @ [1, 1j]
             getattr(design, b)[:] = 0.1 * g @ g.conj().swapaxes(-1, -2)
         budgets = {"a": p.P_A_max, "b": p.P_B_max}
-    view = bcd._active_view(design, free)
+    view = design.sent(free)
     aux_q, aux_t = bcd.update_auxiliaries(p, ch, view)
     prob = bcd._subproblem(p, ch, view, free, aux_q, aux_t, budgets)
     start = {b: getattr(view, b) for b, _ in prob.variables}

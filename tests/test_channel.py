@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,8 +41,8 @@ def test_invalid_params_rejected():
     ({"noise": {"a": [1e-3, 1e-3, 1e-3]}},
      r"noise\[a\]: expected scalar or length-2 sequence"),
     ({"eta": {"ab": 0.0}}, r"eta\[ab\] must be > 0"),
-    ({"noise": {"e": -1e-3}}, "noise powers must be > 0"),
-    ({"beta": {"b": [1e-3, -1e-3]}}, "beta coefficients must be >= 0"),
+    ({"noise": {"e": -1e-3}}, r"noise\[e\] must be > 0"),
+    ({"beta": {"b": [1e-3, -1e-3]}}, r"beta\[b\] must be >= 0"),
     ({"D_corr": {"b": np.eye(3)}}, r"D_corr\[b\] must be 2x2"),
     ({"K_R": -1.0}, "K_R must be >= 0"),
 ])
@@ -53,6 +54,56 @@ def test_invalid_field_values_name_the_field(field_values, message):
 def test_negative_csi_error_variance_rejected():
     with pytest.raises(ConfigError, match="sigma_err_sq must be >= 0"):
         perturb_csi(draw_channels(small_params(), 0), -0.1, 1)
+
+
+def numeric_fields(v):
+    """Each numeric field of the params set to v, by the name it reports."""
+    return {"eta[ae]": {"eta": {"ae": v}},
+            "noise[b]": {"noise": {"b": [1e-3, v]}},
+            "kappa[a]": {"kappa": {"a": v}},
+            "beta[b]": {"beta": {"b": [0.0, v]}},
+            **{name: {name: v} for name in
+               ("X_max", "W_max", "P_A_max", "P_B_max", "K_R")}}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", numeric_fields(0.0))
+def test_a_number_that_is_not_finite_names_the_field(field, bad):
+    with pytest.raises(ConfigError,
+                       match=re.escape(field) + " must be >=? 0 and finite"):
+        replace(small_params(), **numeric_fields(bad)[field])
+
+
+@pytest.mark.parametrize("db_key, field", [
+    ("x_max_db", "X_max"), ("noise_db", "noise[a]"), ("eta_db", "eta[ab]"),
+    ("kappa_db", "kappa[a]")])
+def test_a_nan_db_value_names_the_field(db_key, field):
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        small_params(**{db_key: float("nan")})
+
+
+def test_range_boundaries():
+    """Zero is the lowest kappa, beta and K_R; a budget, noise power or
+    pathloss must be above it, and -inf dB is 0.  A list is no scalar."""
+    p = replace(small_params(), K_R=0.0, kappa={"a": 0.0}, beta={"b": 0})
+    assert p.K_R == 0.0 and not p.kappa["a"].any()
+    assert small_params(kappa_db=-np.inf).kappa["b"][0] == 0.0
+    for field_values in ({"X_max": 0.0}, {"noise": {"a": 0.0}},
+                         {"eta": {"ab": 0.0}}, {"K_R": -np.inf},
+                         {"X_max": -np.inf}, {"beta": {"a": -np.inf}}):
+        with pytest.raises(ConfigError, match=next(iter(field_values))):
+            replace(p, **field_values)
+    with pytest.raises(ConfigError, match="X_max"):
+        small_params(x_max_db=-np.inf)
+    with pytest.raises(ConfigError, match="K_R"):
+        replace(p, K_R=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("variance", [np.nan, np.inf])
+def test_csi_error_variance_must_be_finite(variance):
+    ch = draw_channels(small_params(), 0)
+    with pytest.raises(ConfigError, match="sigma_err_sq"):
+        perturb_csi(ch, variance, 1)
 
 
 def test_antenna_counts_are_positive_integers():

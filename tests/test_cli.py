@@ -187,3 +187,68 @@ def test_bench_init_failed_trial_exits_3(monkeypatch):
     assert result.exit_code == 3
     assert result.stdout == "trial,uniform_bits,beam_bits,benchmark_bits\n"
     assert "1,failed,failed,failed  # synthetic failure" in result.stderr
+
+
+def call(name, *args, edit=("", ""), code=2, field=None):
+    """One CLI call: its arguments, where CFG is the config file edited by
+    replacing ``edit[0]`` with ``edit[1]``, OUT an output path that does
+    not exist yet and MISSING a path in a missing directory; its exit
+    code; and the field or path that an exit 2 names after "config
+    error:"."""
+    return pytest.param(list(args), edit, code, field, id=name)
+
+
+WATERFILL = ("waterfill", "--alpha", "2,1", "--beta", "0.5,0.2")
+
+
+@pytest.mark.parametrize("args, edit, code, field", [
+    call("run", "run", "CFG", "-o", "OUT", code=0),
+    call("sweep", "sweep", "CFG", "--param", "W_max_db", "--values", "-10",
+         "-o", "OUT", code=0),
+    call("waterfill", *WATERFILL, "--budget", "2", "-o", "OUT", code=0),
+    call("bench-init", "bench-init", "--trials", "1", "--restarts", "1",
+         "--seed", "0", "--m", "1", "--subcarriers", "1", code=0),
+    *(call(f"run-{key}-nan", "run", "CFG", "-o", "OUT",
+           edit=("N: 2", f"N: 2\n{key}: .nan"), field=field)
+      for key, field in (("x_max_db", "X_max"), ("noise_db", "noise[a]"),
+                         ("eta_db", "eta[ab]"), ("K_R", "K_R"))),
+    call("run-kappa_db-nan", "run", "CFG", "-o", "OUT",
+         edit=("kappa_db: -30.0", "kappa_db: .nan"), field="kappa[a]"),
+    call("run-master_seed", "run", "CFG", "-o", "OUT",
+         edit=("master_seed: 3", "master_seed: -1"), field="master_seed"),
+    call("run-inner_tol-nan", "run", "CFG", "-o", "OUT",
+         edit=("inner_tol: 1.0e-4", "inner_tol: .nan"), field="inner_tol"),
+    call("sweep-W_max_db-nan", "sweep", "CFG", "--param", "W_max_db",
+         "--values", "0,nan", "-o", "OUT", field="sweep_values"),
+    call("sweep-csi_error_db-nan", "sweep", "CFG", "--param", "csi_error_db",
+         "--values", "-inf,nan", "-o", "OUT", field="sweep_values"),
+    call("bench-init-kappa-nan", "bench-init", "--kappa-db", "nan",
+         field="kappa[a]"),
+    call("bench-init-seed", "bench-init", "--seed", "-1", field="--seed"),
+    call("bench-init-restarts", "bench-init", "--restarts", "0",
+         field="--restarts"),
+    call("waterfill-budget-nan", *WATERFILL, "--budget", "nan", "-o", "OUT",
+         field="X_max"),
+    call("waterfill-budget-inf", *WATERFILL, "--budget", "inf", "-o", "OUT",
+         field="X_max"),
+    call("waterfill-alpha", "waterfill", "--alpha", "-2,1", "--beta", "0,0",
+         "--budget", "1", "-o", "OUT", field="alpha"),
+    call("waterfill-missing-dir", *WATERFILL, "--budget", "1", "-o",
+         "MISSING", field="MISSING"),
+])
+def test_exit_codes(tmp_path, args, edit, code, field):
+    """Exit 0 on a valid call; exit 2 on a number that is out of range or
+    not finite, or on an output path that cannot be written, naming the
+    field or the path and writing nothing."""
+    cfg = write_config(tmp_path, CONFIG.replace(*edit))
+    paths = {"CFG": cfg, "OUT": str(tmp_path / "out"),
+             "MISSING": str(tmp_path / "missing" / "alloc.csv")}
+    result = CliRunner().invoke(cli.main, [paths.get(a, a) for a in args])
+    assert result.exit_code == code, result.output
+    if code == 2:
+        message = result.output.splitlines()[-1]
+        assert message.startswith("config error:")
+        assert paths.get(field, field) in message
+        assert not (tmp_path / "out").exists()
+    else:
+        assert "config error" not in result.output

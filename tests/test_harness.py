@@ -72,6 +72,42 @@ def test_config_accepts_an_integer_tolerance():
     assert desk_config(outer_tol=0).outer_tol == 0
 
 
+@pytest.mark.parametrize("bad", [
+    dict(master_seed=-1), dict(outer_tol=float("nan")),
+    dict(inner_tol=float("nan")), dict(inner_tol=float("inf")),
+    dict(outer_tol=-1e-3), dict(max_outer=-1), dict(inner_max_iter=-1)])
+def test_config_rejects_a_number_out_of_range(bad):
+    """A negative seed, tolerance or cap, or a tolerance that is not
+    finite, is rejected by name at load."""
+    with pytest.raises(ConfigError, match=next(iter(bad)) + " must be >= 0"):
+        desk_config(**bad)
+
+
+def test_config_range_boundaries():
+    """Zero is a valid seed, tolerance and cap; one trial is the fewest."""
+    zeros = dict(master_seed=0, outer_tol=0.0, inner_tol=0, max_outer=0,
+                 inner_max_iter=0)
+    cfg = desk_config(trials=1, **zeros)
+    assert cfg.trials == 1
+    assert all(getattr(cfg, key) == 0 for key in zeros)
+
+
+@pytest.mark.parametrize("sweep_param", [
+    "W_max_db", "kappa_beta_db", "noise_db", "csi_error_db", "none"])
+def test_config_rejects_a_nan_sweep_value(sweep_param):
+    with pytest.raises(ConfigError, match="sweep_values: nan"):
+        desk_config(sweep_param=sweep_param, sweep_values=[0.0, float("nan")])
+
+
+def test_config_csi_error_takes_minus_inf_but_not_plus_inf():
+    """-inf dB is perfect CSI; +inf dB would be an infinite variance."""
+    cfg = desk_config(sweep_param="csi_error_db",
+                      sweep_values=[float("-inf"), -20.0])
+    assert cfg.sweep_values[0] == float("-inf")
+    with pytest.raises(ConfigError, match="csi_error_db must be >= 0"):
+        desk_config(sweep_param="csi_error_db", sweep_values=[float("inf")])
+
+
 def test_config_rejects_a_bad_sweep_value_at_load():
     """Every sweep value is read as a float and applied to the params once
     at load, before any cell runs."""

@@ -433,7 +433,7 @@ def test_one_operator_table_serves_every_design():
     p = small_params()
     ch = draw_channels(p, 34)
     two_node = BidirectionalDesign.zeros(p)
-    view = bcd._active_view(two_node, {"X_a"})
+    view = two_node.sent({"X_a"})
     assert view.W_a is None and view.X_b is None and view.W_b is None
     system_model._operators.cache_clear()
     for design in (random_design(p, 35), two_node, view):

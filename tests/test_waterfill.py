@@ -3,7 +3,7 @@ import pytest
 
 from fdwiretap import waterfill as waterfill_module
 from fdwiretap.channel import SystemParams, draw_channels
-from fdwiretap.errors import WrongDimension
+from fdwiretap.errors import ConfigError, WrongDimension
 from fdwiretap.system_model import TransmitDesign
 from fdwiretap.waterfill import (Allocation, SubcarrierGains,
                                  closed_form_power, full_budget_slope_bound,
@@ -225,6 +225,24 @@ def test_invalid_gains_rejected():
         SubcarrierGains(alpha=np.array([1.0]), beta=np.array([0.0]), X_max=0.0)
 
 
+@pytest.mark.parametrize("alpha, beta, x_max, field", [
+    ([1.0, np.nan], [0.0, 0.0], 1.0, "alpha"),
+    ([1.0, 1.0], [0.0, np.inf], 1.0, "beta"),
+    ([1.0], [0.0], np.nan, "X_max"), ([1.0], [0.0], np.inf, "X_max")])
+def test_gains_that_are_not_finite_name_the_field(alpha, beta, x_max, field):
+    with pytest.raises(ConfigError, match=field + " must be >=? 0 and finite"):
+        SubcarrierGains(alpha=np.array(alpha), beta=np.array(beta),
+                        X_max=x_max)
+
+
+def test_gains_range_boundaries():
+    """Zero gains are valid and carry no power; any positive budget is."""
+    alloc = waterfill(SubcarrierGains(alpha=np.zeros(2), beta=np.zeros(2),
+                                      X_max=1e-300))
+    assert alloc.no_positive_subcarrier and not alloc.budget_active
+    assert not alloc.X.any()
+
+
 def test_unequal_or_multi_dimensional_gains_rejected():
     with pytest.raises(ValueError,
                        match="alpha and beta must have the same length"):
@@ -238,17 +256,21 @@ def test_unequal_or_multi_dimensional_gains_rejected():
 def test_bisection_ends_on_the_feasible_endpoint(monkeypatch):
     """At gains of 1e-10 the power sum jumps by more than its 1e-8
     tolerance between adjacent water levels, so all 500 bisection steps
-    run and the upper endpoint, which fits the budget, is returned."""
+    run and the upper endpoint, the last level whose powers fit the
+    budget, is returned with the budget flagged as not met."""
     calls = []
 
     def counted(*args):
-        calls.append(args[0])
-        return closed_form_power(*args)
+        x = closed_form_power(*args)
+        calls.append((args[0], x.sum()))
+        return x
 
     monkeypatch.setattr(waterfill_module, "closed_form_power", counted)
     gains = SubcarrierGains(alpha=np.full(2, 1e-10), beta=np.zeros(2),
                             X_max=1.0)
     alloc = waterfill(gains)
-    assert len(calls) == 1 + 500 + 1
-    assert alloc.water_level == calls[-1]
+    assert len(calls) == 1 + 500
+    fits = [lam for lam, total in calls if total <= gains.X_max]
+    assert alloc.water_level == fits[-1]
     assert 0.0 < gains.X_max - alloc.X.sum() < 1e-5
+    assert not alloc.budget_active
