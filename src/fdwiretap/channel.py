@@ -22,8 +22,11 @@ SI_LINKS = ("bb", "aa")
 
 
 def db2lin(db: float) -> float:
-    """Convert a dB power value to linear scale."""
-    return float(10.0 ** (db / 10.0))
+    """A dB power value in linear scale; inf if too large for a float."""
+    try:
+        return float(10.0 ** (db / 10.0))
+    except OverflowError:
+        return float("inf") if db > 0 else 0.0
 
 
 def _read_only(value) -> np.ndarray:

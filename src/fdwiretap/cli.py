@@ -1,13 +1,15 @@
 """Command line front end.
 
-Exit codes: 0 on success; 2 on a configuration error (also a number out of
-range or not finite, or an output path that cannot be written); 3 when at
-least one trial failed numerically (partial results are still written).
+Exit codes: 0 on success; 2 on a config error (malformed YAML, or a number out
+of range, not finite or in dB too large for a float) or an output path that
+cannot be written, checked before any trial runs; 3 when at least one trial
+failed numerically (partial results are still written).
 """
 
 import csv
 import dataclasses
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -17,7 +19,15 @@ from .channel import SystemParams, draw_channels, require, trial_seed
 from .errors import ConfigError, FdWiretapError
 
 
+def _floats(ctx, param, text: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{param.opts[0]}: {exc}") from None
+
+
 def _run_and_emit(cfg: harness.ExperimentConfig, outdir: str) -> None:
+    Path(outdir).mkdir(parents=True, exist_ok=True)
     result = harness.run_experiment(cfg)
     harness.emit_results(result, outdir)
     n_fail = sum(r.status == "NumericalTrouble" for r in result.trial_rows)
@@ -28,7 +38,18 @@ def _run_and_emit(cfg: harness.ExperimentConfig, outdir: str) -> None:
     click.echo(f"wrote {len(result.trial_rows)} trial rows to {outdir}")
 
 
-@click.group()
+class _Main(click.Group):
+    """Its ``invoke`` alone exits 2: on a ConfigError or an OSError."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, OSError) as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Sum secrecy rate simulator for a multi-carrier wiretap channel with
     a full-duplex jamming receiver."""
@@ -40,12 +61,7 @@ def main():
               help="Directory for CSV and metadata output.")
 def run(config_path, outdir):
     """Run the experiment described by a YAML config file."""
-    try:
-        cfg = harness.ExperimentConfig.from_yaml(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    _run_and_emit(cfg, outdir)
+    _run_and_emit(harness.ExperimentConfig.from_yaml(config_path), outdir)
 
 
 @main.command()
@@ -53,39 +69,30 @@ def run(config_path, outdir):
 @click.option("--param", required=True,
               type=click.Choice([p for p in harness.SWEEPS if p != "none"]),
               help="Parameter to sweep.")
-@click.option("--values", required=True,
+@click.option("--values", required=True, callback=_floats,
               help="Comma-separated sweep values (dB where applicable).")
 @click.option("--outdir", "-o", default="results", show_default=True)
 def sweep(config_path, param, values, outdir):
     """Run a config with an inline one-parameter sweep override."""
-    try:
-        cfg = harness.ExperimentConfig.from_yaml(config_path)
-        vals = [float(v) for v in values.split(",")]
-        cfg = dataclasses.replace(cfg, sweep_param=param, sweep_values=vals)
-    except ValueError as exc:  # a ConfigError, or a value float() rejects
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    _run_and_emit(cfg, outdir)
+    cfg = harness.ExperimentConfig.from_yaml(config_path)
+    _run_and_emit(dataclasses.replace(cfg, sweep_param=param,
+                                      sweep_values=values), outdir)
 
 
 @main.command(name="waterfill")
-@click.option("--alpha", required=True, help="Comma-separated alpha gains.")
-@click.option("--beta", required=True, help="Comma-separated beta gains.")
+@click.option("--alpha", required=True, callback=_floats,
+              help="Comma-separated alpha gains.")
+@click.option("--beta", required=True, callback=_floats,
+              help="Comma-separated beta gains.")
 @click.option("--budget", required=True, type=float,
               help="Total power budget.")
 @click.option("--out", "-o", default="-",
               help="Output CSV path ('-' for stdout).")
 def waterfill_cmd(alpha, beta, budget, out):
     """Water-fill a power budget over subcarriers with given gain pairs."""
-    try:
-        a = np.array([float(v) for v in alpha.split(",")])
-        b = np.array([float(v) for v in beta.split(",")])
-        gains = wf.SubcarrierGains(alpha=a, beta=b, X_max=budget)
-        fh = sys.stdout if out == "-" else open(out, "w", newline="")
-    except (ValueError, OSError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    alloc = wf.waterfill(gains)
+    a, b = np.array(alpha), np.array(beta)
+    alloc = wf.waterfill(wf.SubcarrierGains(alpha=a, beta=b, X_max=budget))
+    fh = sys.stdout if out == "-" else open(out, "w", newline="")
     try:
         writer = csv.writer(fh)
         writer.writerow(["subcarrier", "alpha", "beta", "power",
@@ -114,15 +121,12 @@ def waterfill_cmd(alpha, beta, budget, out):
 def bench_init(kappa_db, trials, restarts, seed, m_ant, subcarriers):
     """Compare uniform and beamforming initializations against a
     random-restart benchmark."""
-    try:
-        require("--seed", seed, strict=False)
-        require("--restarts", restarts, 1, strict=False)
-        params = SystemParams.from_db(
-            M_a=m_ant, M_bt=m_ant, M_br=m_ant, M_e=m_ant, N=subcarriers,
-            kappa_db=kappa_db, beta_db=kappa_db)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    require("--trials", trials, 1, strict=False)
+    require("--seed", seed, strict=False)
+    require("--restarts", restarts, 1, strict=False)
+    params = SystemParams.from_db(
+        M_a=m_ant, M_bt=m_ant, M_br=m_ant, M_e=m_ant, N=subcarriers,
+        kappa_db=kappa_db, beta_db=kappa_db)
     click.echo("trial,uniform_bits,beam_bits,benchmark_bits")
     failed = False
     for t in range(trials):

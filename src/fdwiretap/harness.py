@@ -114,8 +114,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = yaml.safe_load(fh)
+        try:
+            with open(path) as fh:
+                raw = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:  # multi-line text
+            raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a mapping")
         return cls.from_dict(raw)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import linalg, system_model
 from .channel import ChannelRealization, SystemParams, require
-from .errors import WrongDimension
+from .errors import ConfigError, WrongDimension
 from .system_model import TransmitDesign
 
 
@@ -33,9 +33,9 @@ class SubcarrierGains:
 
     def __post_init__(self):
         if np.ndim(self.alpha) != 1 or np.ndim(self.beta) != 1:
-            raise ValueError("gains must be 1-D")
+            raise ConfigError("gains must be 1-D arrays (alpha, beta)")
         if len(self.alpha) != len(self.beta):
-            raise ValueError("alpha and beta must have the same length")
+            raise ConfigError("alpha and beta must have the same length")
         require("alpha", self.alpha, strict=False)
         require("beta", self.beta, strict=False)
         require("X_max", self.X_max)

@@ -16,8 +16,17 @@ def small_params(**kw):
 
 
 def test_db_conversion():
+    """A finite result keeps the bits of ``10 ** (dB / 10)``; one too large
+    for a float is inf, and the range rule then names the field."""
     assert db2lin(0.0) == pytest.approx(1.0)
     assert db2lin(-30.0) == pytest.approx(1e-3)
+    for db in (3082.0, -3300.0, 17.3, 4):
+        assert db2lin(db) == float(10.0 ** (db / 10.0))
+    for db in (3100.0, 4000, 10 ** 400):
+        assert db2lin(db) == float("inf")
+    assert db2lin(-10 ** 400) == 0.0
+    with pytest.raises(ConfigError, match="X_max must be > 0 and finite"):
+        SystemParams.from_db(x_max_db=4000.0)
 
 
 def test_default_setup_values():

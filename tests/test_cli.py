@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fdwiretap import bcd, cli
+from fdwiretap import bcd, cli, harness
 from fdwiretap.errors import NonPositiveDefinite
 
 CONFIG = """\
@@ -192,9 +192,9 @@ def test_bench_init_failed_trial_exits_3(monkeypatch):
 def call(name, *args, edit=("", ""), code=2, field=None):
     """One CLI call: its arguments, where CFG is the config file edited by
     replacing ``edit[0]`` with ``edit[1]``, OUT an output path that does
-    not exist yet and MISSING a path in a missing directory; its exit
-    code; and the field or path that an exit 2 names after "config
-    error:"."""
+    not exist yet, MISSING a path in a missing directory and BLOCKED a
+    path under a regular file; its exit code; and the field, option or
+    path that an exit 2 names after "config error:"."""
     return pytest.param(list(args), edit, code, field, id=name)
 
 
@@ -235,14 +235,34 @@ WATERFILL = ("waterfill", "--alpha", "2,1", "--beta", "0.5,0.2")
          "--budget", "1", "-o", "OUT", field="alpha"),
     call("waterfill-missing-dir", *WATERFILL, "--budget", "1", "-o",
          "MISSING", field="MISSING"),
+    *(call(f"run-{key}-huge", "run", "CFG", "-o", "OUT",
+           edit=("N: 2", f"N: 2\n{key}: 4000.0"), field=field)
+      for key, field in (("x_max_db", "X_max"), ("eta_db", "eta[ab]"))),
+    *(call(f"sweep-{param}-huge", "sweep", "CFG", "--param", param,
+           "--values", "4000", "-o", "OUT", field=param.removesuffix("_db"))
+      for param in ("X_max_db", "csi_error_db")),
+    call("bench-init-kappa-huge", "bench-init", "--kappa-db", "4000",
+         field="kappa[a]"),
+    call("bench-init-trials", "bench-init", "--trials", "-1",
+         field="--trials"),
+    call("run-malformed-yaml", "run", "CFG", "-o", "OUT",
+         edit=("M_a: 2", "M_a: [2"), field="CFG"),
+    call("run-blocked", "run", "CFG", "-o", "BLOCKED", field="BLOCKED"),
+    call("sweep-values-text", "sweep", "CFG", "--param", "W_max_db",
+         "--values", "abc", "-o", "OUT", field="--values"),
+    call("waterfill-alpha-text", "waterfill", "--alpha", "x,1", "--beta",
+         "0.5,0.2", "--budget", "1", "-o", "OUT", field="--alpha"),
 ])
 def test_exit_codes(tmp_path, args, edit, code, field):
-    """Exit 0 on a valid call; exit 2 on a number that is out of range or
-    not finite, or on an output path that cannot be written, naming the
-    field or the path and writing nothing."""
+    """Exit 0 on a valid call; exit 2 on a config that is not valid YAML,
+    an option that is not a list of numbers, a number that is out of range
+    or not finite, or an output path that cannot be written, naming the
+    field, option or path on one line and writing nothing."""
     cfg = write_config(tmp_path, CONFIG.replace(*edit))
+    (tmp_path / "file").write_text("")
     paths = {"CFG": cfg, "OUT": str(tmp_path / "out"),
-             "MISSING": str(tmp_path / "missing" / "alloc.csv")}
+             "MISSING": str(tmp_path / "missing" / "alloc.csv"),
+             "BLOCKED": str(tmp_path / "file" / "out")}
     result = CliRunner().invoke(cli.main, [paths.get(a, a) for a in args])
     assert result.exit_code == code, result.output
     if code == 2:
@@ -250,5 +270,36 @@ def test_exit_codes(tmp_path, args, edit, code, field):
         assert message.startswith("config error:")
         assert paths.get(field, field) in message
         assert not (tmp_path / "out").exists()
+        assert (tmp_path / "file").read_text() == ""
     else:
         assert "config error" not in result.output
+
+
+def test_unwritable_outdir_exits_2_before_any_trial(tmp_path, monkeypatch):
+    """``run -o`` under a regular file is found before the first trial, not
+    after the last."""
+    def no_trial(*args, **kwargs):
+        raise AssertionError("run_trial called")
+
+    monkeypatch.setattr(harness, "run_trial", no_trial)
+    (tmp_path / "file").write_text("")
+    outdir = tmp_path / "file" / "out"
+    result = CliRunner().invoke(cli.main, ["run", write_config(tmp_path),
+                                           "-o", str(outdir)])
+    assert result.exit_code == 2, result.output
+    assert result.output == (f"config error: [Errno 20] Not a directory: "
+                             f"'{outdir}'\n")
+
+
+def test_value_error_inside_a_run_is_not_a_config_error(tmp_path, monkeypatch):
+    """Only a ConfigError or an OSError exits 2: any other ValueError raised
+    during a run is a fault of the program, so it keeps its traceback."""
+    def broken(cfg):
+        raise ValueError("synthetic programming error")
+
+    monkeypatch.setattr(harness, "run_experiment", broken)
+    result = CliRunner().invoke(cli.main, ["run", write_config(tmp_path),
+                                           "-o", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, ValueError)
+    assert "config error" not in result.output

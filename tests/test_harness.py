@@ -146,6 +146,19 @@ def test_config_from_yaml_rejects_non_mapping(tmp_path):
         ExperimentConfig.from_yaml(path)
 
 
+@pytest.mark.parametrize("text", [b"M_a: [2\nN: 2\n", b"M_a: \xff\n"],
+                         ids=["unclosed-list", "not-utf-8"])
+def test_config_from_yaml_rejects_malformed_text(tmp_path, text):
+    """A file that does not parse is a ConfigError naming the path, on one
+    line."""
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_yaml(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("path", WORKLOADS, ids=lambda path: path.stem)
 def test_each_benchmark_workload_runs_one_trial(path):
     """Every benchmark workload loads as a config and gives finite bits
