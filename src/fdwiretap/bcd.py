@@ -235,7 +235,7 @@ def _spatial_beam(f: np.ndarray, g_gram: np.ndarray, nu_f, nu_g) -> np.ndarray:
     eye = np.eye(g_gram.shape[-1])
     a = f.conj().swapaxes(-1, -2) @ f + np.multiply.outer(nu_f, eye)
     b = g_gram + np.multiply.outer(nu_g, eye)
-    vals, vecs = np.linalg.eigh(b)
+    vals, vecs = linalg.eigh(b)
     b_inv_half = ((vecs / np.sqrt(vals)[..., None, :])
                   @ vecs.conj().swapaxes(-1, -2))
     _, u, _ = linalg.dominant_eigenpair(b_inv_half @ a @ b_inv_half)
@@ -329,6 +329,7 @@ def _extrapolate(params, ch, view, prob, point, prev_point, f_new, aux):
     return best, accepted
 
 
+@linalg.guarded()
 def _run(params: SystemParams, ch: ChannelRealization, init, free,
          outer_tol: float, max_outer: int, inner_tol: float,
          inner_max_iter: int) -> BcdResult:

@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 on success; 2 on a config error (malformed YAML, or a number out
-of range, not finite or in dB too large for a float) or an output path that
-cannot be written, checked before any trial runs; 3 when at least one trial
+Exit codes: 0 on success; 2 on a config error (malformed YAML, a missing
+config file, an option value of the wrong type, or a number out of range, not
+finite or in dB too large for a float) or an output path that cannot be
+written, checked before any trial runs; 3 when at least one trial
 failed numerically (partial results are still written).
 """
 
@@ -39,13 +40,16 @@ def _run_and_emit(cfg: harness.ExperimentConfig, outdir: str) -> None:
 
 
 class _Main(click.Group):
-    """Its ``invoke`` alone exits 2: on a ConfigError or an OSError."""
+    """Its ``invoke`` alone exits 2: on a ConfigError, an OSError or a
+    value that click's own parameter types reject."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ConfigError, OSError) as exc:
-            click.echo(f"config error: {exc}", err=True)
+        except (ConfigError, OSError, click.BadParameter) as exc:
+            text = (exc.format_message()
+                    if isinstance(exc, click.BadParameter) else exc)
+            click.echo(f"config error: {text}", err=True)
             sys.exit(2)
 
 

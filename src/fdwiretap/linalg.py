@@ -10,14 +10,74 @@ A matrix is re-symmetrized only where it enters the package from outside
 (:func:`hermitize`).  Computed values are left as computed: a product or
 inverse of Hermitian matrices is Hermitian up to rounding, and ``eigh``,
 ``eigvalsh`` and ``cholesky`` read only one triangle.
+
+This module is the package's only LAPACK caller.  Its functions call
+numpy's LAPACK gufuncs directly, with the signatures ``np.linalg`` passes,
+so each result is ``np.linalg``'s bit for bit.  :func:`guarded` enters
+numpy's LAPACK error state once around a loop, where ``np.linalg`` enters
+it on every call; a call outside any guard enters it itself.  So a failure
+always raises ``LinAlgError`` (or ``NonPositiveDefinite``), and never
+returns NaN with a warning.
 """
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import NonPositiveDefinite
 
 # Eigenvalues within this gap of the largest span the dominant eigenspace.
 DEGENERATE_GAP = 1e-10
+
+# True inside :func:`guarded`.
+_GUARDED = ContextVar("fdwiretap_linalg_guarded", default=False)
+
+
+def _raise_linalg_error(err, flag):
+    raise LinAlgError("a LAPACK routine failed (not positive definite, "
+                      "singular or not converged), or an operation gave NaN")
+
+
+@contextmanager
+def guarded():
+    """numpy's LAPACK error state, entered once for the calls inside, which
+    run their gufuncs bare: as ``np.linalg`` sets it around each call, an
+    ``invalid`` result of any floating-point operation raises
+    ``LinAlgError``, and overflow, division by zero and underflow are
+    ignored.  Enter it around a loop and set no other ``np.errstate``
+    inside.  The state and the guard mark are restored on exit, also after
+    an exception."""
+    token = _GUARDED.set(True)
+    try:
+        with np.errstate(call=_raise_linalg_error, invalid="call",
+                         over="ignore", divide="ignore", under="ignore"):
+            yield
+    finally:
+        _GUARDED.reset(token)
+
+
+def _lapack(gufunc, m: np.ndarray, real_sig: str, complex_sig: str):
+    """``gufunc`` on ``m`` in double precision, under :func:`guarded`."""
+    sig = complex_sig if m.dtype.kind == "c" else real_sig
+    if _GUARDED.get():
+        return gufunc(m, signature=sig)
+    with guarded():
+        return gufunc(m, signature=sig)
+
+
+def eigh(m: np.ndarray) -> tuple:
+    """Eigenvalues in ascending order and eigenvectors of a Hermitian
+    matrix, or of each matrix of a stack, from its lower triangle: bit for
+    bit ``np.linalg.eigh``.  Raises LinAlgError if the solver fails."""
+    return _lapack(_umath_linalg.eigh_lo, m, "d->dd", "D->dD")
+
+
+def inv(m: np.ndarray) -> np.ndarray:
+    """Inverse of a square matrix, or of each matrix of a stack: bit for
+    bit ``np.linalg.inv``.  Raises LinAlgError for a singular matrix."""
+    return _lapack(_umath_linalg.inv, m, "d->d", "D->D")
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -33,8 +93,8 @@ def cholesky(m: np.ndarray) -> np.ndarray:
     each matrix of a stack.  Raises NonPositiveDefinite if a factorization
     fails."""
     try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
+        return _lapack(_umath_linalg.cholesky_lo, m, "d->d", "D->D")
+    except LinAlgError as exc:
         raise NonPositiveDefinite("matrix is not positive definite") from exc
 
 
@@ -52,7 +112,7 @@ def psd_inverse(m: np.ndarray) -> np.ndarray:
     Hermitian positive definite matrix or of each matrix of a stack.
     Raises NonPositiveDefinite if the factorization fails, so a singular or
     indefinite covariance is never inverted."""
-    w = np.linalg.inv(cholesky(m))
+    w = inv(cholesky(m))
     return w.conj().swapaxes(-1, -2) @ w
 
 
@@ -75,7 +135,7 @@ def dominant_eigenpair(m: np.ndarray) -> tuple:
     :func:`fix_phase`; the flag says that space has more than one
     dimension.  The output is deterministic and basis-independent.
     """
-    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = eigh(m)
     lam = vals[..., -1]
     in_space = vals > lam[..., None] - DEGENERATE_GAP
     # Column k of the eigenspace projector is the projection of e_k.
@@ -95,7 +155,8 @@ def from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix or of a whole stack."""
-    return float(np.linalg.eigvalsh(hermitize(m)).min())
+    return float(_lapack(_umath_linalg.eigvalsh_lo, hermitize(m), "d->d",
+                         "D->d").min())
 
 
 def real_trace(m: np.ndarray) -> float:

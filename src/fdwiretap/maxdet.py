@@ -28,6 +28,9 @@ import numpy as np
 from . import linalg
 from .errors import InfeasibleStart, NonPositiveDefinite
 
+#: The line search's steps, largest first.
+_HALVINGS = tuple(0.5 ** k for k in range(40))
+
 # ---------------------------------------------------------------------------
 # Linear maps on Hermitian matrices, with adjoints for gradient assembly: a
 # map is any object with Hermitian-preserving apply(V) and its adjoint(G).
@@ -148,7 +151,7 @@ def _eval_state(prob: MaxDetProblem, point: dict) -> tuple:
         chol = linalg.cholesky(_term_matrix(term, point))
         total += term.weight * 2.0 * np.log(
             chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1).sum()
-        factors.append(np.linalg.inv(chol))
+        factors.append(linalg.inv(chol))
     return total, _gradient(prob, point, factors), factors
 
 
@@ -165,7 +168,10 @@ def _gradient(prob: MaxDetProblem, point: dict, factors: list) -> dict:
         for name, lmap in term.maps:
             adj = adjoints.get(id(lmap))
             if adj is None:
-                adj = adjoints[id(lmap)] = term.weight * lmap.adjoint(y_inv)
+                adj = lmap.adjoint(y_inv)
+                if term.weight != 1.0:
+                    adj = term.weight * adj
+                adjoints[id(lmap)] = adj
             grads[name] = grads[name] + adj
     return grads
 
@@ -197,9 +203,17 @@ def _clip_to_budget(vals: np.ndarray, budget: float,
     if clipped.sum() <= budget:
         return clipped
     if weights is None:
-        srt = np.sort(vals)[::-1]
-        theta = (srt.cumsum() - budget) / np.arange(1, srt.size + 1)
-        return np.maximum(vals - theta[np.nonzero(theta < srt)[0][-1]], 0.0)
+        # Over Python floats, which costs less than numpy calls on a few
+        # eigenvalues.  The running sum of the sorted values is sequential,
+        # as in ``cumsum``, so the level is the numpy formula's, bit for bit.
+        xs = vals.tolist()
+        total = 0.0
+        for k, x in enumerate(sorted(xs, reverse=True), 1):
+            total += x
+            theta = (total - budget) / k
+            if theta < x:
+                level = theta
+        return np.array([0.0 if x - level < 0.0 else x - level for x in xs])
     # Each eigenvalue leaves the active set at theta = vals / weights.  With
     # the k largest of these ratios active, sum (vals - theta weights) =
     # budget gives theta[k]; the level is that of the largest k whose
@@ -230,11 +244,11 @@ def project_feasible(prob: MaxDetProblem, point: dict,
     for group, budget in prob.constraints:
         if len(group) == 1:
             (name,) = group
-            vals, vecs = np.linalg.eigh(point[name])
+            vals, vecs = linalg.eigh(point[name])
             clipped = _clip_to_budget(vals.ravel(), budget)
             out[name] = linalg.from_eigh(clipped.reshape(vals.shape), vecs)
             continue
-        eig = [np.linalg.eigh(point[name]) for name in group]
+        eig = [linalg.eigh(point[name]) for name in group]
         top = max(steps[name] for name in group)
         clipped = _clip_to_budget(
             np.concatenate([vals.ravel() for vals, _ in eig]), budget,
@@ -253,7 +267,7 @@ def _check_feasible(prob: MaxDetProblem, point: dict) -> None:
         v = point.get(name)
         if v is None or v.shape[-2:] != (dim, dim):
             raise InfeasibleStart(f"variable {name} missing or misshaped")
-        if linalg.min_eigenvalue(v) < -1e-8:
+        if not linalg.min_eigenvalue(v) >= -1e-8:  # NaN is not PSD either
             raise InfeasibleStart(f"variable {name} is not PSD")
     for group, budget in prob.constraints:
         total = sum(linalg.real_trace(point[name]) for name in group)
@@ -274,6 +288,7 @@ def _stationarity_residual(prob: MaxDetProblem, point: dict,
     return float(np.sqrt(sq)), projected
 
 
+@linalg.guarded()
 def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
           tol: float = 1e-6, rel_tol: float = 0.0) -> tuple[dict, SolverReport]:
     """Monotone scaled spectral projected gradient ascent.
@@ -347,11 +362,11 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         # Increments, not levels: a constant cannot change the step taken.
         y_dir = [_term_matrix(term, direction, np.zeros_like(term.const))
                  for term in prob.logdet_terms]
-        eigs = [np.linalg.eigh(w @ yd @ w.conj().swapaxes(-1, -2))
+        eigs = [linalg.eigh(w @ yd @ w.conj().swapaxes(-1, -2))
                 for w, yd in zip(w_cur, y_dir)]
         lin_delta = -sum(linalg.inner(coeff, direction[name])
                          for name, coeff in prob.linear_terms.items())
-        for step in 0.5 ** np.arange(40):
+        for step in _HALVINGS:
             gain = step * lin_delta + sum(
                 term.weight * _logdet_increment(mu, step)
                 for term, (mu, _) in zip(prob.logdet_terms, eigs))

@@ -277,12 +277,22 @@ def signal(params: SystemParams, ch: ChannelRealization, tx: str,
     return f"X_{tx}", _operators(params, ch)[tx + rx]
 
 
-def covariance(params: SystemParams, design, rx: str,
-               pairs: list) -> np.ndarray:
-    """The (N, M, M) stack noise_rx[n] I + sum of op(block) over ``pairs``."""
-    nodes = design.nodes()
+@functools.lru_cache(maxsize=32)
+def _noise_floor(params: SystemParams, rx: str) -> np.ndarray:
+    """The read-only (N, M, M) stack noise_rx[n] I at receiver ``rx``,
+    built once per (params, receiver) as :func:`_operators` is."""
     dim = {"a": params.M_ar, "b": params.M_br, "e": params.M_e}[rx]
     out = params.noise[rx][:, None, None] * np.eye(dim, dtype=complex)
+    out.flags.writeable = False
+    return out
+
+
+def covariance(params: SystemParams, design, rx: str,
+               pairs: list) -> np.ndarray:
+    """The (N, M, M) stack noise_rx[n] I + sum of op(block) over ``pairs``;
+    with no pairs it is the read-only noise floor itself."""
+    nodes = design.nodes()
+    out = _noise_floor(params, rx)
     for block, op in pairs:
         out = out + op.apply(getattr(nodes, block))
     return out

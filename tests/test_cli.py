@@ -192,9 +192,10 @@ def test_bench_init_failed_trial_exits_3(monkeypatch):
 def call(name, *args, edit=("", ""), code=2, field=None):
     """One CLI call: its arguments, where CFG is the config file edited by
     replacing ``edit[0]`` with ``edit[1]``, OUT an output path that does
-    not exist yet, MISSING a path in a missing directory and BLOCKED a
-    path under a regular file; its exit code; and the field, option or
-    path that an exit 2 names after "config error:"."""
+    not exist yet, MISSING a path in a missing directory, BLOCKED a path
+    under a regular file and NOCFG a config file that does not exist; its
+    exit code; and the field, option or path that an exit 2 names after
+    "config error:"."""
     return pytest.param(list(args), edit, code, field, id=name)
 
 
@@ -252,21 +253,26 @@ WATERFILL = ("waterfill", "--alpha", "2,1", "--beta", "0.5,0.2")
          "--values", "abc", "-o", "OUT", field="--values"),
     call("waterfill-alpha-text", "waterfill", "--alpha", "x,1", "--beta",
          "0.5,0.2", "--budget", "1", "-o", "OUT", field="--alpha"),
+    call("waterfill-budget-text", "waterfill", "--alpha", "1", "--beta", "0",
+         "--budget", "abc", "-o", "OUT", field="--budget"),
+    call("run-missing-config", "run", "NOCFG", "-o", "OUT", field="NOCFG"),
 ])
 def test_exit_codes(tmp_path, args, edit, code, field):
-    """Exit 0 on a valid call; exit 2 on a config that is not valid YAML,
-    an option that is not a list of numbers, a number that is out of range
-    or not finite, or an output path that cannot be written, naming the
-    field, option or path on one line and writing nothing."""
+    """Exit 0 on a valid call; exit 2 on a config that is not valid YAML
+    or does not exist, an option that is not a number or a list of numbers,
+    a number that is out of range or not finite, or an output path that
+    cannot be written, naming the field, option or path on one line and
+    writing nothing."""
     cfg = write_config(tmp_path, CONFIG.replace(*edit))
     (tmp_path / "file").write_text("")
     paths = {"CFG": cfg, "OUT": str(tmp_path / "out"),
              "MISSING": str(tmp_path / "missing" / "alloc.csv"),
-             "BLOCKED": str(tmp_path / "file" / "out")}
+             "BLOCKED": str(tmp_path / "file" / "out"),
+             "NOCFG": str(tmp_path / "missing.yaml")}
     result = CliRunner().invoke(cli.main, [paths.get(a, a) for a in args])
     assert result.exit_code == code, result.output
     if code == 2:
-        message = result.output.splitlines()[-1]
+        (message,) = result.output.splitlines()
         assert message.startswith("config error:")
         assert paths.get(field, field) in message
         assert not (tmp_path / "out").exists()

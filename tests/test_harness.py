@@ -582,3 +582,74 @@ def test_empty_rows_emit_header_only(tmp_path):
     trial_lines = (tmp_path / "trials.csv").read_text().strip().splitlines()
     assert agg_lines == [",".join(harness.AGGREGATE_HEADER)]
     assert trial_lines == [",".join(harness.TRIAL_HEADER)]
+
+
+# --- golden rows --------------------------------------------------------------
+
+#: The benchmark's desk and wideband workloads (perfbench/workloads), inlined.
+GOLDEN_CONFIGS = {
+    "desk": dict(DESK, strategies=["Optimal-FD", "Optimal-HD", "Equal-FD",
+                                   "Equal-HD"]),
+    "wideband": dict(DESK, N=4, strategies=["Optimal-FD"], outer_tol=1e-2,
+                     inner_tol=1e-3),
+}
+#: The repr of every TrialRow field, in field order, of the first trials at
+#: master seed 1802, the benchmark's standing experiment.  The optimizer
+#: must not change, so a rewrite of its hot path that moves one bit fails
+#: here, not only in the benchmark's bits report.
+GOLDEN_ROWS = {
+    "desk": [
+        ("'Optimal-FD'", '0.0', '0', '10211351229921619241',
+         '4.871368879247168', '11', "'Converged'", '60', "'Converged'", '11',
+         '1.7345553700309604e-07'),
+        ("'Optimal-HD'", '0.0', '0', '10211351229921619241',
+         '3.092292532255854', '7', "'Converged'", '26', "'Converged'", '13',
+         '7.823108487054541e-07'),
+        ("'Equal-FD'", '0.0', '0', '10211351229921619241',
+         '1.2206021632660642', '0', "'Converged'", '0', "'Converged'", '0',
+         '0.0'),
+        ("'Equal-HD'", '0.0', '0', '10211351229921619241', '0.0', '0',
+         "'Converged'", '0', "'Converged'", '0', '0.0'),
+        ("'Optimal-FD'", '0.0', '1', '4611984770295761986',
+         '3.524479527830957', '18', "'Converged'", '111', "'Converged'", '23',
+         '7.233153946881089e-07'),
+        ("'Optimal-HD'", '0.0', '1', '4611984770295761986',
+         '2.720884724404371', '7', "'Converged'", '40', "'Converged'", '8',
+         '6.93255758360006e-07'),
+        ("'Equal-FD'", '0.0', '1', '4611984770295761986', '0.2561858892399047',
+         '0', "'Converged'", '0', "'Converged'", '0', '0.0'),
+        ("'Equal-HD'", '0.0', '1', '4611984770295761986', '1.4320314111998451',
+         '0', "'Converged'", '0', "'Converged'", '0', '0.0'),
+        ("'Optimal-FD'", '0.0', '2', '11582411237681416467',
+         '5.9558648412521995', '10', "'Converged'", '70', "'Converged'", '9',
+         '9.084088340862171e-07'),
+        ("'Optimal-HD'", '0.0', '2', '11582411237681416467',
+         '4.595262500437011', '7', "'Converged'", '26', "'Converged'", '8',
+         '2.1606405615126766e-07'),
+        ("'Equal-FD'", '0.0', '2', '11582411237681416467',
+         '1.5118095907426068', '0', "'Converged'", '0', "'Converged'", '0',
+         '0.0'),
+        ("'Equal-HD'", '0.0', '2', '11582411237681416467',
+         '1.5933034791845597', '0', "'Converged'", '0', "'Converged'", '0',
+         '0.0'),
+    ],
+    "wideband": [
+        ("'Optimal-FD'", '0.0', '0', '10211351229921619241',
+         '10.060913916175242', '4', "'Converged'", '34', "'Converged'", '2',
+         '0.0005258297138730487'),
+        ("'Optimal-FD'", '0.0', '1', '4611984770295761986',
+         '7.6934686804054255', '6', "'Converged'", '126', "'Converged'", '5',
+         '0.0009344829114788754'),
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(GOLDEN_CONFIGS))
+def test_standing_trials_keep_every_bit(workload):
+    want = GOLDEN_ROWS[workload]
+    cfg = ExperimentConfig.from_dict(dict(
+        GOLDEN_CONFIGS[workload], master_seed=1802,
+        trials=len({row[2] for row in want})))
+    got = [tuple(repr(getattr(row, f.name)) for f in fields(row))
+           for row in run_experiment(cfg).trial_rows]
+    assert got == want

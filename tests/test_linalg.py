@@ -1,3 +1,6 @@
+import warnings
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,3 +221,100 @@ def test_inner_is_real_trace_of_product():
     b = random_hermitian(rng, 3)
     assert linalg.inner(a, b) == pytest.approx(
         float(np.real(np.trace(a.conj().T @ b))), abs=1e-10)
+
+
+# --- the LAPACK gateway ------------------------------------------------------
+# These tests pin the direct use of numpy's private LAPACK gufuncs
+# (numpy.linalg._umath_linalg): a numpy release that changes them fails here.
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def guard(on: bool):
+    return linalg.guarded() if on else nullcontext()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1, max_value=4), st.booleans(), st.booleans(),
+       st.integers(min_value=0, max_value=10**6))
+def test_gateway_is_np_linalg_bit_for_bit(n, dim, is_complex, guarded, seed):
+    """eigh, cholesky, inv and min_eigenvalue give np.linalg's bits on real
+    and complex stacks, inside a guard and outside any."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, dim, dim))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((n, dim, dim))
+    m = a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(dim)
+    with guard(guarded):
+        vals, vecs = linalg.eigh(m)
+        chol = linalg.cholesky(m)
+        inv = linalg.inv(m)
+        low = linalg.min_eigenvalue(a)
+    want_vals, want_vecs = np.linalg.eigh(m)
+    assert_same_bits(vals, want_vals)
+    assert_same_bits(vecs, want_vecs)
+    assert_same_bits(chol, np.linalg.cholesky(m))
+    assert_same_bits(inv, np.linalg.inv(m))
+    want_low = np.linalg.eigvalsh(linalg.hermitize(a)).min()
+    assert type(low) is float and low == want_low
+
+
+@pytest.mark.parametrize("guarded", [False, True])
+def test_gateway_failures_raise_and_never_warn(guarded):
+    """An indefinite matrix raises NonPositiveDefinite from cholesky, logdet
+    and psd_inverse, a singular one LinAlgError from inv, and a matrix whose
+    eigensolve fails in np.linalg LinAlgError from eigh, inside a guard and
+    outside any, with no RuntimeWarning and no NaN returned."""
+    indefinite = np.array([np.eye(2), np.diag([1.0, -1.0])], complex)
+    stuck = np.full((4, 4), np.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(stuck)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with guard(guarded):
+            for func in (linalg.cholesky, linalg.logdet, linalg.psd_inverse):
+                with pytest.raises(NonPositiveDefinite):
+                    func(indefinite)
+            with pytest.raises(np.linalg.LinAlgError):
+                linalg.inv(np.zeros((2, 2), complex))
+            for func in (linalg.eigh, linalg.min_eigenvalue):
+                with pytest.raises(np.linalg.LinAlgError):
+                    func(stuck)
+
+
+def test_guard_and_error_state_are_restored_after_an_exception():
+    state = np.geterr(), np.geterrcall()
+    with pytest.raises(NonPositiveDefinite):
+        with linalg.guarded():
+            with linalg.guarded():
+                assert np.geterr()["invalid"] == "call"
+                linalg.cholesky(np.diag([1.0, -1.0]))
+    assert (np.geterr(), np.geterrcall()) == state
+    assert not linalg._GUARDED.get()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonPositiveDefinite):
+            linalg.cholesky(np.diag([1.0, -1.0]))
+
+
+def test_the_solver_runs_its_lapack_calls_guarded(monkeypatch):
+    """maxdet.solve enters the guard once, so the gateway calls it makes
+    run their gufuncs bare."""
+    seen = []
+    eigh = linalg.eigh
+    monkeypatch.setattr(
+        linalg, "eigh", lambda m: seen.append(linalg._GUARDED.get()) or eigh(m))
+    prob = maxdet.MaxDetProblem(
+        variables=[("v", 2)],
+        logdet_terms=[maxdet.LogDetTerm(
+            const=np.eye(2, dtype=complex),
+            maps=[("v", maxdet.Congruence(np.diag([2.0, 1.0])))])],
+        constraints=[(("v",), 1.0)])
+    maxdet.solve(prob, {"v": np.zeros((2, 2), complex)})
+    assert seen and all(seen)
+    assert not linalg._GUARDED.get()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdwiretap import linalg, maxdet
 from fdwiretap.errors import InfeasibleStart, NonPositiveDefinite
@@ -447,6 +448,7 @@ def test_infeasible_start_rejected():
     for start, message in (
             ({"x": 5.0 * np.eye(1, dtype=complex)}, "trace budget violated"),
             ({"x": -0.5 * np.eye(1, dtype=complex)}, "variable x is not PSD"),
+            ({"x": np.full((1, 1), np.nan, complex)}, "variable x is not PSD"),
             ({"x": np.eye(2, dtype=complex)}, "x missing or misshaped"),
             ({}, "x missing or misshaped")):
         with pytest.raises(InfeasibleStart, match=message):
@@ -542,6 +544,27 @@ def test_unit_weights_give_the_euclidean_clip_bit_for_bit():
         np.testing.assert_array_equal(
             _clip_to_budget(vals, budget, np.ones(vals.size)), want)
         np.testing.assert_array_equal(_clip_to_budget(vals, budget), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(-10.0, 10.0),
+                          st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0])),
+                min_size=1, max_size=256),
+       st.sampled_from(["binding", "exact", "slack", "infinite"]),
+       st.floats(0.01, 0.99))
+def test_scalar_level_is_the_numpy_formula_bit_for_bit(xs, kind, frac):
+    """The unweighted level, taken over Python floats, is the numpy formula
+    of euclidean_clip bit for bit: sizes 1 to 256, ties, negative
+    eigenvalues, and budgets that bind, equal the clipped sum exactly, do
+    not bind or are infinite."""
+    vals = np.array(xs)
+    total = float(np.maximum(vals, 0.0).sum())
+    budget = {"binding": frac * total, "exact": total, "slack": total + frac,
+              "infinite": np.inf}[kind] or frac
+    got = _clip_to_budget(vals, budget)
+    want = euclidean_clip(vals, budget)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_one_variable_groups_take_the_unit_weight_level_bit_for_bit():

@@ -397,9 +397,10 @@ def test_bidirectional_report_structure():
 
 
 def test_cached_operators_never_cross_inputs():
-    """The operators are built once per (params, channel): a channel, its
-    CSI-perturbed copy and the half-duplex form of the params each get
-    their own, so every report equals one computed from an empty cache."""
+    """The operators are built once per (params, channel), and the noise
+    floors once per (params, receiver): a channel, its CSI-perturbed copy
+    and the half-duplex form of the params each get their own, so every
+    report equals one computed from empty caches."""
     p = small_params(kappa_db=-20.0, beta_db=-20.0)
     ch = draw_channels(p, 31)
     rng = np.random.default_rng(31)
@@ -417,6 +418,7 @@ def test_cached_operators_never_cross_inputs():
         assert len(set(legit)) == len(legit)
         for (q, c), rep in zip(cases, warm):
             system_model._operators.cache_clear()
+            system_model._noise_floor.cache_clear()
             cold = secrecy_rates(q, c, design)
             for rates in ("I_ab", "I_ae", "I_ba", "I_be", "I_sec"):
                 got, want = getattr(rep, rates), getattr(cold, rates)
@@ -477,14 +479,18 @@ def test_interference_names_only_present_blocks_in_order():
 
 def test_params_and_channel_arrays_are_read_only():
     """An in-place write into a stored array raises, where it used to
-    leave the cached operators stale; inputs are copied, not frozen, and
-    both types still pickle."""
+    leave the cached operators stale, and so does one into a cached noise
+    floor; inputs are copied, not frozen, and both types still pickle."""
     p = small_params()
     ch = draw_channels(p, 38)
     d = random_design(p, 39)
     secrecy_rates(p, ch, d)
     with pytest.raises(ValueError):
         ch.H["ab"][...] *= 2
+    floor = sigma_eve(p, ch, BidirectionalDesign(X_a=d.X, W_a=None,
+                                                 X_b=None, W_b=None))
+    with pytest.raises(ValueError):
+        floor[...] = 0.0
     for field_name in ("noise", "kappa", "beta", "D_corr"):
         with pytest.raises(ValueError):
             getattr(p, field_name)["b"][...] = 0.1
