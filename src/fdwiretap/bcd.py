@@ -194,30 +194,16 @@ def _subproblem(params: SystemParams, ch: ChannelRealization,
 # Initializations.
 
 
-def _equal_power_stack(power: float, n: int, dim: int) -> np.ndarray:
-    """(n, dim, dim) scaled identities that spend ``power`` in total."""
-    return np.repeat((power / (n * dim) * np.eye(dim, dtype=complex))[None],
-                     n, axis=0)
-
-
 def init_uniform(params: SystemParams, with_jamming: bool = False) -> TransmitDesign:
-    """Scaled-identity covariances with equal power across subcarriers.
-
-    Information covariances take the full budget; jamming starts at zero
-    unless ``with_jamming`` spreads the full jamming budget uniformly.
-    """
-    w_max = params.W_max if with_jamming else 0.0
-    return TransmitDesign(X=_equal_power_stack(params.X_max, params.N,
-                                               params.M_a),
-                          W=_equal_power_stack(w_max, params.N, params.M_bt))
+    """Alice's X spends X_max uniformly (:meth:`Design.uniform`), and Bob's W
+    is zero unless ``with_jamming`` spreads W_max the same way."""
+    return TransmitDesign.uniform(
+        params, ("X_a", "W_b") if with_jamming else ("X_a",))
 
 
 def init_uniform_bidirectional(params: SystemParams) -> BidirectionalDesign:
-    """Full-budget uniform information covariances, zero jamming."""
-    x_a = _equal_power_stack(params.P_A_max, params.N, params.M_a)
-    x_b = _equal_power_stack(params.P_B_max, params.N, params.M_bt)
-    return BidirectionalDesign(X_a=x_a, W_a=np.zeros_like(x_a), X_b=x_b,
-                               W_b=np.zeros_like(x_b))
+    """Both nodes' X spend their budget uniformly, and neither node jams."""
+    return BidirectionalDesign.uniform(params, ("X_a", "X_b"))
 
 
 def _spatial_beam(f: np.ndarray, g_gram: np.ndarray, nu_f, nu_g) -> np.ndarray:

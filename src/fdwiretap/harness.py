@@ -14,7 +14,6 @@ import csv
 import inspect
 import json
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from . import __version__, bcd, maxdet, system_model
 from .channel import (SystemParams, db2lin, draw_channels, perturb_csi,
                       require, trial_seed)
 from .errors import ConfigError, FdWiretapError, UnknownStrategy
+from .system_model import BidirectionalDesign, TransmitDesign
 
 
 def _budgets(*names):
@@ -211,34 +211,25 @@ def _half_duplex(params: SystemParams) -> SystemParams:
                    beta={"a": 0.0, "b": 0.0}, D_corr={})
 
 
-def _equal_power(with_jamming: bool):
-    return lambda params: bcd.init_uniform(params, with_jamming=with_jamming)
-
-
-def _bob_silent(params: SystemParams):
-    """The uniform two-node design with Bob's information block silent."""
-    design = bcd.init_uniform_bidirectional(params)
-    design.X_b[:] = 0.0
-    return design
-
-
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """A strategy is its starting design and its optimizer runs.
+    """A strategy is data: its starting design and its optimizer runs.
 
-    ``init`` builds the starting design: a one-directional
-    ``TransmitDesign``, whose X and W are the two-node blocks 'X_a' and
-    'W_b', or by default the uniform two-node ``BidirectionalDesign``.  The
-    design's type sets the budgets: X_max and W_max, or P_A_max and
-    P_B_max.  Each entry of ``runs`` is one optimizer run over the named
-    free blocks, a subset of :data:`fdwiretap.bcd.BLOCKS`; with no run the
-    starting design is the answer.  Several runs time-share the channel:
-    each starts with the other runs' blocks silent, no node transmits
-    while it receives (:meth:`params`), and each run has the channel for
-    its share of the time (:meth:`score`).
+    The start is ``design.uniform(params, start)``: the named blocks spend
+    their node's whole budget evenly and the others are zero
+    (:meth:`~fdwiretap.system_model.Design.uniform`).  The design type sets
+    the budgets: X_max and W_max for a one-directional ``TransmitDesign``,
+    whose X and W are the two-node blocks 'X_a' and 'W_b', or P_A_max and
+    P_B_max for the default ``BidirectionalDesign``.  Each entry of
+    ``runs`` is one optimizer run over the named free blocks, a subset of
+    :data:`fdwiretap.bcd.BLOCKS`; with no run the start is the answer.
+    Several runs time-share the channel: each starts with the other runs'
+    blocks silent, no node transmits while it receives (:meth:`params`),
+    and each run has the channel for its share of the time (:meth:`score`).
     """
 
-    init: Callable = bcd.init_uniform_bidirectional
+    design: type = BidirectionalDesign
+    start: tuple = ("X_a", "X_b")
     runs: tuple = ()
 
     def params(self, params: SystemParams) -> SystemParams:
@@ -252,17 +243,19 @@ class Strategy:
 
 
 STRATEGY_TABLE = {
-    "Optimal-FD": Strategy(_equal_power(False), runs=({"X_a", "W_b"},)),
-    "Optimal-HD": Strategy(_equal_power(False), runs=({"X_a"},)),
-    "Equal-FD": Strategy(_equal_power(True)),
-    "Equal-HD": Strategy(_equal_power(False)),
-    "Equal-X/Optimal-W": Strategy(_equal_power(True), runs=({"W_b"},)),
-    "Equal-W/Optimal-X": Strategy(_equal_power(True), runs=({"X_a"},)),
+    "Optimal-FD": Strategy(TransmitDesign, ("X_a",), runs=({"X_a", "W_b"},)),
+    "Optimal-HD": Strategy(TransmitDesign, ("X_a",), runs=({"X_a"},)),
+    "Equal-FD": Strategy(TransmitDesign, ("X_a", "W_b")),
+    "Equal-HD": Strategy(TransmitDesign, ("X_a",)),
+    "Equal-X/Optimal-W": Strategy(TransmitDesign, ("X_a", "W_b"),
+                                  runs=({"W_b"},)),
+    "Equal-W/Optimal-X": Strategy(TransmitDesign, ("X_a", "W_b"),
+                                  runs=({"X_a"},)),
     "Both-FD/No-Jam": Strategy(runs=({"X_a", "X_b"},)),
     "Both-FD/Bob-Jam": Strategy(runs=({"X_a", "X_b", "W_b"},)),
     "Both-FD/Both-Jam": Strategy(runs=({"X_a", "W_a", "X_b", "W_b"},)),
     "Both-HD/No-Jam": Strategy(runs=({"X_a"}, {"X_b"})),
-    "Bob-FD/Bob-Jam": Strategy(_bob_silent, runs=({"X_a", "W_b"},)),
+    "Bob-FD/Bob-Jam": Strategy(start=("X_a",), runs=({"X_a", "W_b"},)),
 }
 
 
@@ -317,7 +310,7 @@ def strategy_dispatch(name: str, params: SystemParams, ch,
         raise TypeError(f"unknown solver options {sorted(unknown)}")
     spec = _strategy(name)
     params = spec.params(params)
-    design = spec.init(params)
+    design = spec.design.uniform(params, spec.start)
     states = []
     for free in spec.runs:
         init = design.copy()

@@ -16,8 +16,16 @@ numpy's LAPACK gufuncs directly, with the signatures ``np.linalg`` passes,
 so each result is ``np.linalg``'s bit for bit.  :func:`guarded` enters
 numpy's LAPACK error state once around a loop, where ``np.linalg`` enters
 it on every call; a call outside any guard enters it itself.  So a failure
-always raises ``LinAlgError`` (or ``NonPositiveDefinite``), and never
-returns NaN with a warning.
+on finite input always raises ``LinAlgError`` (or ``NonPositiveDefinite``),
+and never returns NaN with a warning.
+
+A NaN in the input is not checked, inside a guard or outside: the guard
+raises only where an operation creates a NaN.  :func:`cholesky`,
+:func:`inv`, :func:`logdet` and :func:`psd_inverse` pass it through as NaN.
+:func:`eigh` and :func:`min_eigenvalue` give NaN, finite eigenvalues or
+``LinAlgError``, depending on where the NaN sits and on the matrix size.
+So no result here is a NaN check: a caller that must reject NaN checks for
+it itself.
 """
 
 from contextlib import contextmanager
@@ -102,7 +110,7 @@ def logdet(m: np.ndarray):
     """Natural-log determinant of a Hermitian positive definite matrix, or
     the per-matrix log-determinants of a stack, from the Cholesky factors,
     never from an explicit determinant.  Raises NonPositiveDefinite if a
-    factorization fails."""
+    factorization fails; a NaN input gives NaN."""
     chol = cholesky(m)
     return 2.0 * np.log(chol.diagonal(axis1=-2, axis2=-1).real).sum(axis=-1)
 
@@ -111,7 +119,7 @@ def psd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse W^H W, with W = L^-1 for the Cholesky factor L, of a
     Hermitian positive definite matrix or of each matrix of a stack.
     Raises NonPositiveDefinite if the factorization fails, so a singular or
-    indefinite covariance is never inverted."""
+    indefinite covariance is never inverted; a NaN input gives NaN."""
     w = inv(cholesky(m))
     return w.conj().swapaxes(-1, -2) @ w
 

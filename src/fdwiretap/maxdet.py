@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import InfeasibleStart, NonPositiveDefinite
+from .errors import FdWiretapError, InfeasibleStart, NonPositiveDefinite
 
 #: The line search's steps, largest first.
 _HALVINGS = tuple(0.5 ** k for k in range(40))
@@ -207,12 +207,14 @@ def _clip_to_budget(vals: np.ndarray, budget: float,
         # eigenvalues.  The running sum of the sorted values is sequential,
         # as in ``cumsum``, so the level is the numpy formula's, bit for bit.
         xs = vals.tolist()
-        total = 0.0
+        total, level = 0.0, None
         for k, x in enumerate(sorted(xs, reverse=True), 1):
             total += x
             theta = (total - budget) / k
             if theta < x:
                 level = theta
+        if level is None:
+            raise _no_level(budget)
         return np.array([0.0 if x - level < 0.0 else x - level for x in xs])
     # Each eigenvalue leaves the active set at theta = vals / weights.  With
     # the k largest of these ratios active, sum (vals - theta weights) =
@@ -221,8 +223,18 @@ def _clip_to_budget(vals: np.ndarray, budget: float,
     ratios = vals / weights
     order = np.argsort(ratios)[::-1]
     theta = (vals[order].cumsum() - budget) / weights[order].cumsum()
-    k_star = np.nonzero(theta < ratios[order])[0][-1]
-    return np.maximum(vals - theta[k_star] * weights, 0.0)
+    passing = np.nonzero(theta < ratios[order])[0]
+    if not passing.size:
+        raise _no_level(budget)
+    return np.maximum(vals - theta[passing[-1]] * weights, 0.0)
+
+
+def _no_level(budget: float) -> FdWiretapError:
+    """The error when no water level passes: the largest eigenvalue exceeds
+    ``budget`` by more than float rounding resolves."""
+    return FdWiretapError(f"no water level meets the trace budget "
+                          f"{budget!r}: the largest eigenvalue exceeds it "
+                          f"beyond float resolution")
 
 
 def project_feasible(prob: MaxDetProblem, point: dict,
@@ -271,7 +283,7 @@ def _check_feasible(prob: MaxDetProblem, point: dict) -> None:
             raise InfeasibleStart(f"variable {name} is not PSD")
     for group, budget in prob.constraints:
         total = sum(linalg.real_trace(point[name]) for name in group)
-        if total > budget + 1e-8:
+        if not total <= budget + 1e-8:  # a NaN trace violates it too
             raise InfeasibleStart("trace budget violated at the initial point")
 
 

@@ -54,6 +54,18 @@ class Design:
         return cls(**{b: np.zeros(shape, complex)
                       for b, shape in cls.shapes(params).items()})
 
+    @classmethod
+    def uniform(cls, params: SystemParams, blocks):
+        """The design whose named blocks (two-node names, :data:`BLOCKS`)
+        each spend their node's whole budget as budget/(N M) I on every
+        subcarrier; every other block is zero."""
+        design, budgets = cls.zeros(params), cls.budgets(params)
+        for block in blocks:
+            m = getattr(design.nodes(), block)
+            dim, power = m.shape[-1], budgets[BidirectionalDesign.NODES[block]]
+            m[:] = power / (params.N * dim) * np.eye(dim, dtype=complex)
+        return design
+
     def copy(self):
         return type(self)(**{b: None if getattr(self, b) is None
                              else getattr(self, b).copy() for b in self.NODES})
@@ -62,17 +74,19 @@ class Design:
                  budget_tol: float = 1e-6) -> None:
         """Raise DimensionMismatch for a misshaped block, and ValueError for
         a block not PSD within ``psd_tol`` or a node over its budget by more
-        than ``budget_tol``.  Absent (None) blocks are skipped."""
+        than ``budget_tol``.  Both tests are NaN-safe, so a block holding a
+        NaN fails one of them (or the eigensolver raises LinAlgError, also a
+        ValueError).  Absent (None) blocks are skipped."""
         _check_shapes(params, self)
         power = dict.fromkeys("ab", 0.0)
         for block, node in self.NODES.items():
             m = getattr(self, block)
             if m is not None:
-                if linalg.min_eigenvalue(m) < -psd_tol:
+                if not linalg.min_eigenvalue(m) >= -psd_tol:
                     raise ValueError(f"{block} is not PSD within tolerance")
                 power[node] += linalg.real_trace(m)
         for node, budget in self.budgets(params).items():
-            if power[node] > budget + budget_tol:
+            if not power[node] <= budget + budget_tol:
                 raise ValueError(f"node {node} power {power[node]!r} "
                                  f"exceeds its budget {budget!r}")
 

@@ -91,6 +91,20 @@ def test_run_numerical_failure_exits_3(tmp_path, monkeypatch):
     assert "NumericalTrouble" in (outdir / "trials.csv").read_text()
 
 
+def test_a_budget_below_float_resolution_exits_3(tmp_path):
+    """At x_max_db -200 the solver's water level cannot be resolved, so
+    Optimal-FD's row reads NumericalTrouble and the run exits 3, with no
+    traceback."""
+    cfg = write_config(tmp_path, CONFIG.replace(
+        "strategies: [Equal-FD, Equal-HD]", "strategies: [Optimal-FD]\n"
+        "x_max_db: -200").replace("trials: 2", "trials: 1"))
+    outdir = tmp_path / "out"
+    result = CliRunner().invoke(cli.main, ["run", cfg, "-o", str(outdir)])
+    assert result.exit_code == 3, result.output
+    (row,) = harness.load_results(outdir).trial_rows
+    assert (row.strategy, row.status) == ("Optimal-FD", "NumericalTrouble")
+
+
 def test_sweep_override(tmp_path):
     outdir = tmp_path / "out"
     result = CliRunner().invoke(cli.main, [

@@ -435,6 +435,33 @@ def test_strategy_runs_name_two_node_blocks():
             assert free and set(free) <= set(bcd.BLOCKS), (name, free)
 
 
+def test_every_strategy_starts_from_its_uniform_design():
+    """A strategy is data: a design type, the blocks of its start and its
+    runs.  Its start, design.uniform(params, start), passes validate, each
+    named block is budget/(N M) I bit for bit on every subcarrier with its
+    node's budget, and every other block is zero."""
+    p = SystemParams.from_db(M_a=3, M_bt=2, M_br=2, M_e=2, N=3,
+                             p_a_max_db=10.0, p_b_max_db=3.0, x_max_db=7.0,
+                             w_max_db=-2.0)
+    for name, spec in harness.STRATEGY_TABLE.items():
+        assert issubclass(spec.design, system_model.Design), name
+        assert set(spec.start) <= set(bcd.BLOCKS), name
+        design = spec.design.uniform(p, spec.start)
+        design.validate(p)
+        budgets = spec.design.budgets(p)
+        nodes = design.nodes()
+        for block, node in system_model.BidirectionalDesign.NODES.items():
+            m = getattr(nodes, block)
+            if m is None:
+                assert block not in spec.start, (name, block)
+                continue
+            dim = m.shape[-1]
+            want = np.zeros_like(m)
+            if block in spec.start:
+                want[:] = budgets[node] / (p.N * dim) * np.eye(dim)
+            assert m.tobytes() == want.tobytes(), (name, block)
+
+
 def test_hd_strategies_carry_no_jamming():
     p = SystemParams.from_db(**DESK)
     ch = draw_channels(p, 5)

@@ -287,6 +287,31 @@ def test_gateway_failures_raise_and_never_warn(guarded):
                     func(stuck)
 
 
+@pytest.mark.parametrize("guarded", [False, True])
+def test_a_nan_input_passes_through_unchecked(guarded):
+    """linalg does not check its input for NaN, inside a guard or outside
+    any: the guard raises only where an operation creates a NaN.  A NaN
+    member of a stack gives NaN from cholesky, inv, logdet and psd_inverse,
+    and a 2x2 of NaNs gives NaN from eigh and min_eigenvalue, with no
+    error and no warning; the other members come out finite."""
+    good = np.array([[2.0, 0.5], [0.5, 1.0]], complex)
+    one = good.copy()
+    one[0, 1] = one[1, 0] = np.nan
+    full = np.full((2, 2), np.nan, complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with guard(guarded):
+            for bad in (one, full):
+                for func in (linalg.cholesky, linalg.inv, linalg.logdet,
+                             linalg.psd_inverse):
+                    out = func(np.array([good, bad]))
+                    assert np.isfinite(out[0]).all(), func.__name__
+                    assert np.isnan(out[1]).any(), func.__name__
+            vals, vecs = linalg.eigh(np.array([good, full]))
+            assert np.isfinite(vals[0]).all() and np.isnan(vals[1]).all()
+            assert np.isnan(linalg.min_eigenvalue(full))
+
+
 def test_guard_and_error_state_are_restored_after_an_exception():
     state = np.geterr(), np.geterrcall()
     with pytest.raises(NonPositiveDefinite):

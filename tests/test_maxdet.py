@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdwiretap import linalg, maxdet
-from fdwiretap.errors import InfeasibleStart, NonPositiveDefinite
+from fdwiretap.errors import (FdWiretapError, InfeasibleStart,
+                              NonPositiveDefinite)
 from fdwiretap.maxdet import (Congruence, LogDetTerm, MaxDetProblem,
                               SolverStatus, _clip_to_budget, _eval_state,
                               _logdet_increment, _stationarity_residual,
@@ -455,6 +456,20 @@ def test_infeasible_start_rejected():
             solve(prob, start)
 
 
+def test_a_nan_the_eigensolver_misses_is_an_infeasible_start():
+    """One NaN on a diagonal can give finite eigenvalues >= 0, so the PSD
+    test passes; the NaN trace fails the budget test."""
+    start = np.array([[np.nan, 0.0], [0.0, 0.1]], complex)
+    assert linalg.min_eigenvalue(start) >= 0.0
+    prob = MaxDetProblem(
+        variables=[("v", 2)],
+        logdet_terms=[LogDetTerm(const=np.eye(2, dtype=complex),
+                                 maps=[("v", Congruence(np.eye(2)))])],
+        constraints=[(("v",), 1.0)])
+    with pytest.raises(InfeasibleStart, match="trace budget violated"):
+        solve(prob, {"v": start})
+
+
 def test_a_singular_term_at_the_start_is_rejected():
     """A start at which a log-det term is singular has no objective."""
     prob = MaxDetProblem(
@@ -565,6 +580,20 @@ def test_scalar_level_is_the_numpy_formula_bit_for_bit(xs, kind, frac):
     want = euclidean_clip(vals, budget)
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("vals, budget, weights", [
+    ([1e17, 2.0], 1.0, None),
+    ([1e20, 1e20], 1.0, [1.0, 0.5])])
+def test_a_budget_below_float_resolution_raises_with_its_cause(
+        vals, budget, weights):
+    """When the largest eigenvalue exceeds the budget by more than float
+    rounding resolves, x1 - budget rounds to x1 and no level passes: the
+    clip raises an error that names the cause, in both branches, rather
+    than guessing a level."""
+    weights = None if weights is None else np.array(weights)
+    with pytest.raises(FdWiretapError, match="no water level meets"):
+        _clip_to_budget(np.array(vals), budget, weights)
 
 
 def test_one_variable_groups_take_the_unit_weight_level_bit_for_bit():

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +43,22 @@ def test_a_desk_trial_runs_without_scipy():
     done = subprocess.run([sys.executable, "-c", SCIPY_FREE_TRIAL], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_linalg_is_the_one_lapack_caller_and_loops_set_no_errstate():
+    """No module but linalg names numpy's LAPACK gufuncs or calls an
+    np.linalg function other than norm (and LinAlgError, which it may
+    catch).  maxdet, bcd and system_model run their loops inside
+    linalg.guarded(), so none of them sets an np.errstate of its own."""
+    src = Path(fdwiretap.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        if path.name != "linalg.py":
+            assert "_umath_linalg" not in text, path.name
+            assert not re.search(r"from numpy\.linalg import|import numpy"
+                                 r"\.linalg|from numpy import .*\blinalg\b",
+                                 text), path.name
+            used = set(re.findall(r"\b(?:np|numpy)\.linalg\.(\w+)", text))
+            assert used <= {"norm", "LinAlgError"}, (path.name, used)
+        if path.name in ("maxdet.py", "bcd.py", "system_model.py"):
+            assert "errstate" not in text, path.name

@@ -172,6 +172,21 @@ def test_two_node_validate_checks_each_node():
     np.testing.assert_array_equal(copied.X_a, d.X_a)
 
 
+@pytest.mark.parametrize("where", [np.s_[0], np.s_[0, 1, 1]],
+                         ids=["matrix", "diagonal-entry"])
+@pytest.mark.parametrize("make, block", [
+    (bcd.init_uniform, "X"), (bcd.init_uniform_bidirectional, "W_b")])
+def test_validate_rejects_a_nan_block(make, block, where):
+    """A NaN fails the PSD test and the budget test, so no NaN block
+    passes: a matrix of NaNs has NaN eigenvalues, and one NaN on a
+    diagonal, whose eigenvalues can come out finite, has a NaN trace."""
+    p = small_params()
+    d = make(p)
+    getattr(d, block)[where] = np.nan
+    with pytest.raises(ValueError):
+        d.validate(p)
+
+
 def test_secrecy_scalar_leakage_free():
     """h_ab = 1, h_ae = 0, X = 1, N_b = 1 gives exactly one bit."""
     p = SystemParams.from_db(M_a=1, M_bt=1, M_br=1, M_e=1, N=1,
