@@ -33,11 +33,14 @@ Block successive upper-bound minimization needs only an improving step per
 block, and monotone Armijo SPG gives one at any iteration count (Birgin,
 Martinez & Raydan, SIAM J. Optim. 2000).  So each subproblem is solved only
 until its stationarity residual falls to INNER_REL_TOL of its starting
-value, or to ``inner_tol`` if that is larger.  A truncated solve can make
-slow progress look like convergence, so when the outer stop rule fires on
-a step whose solve was truncated, the loop goes on and solves every later
-subproblem to ``inner_tol``.  It stops on a step whose solve ran to
-``inner_tol``, and reports convergence only if that solve converged.
+value, or to ``inner_tol`` if that is larger, or until its max-det duality
+gap, in nats at tight auxiliaries, falls to ``outer_tol * (1 + |f|)`` at
+the step's starting objective f (MAXDET's stop; Vandenberghe, Boyd & Wu
+1998).  A step is certified when its solve ran to ``inner_tol`` or ended
+on the gap.  When the outer stop rule fires on an uncertified step, whose
+slow progress may be truncation's, the loop solves every later subproblem
+to ``inner_tol`` or the gap.  It stops on a certified step, and reports
+convergence only if that solve converged.
 """
 
 from dataclasses import dataclass, field, replace
@@ -61,9 +64,9 @@ class BcdState:
 
     ``objective_trace`` holds the surrogate objective in nats at the start
     and after every outer iteration and is non-decreasing along the run.
-    ``status`` ends as "Converged" when the stop rule passes on a step
-    whose solve ran to ``inner_tol`` and converged, "Stalled" when it
-    passes on such a step whose solve did not converge (it hit its
+    ``status`` ends as "Converged" when the stop rule passes on a
+    certified step (module docstring) whose solve converged, "Stalled"
+    when it passes on one whose solve did not converge (it hit its
     iteration cap or rounding), or, when ``max_outer`` iterations ran
     without passing the stop rule, "MaxOuter"; ``converged`` reads it.
     ``extrapolations`` counts the accepted extrapolation steps.
@@ -325,8 +328,9 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
 
     Each node's free blocks share the trace budget the design's type
     states (``design.budgets``).  Every point is scored by the surrogate
-    made tight there, the start included.  The inner tolerance follows the
-    policy of the module docstring.
+    made tight there, the start included.  Each solve is passed the gap
+    tolerance ``outer_tol * (1 + |f|)`` at the step's starting objective
+    f, and the stop follows the policy of the module docstring.
     """
     if not free or not set(free) <= set(BLOCKS):
         raise ValueError(f"free blocks {sorted(free)} must be a nonempty "
@@ -341,9 +345,11 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
     for _ in range(max_outer):
         state.iterations += 1
         prob = _subproblem(params, ch, view, free, *aux, budgets)
+        gap_tol = outer_tol * (1.0 + abs(f_cur))
         point, inner_report = maxdet.solve(
             prob, {b: getattr(view, b) for b, _ in prob.variables},
-            max_iter=inner_max_iter, tol=inner_tol, rel_tol=rel_tol)
+            max_iter=inner_max_iter, tol=inner_tol, rel_tol=rel_tol,
+            gap_tol=gap_tol)
         state.inner_reports.append(inner_report)
         f_new, aux = _tight(params, ch, replace(view, **point))
         if prev_point is not None:
@@ -355,7 +361,8 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
         prev_point = point
         state.objective_trace.append(f_new)
         if abs(f_new - f_cur) < outer_tol * (1.0 + abs(f_new)):
-            if inner_report.threshold <= inner_tol:
+            if (inner_report.threshold <= inner_tol
+                    or inner_report.gap <= gap_tol):
                 solved = inner_report.status is maxdet.SolverStatus.CONVERGED
                 state.status = "Converged" if solved else "Stalled"
                 break

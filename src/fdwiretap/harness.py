@@ -141,9 +141,10 @@ class TrialRow:
     not converge) or MaxOuter.  ``inner_iters`` counts the inner solver's
     iterations and ``worst_inner`` is its worst status (Converged < MaxIter
     < NumericalTrouble).  ``extrapolations`` counts the accepted
-    extrapolation steps, and ``final_residual`` is the largest stationarity
-    residual a run's last inner solve returned.  A failed row has status
-    and worst_inner NumericalTrouble, NaN bits and no iterations."""
+    extrapolation steps, and ``final_residual`` and ``final_gap`` are the
+    largest stationarity residual and duality gap (in nats) a run's last
+    inner solve returned.  A failed row has status and worst_inner
+    NumericalTrouble, NaN bits and no iterations."""
 
     strategy: str
     sweep_value: float
@@ -156,6 +157,7 @@ class TrialRow:
     worst_inner: str = "Converged"
     extrapolations: int = 0
     final_residual: float = 0.0
+    final_gap: float = 0.0
 
 
 @dataclass(eq=False)
@@ -274,8 +276,8 @@ class Dispatch(tuple):
     """A strategy's result on one channel, read off its runs' optimizer
     states.  It unpacks as (design, outer iterations, outer status): their
     sum and the first status that is not "Converged".  ``inner_iters``,
-    ``worst_inner``, ``extrapolations`` and ``final_residual`` total the
-    states as the :class:`TrialRow` fields of those names do."""
+    ``worst_inner``, ``extrapolations``, ``final_residual`` and ``final_gap``
+    total the states as the :class:`TrialRow` fields of those names do."""
 
     def __new__(cls, design, states):
         iters = sum(state.iterations for state in states)
@@ -288,9 +290,10 @@ class Dispatch(tuple):
             (r.status for r in reports), default=_INNER_ORDER[0],
             key=_INNER_ORDER.index).value
         self.extrapolations = sum(state.extrapolations for state in states)
-        self.final_residual = max(
-            (state.inner_reports[-1].residual for state in states
-             if state.inner_reports), default=0.0)
+        last = [state.inner_reports[-1] for state in states
+                if state.inner_reports]
+        self.final_residual = max((r.residual for r in last), default=0.0)
+        self.final_gap = max((r.gap for r in last), default=0.0)
         return self
 
 
@@ -361,7 +364,8 @@ def run_trial(cfg: ExperimentConfig, sweep_value, trial: int) -> list:
                              inner_iters=run.inner_iters,
                              worst_inner=run.worst_inner,
                              extrapolations=run.extrapolations,
-                             final_residual=run.final_residual, **cell))
+                             final_residual=run.final_residual,
+                             final_gap=run.final_gap, **cell))
     return rows
 
 

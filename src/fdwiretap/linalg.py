@@ -22,10 +22,10 @@ and never returns NaN with a warning.
 A NaN in the input is not checked, inside a guard or outside: the guard
 raises only where an operation creates a NaN.  :func:`cholesky`,
 :func:`inv`, :func:`logdet` and :func:`psd_inverse` pass it through as NaN.
-:func:`eigh` and :func:`min_eigenvalue` give NaN, finite eigenvalues or
-``LinAlgError``, depending on where the NaN sits and on the matrix size.
-So no result here is a NaN check: a caller that must reject NaN checks for
-it itself.
+:func:`eigh`, :func:`eigvalsh` and :func:`min_eigenvalue` give NaN, finite
+eigenvalues or ``LinAlgError``, depending on where the NaN sits and on the
+matrix size.  So no result here is a NaN check: a caller that must reject
+NaN checks for it itself.
 """
 
 from contextlib import contextmanager
@@ -80,6 +80,13 @@ def eigh(m: np.ndarray) -> tuple:
     matrix, or of each matrix of a stack, from its lower triangle: bit for
     bit ``np.linalg.eigh``.  Raises LinAlgError if the solver fails."""
     return _lapack(_umath_linalg.eigh_lo, m, "d->dd", "D->dD")
+
+
+def eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues in ascending order of a Hermitian matrix, or of each
+    matrix of a stack, from its lower triangle: bit for bit
+    ``np.linalg.eigvalsh``.  Raises LinAlgError if the solver fails."""
+    return _lapack(_umath_linalg.eigvalsh_lo, m, "d->d", "D->d")
 
 
 def inv(m: np.ndarray) -> np.ndarray:
@@ -163,8 +170,7 @@ def from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix or of a whole stack."""
-    return float(_lapack(_umath_linalg.eigvalsh_lo, hermitize(m), "d->d",
-                         "D->d").min())
+    return float(eigvalsh(hermitize(m)).min())
 
 
 def real_trace(m: np.ndarray) -> float:

@@ -114,7 +114,8 @@ class SolverStatus(str, Enum):
 class SolverReport:
     """``residual`` is the stationarity residual at the returned point,
     ``first_residual`` the one at the projected start, and ``threshold``
-    the stopping level the residual was tested against."""
+    the stopping level the residual was tested against.  ``gap`` bounds
+    the optimum less ``objective`` (:func:`_duality_gap`)."""
 
     objective: float
     iterations: int
@@ -122,6 +123,7 @@ class SolverReport:
     status: SolverStatus
     first_residual: float
     threshold: float
+    gap: float
     objective_trace: list = field(default_factory=list)
 
 
@@ -300,9 +302,26 @@ def _stationarity_residual(prob: MaxDetProblem, point: dict,
     return float(np.sqrt(sq)), projected
 
 
+def _duality_gap(prob: MaxDetProblem, point: dict, grads: dict) -> float:
+    """Frank-Wolfe duality gap at a feasible point with gradients G_v,
+    sum_g budget_g * max(0, max_{v in g} lambda_max(G_v)) - sum_v <G_v, V_v>:
+    by concavity it bounds the optimum less the objective at ``point``, and
+    it is zero at a maximizer.  An unbudgeted group makes it +inf."""
+    if any(budget == np.inf for _, budget in prob.constraints):
+        return np.inf
+    gap = 0.0
+    for group, budget in prob.constraints:
+        top = max(float(linalg.eigvalsh(grads[name]).max())
+                  for name in group)
+        gap += budget * max(top, 0.0) - sum(
+            linalg.inner(grads[name], point[name]) for name in group)
+    return gap
+
+
 @linalg.guarded()
 def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
-          tol: float = 1e-6, rel_tol: float = 0.0) -> tuple[dict, SolverReport]:
+          tol: float = 1e-6, rel_tol: float = 0.0,
+          gap_tol: float = 0.0) -> tuple[dict, SolverReport]:
     """Monotone scaled spectral projected gradient ascent.
 
     Each variable takes its own Barzilai-Borwein step, from its own
@@ -311,22 +330,23 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     the projected direction an ascent direction for the Armijo search.
 
     Stops once the Euclidean projected-gradient norm falls to
-    ``max(tol, rel_tol * first_residual)``, where ``first_residual`` is that
-    norm at the projected start; the default ``rel_tol=0`` solves to the
-    absolute ``tol``.  A relative stop suits callers that need only an
-    improving step, such as the block updates of :mod:`fdwiretap.bcd`.
-    Returns the last accepted iterate and a report carrying its objective,
-    both residuals and the threshold used.  That iterate is feasible
-    without a final projection: it lies on the segment between two
-    feasible points, the previous iterate and a projected trial point.
-    Every accepted step increases the objective (an Armijo test on exact
-    log-det increments), so the returned objective is never below the
-    objective at ``initial``.  Each term matrix is factored once, at the
-    projected start; an accepted step updates its whitening factor, and
-    the objective by the increment tested, in closed form.  When every
-    step is 1.0, as on each solve's first iteration, the trial point is the
-    point the stationarity test has just projected, and that projection is
-    reused for the trial.
+    ``max(tol, rel_tol * first_residual)``, where ``first_residual`` is
+    that norm at the projected start; the default ``rel_tol=0`` solves to
+    the absolute ``tol``.  A relative stop suits callers that need only an
+    improving step, such as the block updates of :mod:`fdwiretap.bcd`.  A
+    positive ``gap_tol`` also stops it, converged, once the duality gap is
+    within it; the default 0 never does.  Returns the last accepted iterate
+    and a report carrying its objective, both residuals, the threshold used
+    and the gap.  That iterate is feasible without a final projection: it
+    lies on the segment between two feasible points, the previous iterate
+    and a projected trial point.  Every accepted step increases the
+    objective (an Armijo test on exact log-det increments), so the returned
+    objective is never below the objective at ``initial``.  Each term matrix
+    is factored once, at the projected start; an accepted step updates its
+    whitening factor, and the objective by the increment tested, in closed
+    form.  When every step is 1.0, as on each solve's first iteration, the
+    trial point is the point the stationarity test has just projected, and
+    that projection is reused for the trial.
     """
     _check_feasible(prob, initial)
     point = {name: linalg.hermitize(np.asarray(initial[name], complex))
@@ -339,11 +359,12 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     trace = [f_cur]
     steps = {name: 1.0 for name, _ in prob.variables}
     residual, unit_proj = _stationarity_residual(prob, point, grads)
+    gap = _duality_gap(prob, point, grads)
     first_residual = residual
     threshold = max(tol, rel_tol * first_residual)
     status = SolverStatus.CONVERGED
     iters = 0
-    while residual > threshold:
+    while residual > threshold and not (gap_tol > 0.0 and gap <= gap_tol):
         if iters == max_iter:
             status = SolverStatus.MAX_ITER
             break
@@ -404,8 +425,9 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         point, grads, f_cur = new_point, new_grads, f_cur + gain
         trace.append(f_cur)
         residual, unit_proj = _stationarity_residual(prob, point, grads)
+        gap = _duality_gap(prob, point, grads)
     report = SolverReport(objective=f_cur, iterations=iters,
                           residual=residual, status=status,
                           first_residual=first_residual, threshold=threshold,
-                          objective_trace=trace)
+                          gap=gap, objective_trace=trace)
     return point, report

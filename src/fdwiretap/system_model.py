@@ -58,10 +58,13 @@ class Design:
     def uniform(cls, params: SystemParams, blocks):
         """The design whose named blocks (two-node names, :data:`BLOCKS`)
         each spend their node's whole budget as budget/(N M) I on every
-        subcarrier; every other block is zero."""
+        subcarrier; every other block is zero.  A block the design type
+        does not have is a ValueError."""
         design, budgets = cls.zeros(params), cls.budgets(params)
         for block in blocks:
-            m = getattr(design.nodes(), block)
+            m = getattr(design.nodes(), block, None)
+            if m is None:
+                raise ValueError(f"{cls.__name__} has no block {block!r}")
             dim, power = m.shape[-1], budgets[BidirectionalDesign.NODES[block]]
             m[:] = power / (params.N * dim) * np.eye(dim, dtype=complex)
         return design

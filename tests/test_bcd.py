@@ -172,13 +172,19 @@ def test_subproblem_objective_is_the_surrogate_up_to_a_constant(
     assert abs((sub[1] - sub[0]) - (sur[1] - sur[0])) <= 1e-9
 
 
+def certified(rep, inner_tol, gap_tol):
+    """A step's solve ran to inner_tol or ended on the duality gap."""
+    return rep.threshold <= inner_tol or rep.gap <= gap_tol
+
+
 @pytest.mark.parametrize("outer_tol, inner_tol", [(1e-4, 1e-6),
                                                   (1e-3, 1e-4)])
 def test_convergence_is_declared_only_after_a_full_solve(outer_tol,
                                                          inner_tol):
-    """Replays the stop rule along each run: a step that passes it after a
-    truncated solve does not stop the loop, and a converged run ends on a
-    solve to inner_tol."""
+    """Replays the stop rule along each run: a step that passes it after an
+    uncertified solve (truncated, and its gap above outer_tol (1 + |f|)
+    at the step's start) does not stop the loop, and a converged run ends
+    on a certified step."""
     p = small_params()
     guarded = 0
     for seed in range(6):
@@ -189,25 +195,42 @@ def test_convergence_is_declared_only_after_a_full_solve(outer_tol,
         for i, rep in enumerate(state.inner_reports):
             passes = abs(trace[i + 1] - trace[i]) < outer_tol * (
                 1.0 + abs(trace[i + 1]))
-            full = rep.threshold <= inner_tol
+            full = certified(rep, inner_tol, outer_tol * (1.0 + abs(trace[i])))
             assert (passes and full) == (i == state.iterations - 1), (seed, i)
             guarded += passes and not full
-        assert state.inner_reports[-1].threshold == inner_tol
-    assert guarded > 0  # the rule did fire on truncated solves
+    assert guarded > 0  # the rule did fire on uncertified solves
 
 
 def test_a_stop_on_an_unconverged_full_solve_is_stalled():
-    """A CSI-perturbed desk channel at loose tolerances: the stop rule
-    passes on a step whose solve ran to inner_tol but hit its iteration
-    cap, so the run stops there and reports Stalled, not Converged."""
+    """A CSI-perturbed desk channel at loose tolerances with five inner
+    iterations a solve: the stop rule passes on a step whose solve ran to
+    inner_tol but hit its iteration cap with its gap above the outer
+    tolerance, so the run stops there and reports Stalled, not Converged."""
+    p = small_params()
+    ch = perturb_csi(draw_channels(p, 10001), 0.1, 20001)
+    state = bcd.optimize(p, ch, outer_tol=1e-3, inner_tol=1e-4,
+                         inner_max_iter=5).state
+    last = state.inner_reports[-1]
+    assert (state.status, state.converged, state.iterations) == (
+        "Stalled", False, 10)
+    assert last.threshold == 1e-4 and last.residual > 1e-4
+    assert last.gap > 1e-3 * (1.0 + abs(state.objective_trace[-2]))
+    assert last.status is maxdet.SolverStatus.MAX_ITER
+
+
+def test_a_gap_certified_step_ends_the_run_converged():
+    """The channel above with the default inner cap: the last solve, run to
+    inner_tol, stops on its duality gap before its residual reaches
+    inner_tol, so the run ends Converged on a certified step."""
     p = small_params()
     ch = perturb_csi(draw_channels(p, 10001), 0.1, 20001)
     state = bcd.optimize(p, ch, outer_tol=1e-3, inner_tol=1e-4).state
     last = state.inner_reports[-1]
-    assert (state.status, state.converged, state.iterations) == (
-        "Stalled", False, 9)
-    assert last.threshold == 1e-4 and last.residual > 1e-4
-    assert last.status is maxdet.SolverStatus.MAX_ITER
+    gap_tol = 1e-3 * (1.0 + abs(state.objective_trace[-2]))
+    assert (state.status, state.iterations) == ("Converged", 9)
+    assert last.status is maxdet.SolverStatus.CONVERGED
+    assert last.residual > last.threshold == 1e-4
+    assert 0.0 < last.gap <= gap_tol
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -387,8 +387,8 @@ def test_both_hd_no_jam_bits_on_fixed_seed():
     ch = draw_channels(p, 3)
     design, iters, status = strategy_dispatch("Both-HD/No-Jam", p, ch, OPTS)
     bits = harness._evaluate("Both-HD/No-Jam", p, design, ch)
-    assert abs(bits - 4.921655578851032) <= 1e-12
-    assert (iters, status) == (10, "Converged")
+    assert abs(bits - 4.921492999256835) <= 1e-12
+    assert (iters, status) == (8, "Converged")
 
 
 def test_both_hd_no_jam_is_half_of_standalone_links():
@@ -563,8 +563,9 @@ def test_rows_carry_inner_solver_totals(tmp_path):
 
 def test_rows_carry_extrapolations_and_final_residual(tmp_path):
     """extrapolations sums the accepted extrapolation steps of a row's
-    optimizer runs and final_residual is the largest residual of a run's
-    last inner solve; both survive the CSV round trip."""
+    optimizer runs, and final_residual and final_gap are the largest
+    residual and duality gap of a run's last inner solve, which is
+    certified; all three survive the CSV round trip."""
     p = SystemParams.from_db(**DESK)
     ch = draw_channels(p, 2)
     run = strategy_dispatch("Both-HD/No-Jam", p, ch, OPTS)
@@ -578,17 +579,25 @@ def test_rows_carry_extrapolations_and_final_residual(tmp_path):
     assert run.extrapolations == sum(s.extrapolations for s in states)
     assert run.final_residual == max(s.inner_reports[-1].residual
                                      for s in states)
+    assert run.final_gap == max(s.inner_reports[-1].gap for s in states)
+    for state in states:
+        last = state.inner_reports[-1]
+        gap_tol = OPTS["outer_tol"] * (1.0 + abs(state.objective_trace[-2]))
+        assert state.converged
+        assert last.threshold <= OPTS["inner_tol"] or last.gap <= gap_tol
     cfg = desk_config(strategies=["Optimal-FD", "Equal-FD"], trials=3)
     res = run_experiment(cfg)
     emit_results(res, tmp_path)
     loaded = load_results(tmp_path).trial_rows
-    assert [(r.extrapolations, r.final_residual) for r in loaded] == [
-        (r.extrapolations, r.final_residual) for r in res.trial_rows]
+    assert [(r.extrapolations, r.final_residual, r.final_gap)
+            for r in loaded] == [(r.extrapolations, r.final_residual,
+                                  r.final_gap) for r in res.trial_rows]
     for row in res.trial_rows:
         if row.strategy == "Equal-FD":
-            assert (row.extrapolations, row.final_residual) == (0, 0.0)
+            assert (row.extrapolations, row.final_residual,
+                    row.final_gap) == (0, 0.0, 0.0)
         else:
-            assert 0.0 < row.final_residual <= cfg.inner_tol
+            assert row.final_residual > 0.0 and row.final_gap > 0.0
     assert sum(r.extrapolations for r in res.trial_rows) > 0
 
 
@@ -627,46 +636,46 @@ GOLDEN_CONFIGS = {
 GOLDEN_ROWS = {
     "desk": [
         ("'Optimal-FD'", '0.0', '0', '10211351229921619241',
-         '4.871368879247168', '11', "'Converged'", '60', "'Converged'", '11',
-         '1.7345553700309604e-07'),
+         '4.87136899282128', '11', "'Converged'", '54', "'Converged'", '11',
+         '3.577395285228092e-05', '2.161860440177965e-05'),
         ("'Optimal-HD'", '0.0', '0', '10211351229921619241',
-         '3.092292532255854', '7', "'Converged'", '26', "'Converged'", '13',
-         '7.823108487054541e-07'),
+         '3.0922720981644938', '6', "'Converged'", '22', "'Converged'", '11',
+         '9.925827967406576e-05', '8.373497511016126e-05'),
         ("'Equal-FD'", '0.0', '0', '10211351229921619241',
          '1.2206021632660642', '0', "'Converged'", '0', "'Converged'", '0',
-         '0.0'),
+         '0.0', '0.0'),
         ("'Equal-HD'", '0.0', '0', '10211351229921619241', '0.0', '0',
-         "'Converged'", '0', "'Converged'", '0', '0.0'),
-        ("'Optimal-FD'", '0.0', '1', '4611984770295761986',
-         '3.524479527830957', '18', "'Converged'", '111', "'Converged'", '23',
-         '7.233153946881089e-07'),
-        ("'Optimal-HD'", '0.0', '1', '4611984770295761986',
-         '2.720884724404371', '7', "'Converged'", '40', "'Converged'", '8',
-         '6.93255758360006e-07'),
+         "'Converged'", '0', "'Converged'", '0', '0.0', '0.0'),
+        ("'Optimal-FD'", '0.0', '1', '4611984770295761986', '3.52449489863616',
+         '18', "'Converged'", '97', "'Converged'", '23',
+         '0.0004016412518059872', '0.00034035942882107775'),
+        ("'Optimal-HD'", '0.0', '1', '4611984770295761986', '2.7208614019064',
+         '6', "'Converged'", '30', "'Converged'", '7', '0.000247347498296339',
+         '0.000282503856915195'),
         ("'Equal-FD'", '0.0', '1', '4611984770295761986', '0.2561858892399047',
-         '0', "'Converged'", '0', "'Converged'", '0', '0.0'),
+         '0', "'Converged'", '0', "'Converged'", '0', '0.0', '0.0'),
         ("'Equal-HD'", '0.0', '1', '4611984770295761986', '1.4320314111998451',
-         '0', "'Converged'", '0', "'Converged'", '0', '0.0'),
+         '0', "'Converged'", '0', "'Converged'", '0', '0.0', '0.0'),
         ("'Optimal-FD'", '0.0', '2', '11582411237681416467',
-         '5.9558648412521995', '10', "'Converged'", '70', "'Converged'", '9',
-         '9.084088340862171e-07'),
+         '5.955730898238492', '9', "'Converged'", '60', "'Converged'", '9',
+         '0.0003442773387621232', '0.00013503469271132496'),
         ("'Optimal-HD'", '0.0', '2', '11582411237681416467',
-         '4.595262500437011', '7', "'Converged'", '26', "'Converged'", '8',
-         '2.1606405615126766e-07'),
+         '4.595256330758021', '6', "'Converged'", '21', "'Converged'", '7',
+         '0.0002447253461678538', '6.677907517715909e-05'),
         ("'Equal-FD'", '0.0', '2', '11582411237681416467',
          '1.5118095907426068', '0', "'Converged'", '0', "'Converged'", '0',
-         '0.0'),
+         '0.0', '0.0'),
         ("'Equal-HD'", '0.0', '2', '11582411237681416467',
          '1.5933034791845597', '0', "'Converged'", '0', "'Converged'", '0',
-         '0.0'),
+         '0.0', '0.0'),
     ],
     "wideband": [
         ("'Optimal-FD'", '0.0', '0', '10211351229921619241',
-         '10.060913916175242', '4', "'Converged'", '34', "'Converged'", '2',
-         '0.0005258297138730487'),
+         '10.056110168386974', '3', "'Converged'", '23', "'Converged'", '1',
+         '0.043159086457973846', '0.022200722274209134'),
         ("'Optimal-FD'", '0.0', '1', '4611984770295761986',
-         '7.6934686804054255', '6', "'Converged'", '126', "'Converged'", '5',
-         '0.0009344829114788754'),
+         '7.662721867055126', '5', "'Converged'", '39', "'Converged'", '4',
+         '0.07106965639488669', '0.05308315408920425'),
     ],
 }
 

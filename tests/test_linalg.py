@@ -243,8 +243,8 @@ def guard(on: bool):
        st.integers(min_value=1, max_value=4), st.booleans(), st.booleans(),
        st.integers(min_value=0, max_value=10**6))
 def test_gateway_is_np_linalg_bit_for_bit(n, dim, is_complex, guarded, seed):
-    """eigh, cholesky, inv and min_eigenvalue give np.linalg's bits on real
-    and complex stacks, inside a guard and outside any."""
+    """eigh, eigvalsh, cholesky, inv and min_eigenvalue give np.linalg's
+    bits on real and complex stacks, inside a guard and outside any."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, dim, dim))
     if is_complex:
@@ -252,12 +252,14 @@ def test_gateway_is_np_linalg_bit_for_bit(n, dim, is_complex, guarded, seed):
     m = a @ a.conj().swapaxes(-1, -2) + 0.1 * np.eye(dim)
     with guard(guarded):
         vals, vecs = linalg.eigh(m)
+        vals_only = linalg.eigvalsh(m)
         chol = linalg.cholesky(m)
         inv = linalg.inv(m)
         low = linalg.min_eigenvalue(a)
     want_vals, want_vecs = np.linalg.eigh(m)
     assert_same_bits(vals, want_vals)
     assert_same_bits(vecs, want_vecs)
+    assert_same_bits(vals_only, np.linalg.eigvalsh(m))
     assert_same_bits(chol, np.linalg.cholesky(m))
     assert_same_bits(inv, np.linalg.inv(m))
     want_low = np.linalg.eigvalsh(linalg.hermitize(a)).min()

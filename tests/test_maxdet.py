@@ -1,15 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdwiretap import linalg, maxdet
+from fdwiretap import bcd, linalg, maxdet
+from fdwiretap.channel import SystemParams, draw_channels
 from fdwiretap.errors import (FdWiretapError, InfeasibleStart,
                               NonPositiveDefinite)
 from fdwiretap.maxdet import (Congruence, LogDetTerm, MaxDetProblem,
                               SolverStatus, _clip_to_budget, _eval_state,
                               _logdet_increment, _stationarity_residual,
                               _term_matrix, project_feasible, solve)
-from fdwiretap.system_model import (ReceiveDistortion, TraceCorrelation,
+from fdwiretap.system_model import (BidirectionalDesign, ReceiveDistortion,
+                                    TraceCorrelation, TransmitDesign,
                                     TransmitDistortion)
 
 
@@ -796,3 +800,80 @@ def test_first_residual_is_taken_at_the_projected_start():
     assert rep.first_residual == _stationarity_residual(prob, projected,
                                                         grads)[0]
     assert rep.threshold == max(1e-6, 0.1 * rep.first_residual)
+
+
+# --- duality-gap certificate -------------------------------------------------
+
+
+def bcd_subproblem(n, free, seed):
+    """The covariance subproblem at the uniform start of a desk system on
+    ``n`` subcarriers: a one-directional design for free blocks among X_a
+    and W_b, else a two-node design whose X blocks send."""
+    p = SystemParams.from_db(M_a=2, M_bt=2, M_br=2, M_e=2, N=n,
+                             kappa_db=-30.0, beta_db=-30.0)
+    ch = draw_channels(p, seed)
+    if free <= {"X_a", "W_b"}:
+        design = TransmitDesign.uniform(p, ("X_a", "W_b"))
+    else:
+        design = BidirectionalDesign.uniform(p, ("X_a", "X_b"))
+    view = design.nodes().sent(free)
+    aux = bcd.update_auxiliaries(p, ch, view)
+    prob = bcd._subproblem(p, ch, view, free, *aux, design.budgets(p))
+    return prob, {b: getattr(view, b) for b, _ in prob.variables}
+
+
+CERTIFIED_CASES = [(2, {"X_a"}), (2, {"X_a", "W_b"}), (4, {"X_a"}),
+                   (4, {"X_a", "W_b"}), (2, {"X_b", "W_b"})]
+CERTIFIED_IDS = ["desk-X", "desk-XW", "N4-X", "N4-XW", "two-variable-group"]
+
+
+@pytest.mark.parametrize("n, free", CERTIFIED_CASES, ids=CERTIFIED_IDS)
+def test_the_gap_bounds_the_shortfall_at_every_iterate(monkeypatch, n, free):
+    """At the start and at every accepted iterate the duality gap is at
+    least the objective's distance to a tight solve's, and after the tight
+    solve the gap itself is below 1e-6."""
+    prob, start = bcd_subproblem(n, free, 0)
+    _, tight = solve(prob, start, tol=1e-10)
+    assert tight.gap <= 1e-6
+    seen = []
+    gap_of = maxdet._duality_gap
+
+    def spy(prob, point, grads):
+        gap = gap_of(prob, point, grads)
+        seen.append((gap, _eval_state(prob, point)[0]))
+        return gap
+
+    monkeypatch.setattr(maxdet, "_duality_gap", spy)
+    _, rep = solve(prob, start, tol=1e-10)
+    assert len(seen) == len(rep.objective_trace) and seen[-1][0] == rep.gap
+    for gap, objective in seen:
+        assert gap >= tight.objective - objective - 1e-12
+
+
+def test_a_gap_stop_ends_at_the_first_certified_iterate():
+    """With a positive gap_tol the solve stops, as converged, at the first
+    iterate whose gap is within it; every earlier iterate's gap is above
+    it."""
+    prob, start = bcd_subproblem(2, {"X_a", "W_b"}, 1)
+    _, rep = solve(prob, start, tol=1e-10, gap_tol=1e-3)
+    assert rep.status == SolverStatus.CONVERGED
+    assert rep.gap <= 1e-3 and rep.residual > rep.threshold
+    for k in range(rep.iterations):
+        _, early = solve(prob, start, tol=1e-10, max_iter=k)
+        assert early.gap > 1e-3, k
+
+
+def test_an_unbudgeted_group_never_certifies():
+    """A budget of np.inf makes the gap +inf, with no NaN and no warning,
+    even at the optimum where the gradient vanishes, so no gap_tol stops
+    the solve."""
+    prob = scalar_problem(2.0, 0.5, budget=np.inf)
+    start = {"x": 0.1 * np.eye(1, dtype=complex)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p_gap, r_gap = solve(prob, start, gap_tol=1e300)
+        p_res, r_res = solve(prob, start)
+    assert r_gap.gap == np.inf and r_res.gap == np.inf
+    assert abs(p_res["x"][0, 0].real - 1.5) < 1e-6
+    assert r_gap.objective_trace == r_res.objective_trace
+    np.testing.assert_array_equal(p_gap["x"], p_res["x"])

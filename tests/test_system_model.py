@@ -172,6 +172,16 @@ def test_two_node_validate_checks_each_node():
     np.testing.assert_array_equal(copied.X_a, d.X_a)
 
 
+@pytest.mark.parametrize("block", ["X_b", "W_a", "X"])
+def test_a_uniform_block_the_design_lacks_is_a_value_error(block):
+    """A one-directional design has only X_a and W_b of the two-node
+    blocks, so a uniform start that names another block is refused with
+    the block and the design type named."""
+    with pytest.raises(ValueError, match=f"TransmitDesign has no block "
+                                         f"'{block}'"):
+        TransmitDesign.uniform(small_params(), ("X_a", block))
+
+
 @pytest.mark.parametrize("where", [np.s_[0], np.s_[0, 1, 1]],
                          ids=["matrix", "diagonal-entry"])
 @pytest.mark.parametrize("make, block", [
