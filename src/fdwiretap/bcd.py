@@ -32,15 +32,16 @@ budgets, and :func:`optimize` is the one-directional form.
 Block successive upper-bound minimization needs only an improving step per
 block, and monotone Armijo SPG gives one at any iteration count (Birgin,
 Martinez & Raydan, SIAM J. Optim. 2000).  So each subproblem is solved only
-until its stationarity residual falls to INNER_REL_TOL of its starting
-value, or to ``inner_tol`` if that is larger, or until its max-det duality
-gap, in nats at tight auxiliaries, falls to ``outer_tol * (1 + |f|)`` at
-the step's starting objective f (MAXDET's stop; Vandenberghe, Boyd & Wu
-1998).  A step is certified when its solve ran to ``inner_tol`` or ended
-on the gap.  When the outer stop rule fires on an uncertified step, whose
-slow progress may be truncation's, the loop solves every later subproblem
-to ``inner_tol`` or the gap.  It stops on a certified step, and reports
-convergence only if that solve converged.
+until its max-det duality gap, MAXDET's stop (Vandenberghe, Boyd & Wu
+1998), falls to INNER_REL_TOL of the gap at its start, or to the larger of
+``inner_tol`` and GAP_FRACTION * ``outer_tol * (1 + |f|)`` at the step's
+starting objective f; at tight auxiliaries the gap is in the objective's
+own nats.  A step is certified when its gap is within that larger level.
+The loop stops when the outer change test passes on a certified step, and
+reports convergence, or on a full solve that hit its iteration cap, and
+reports a stall.  When the change test passes on any other step, whose
+slow progress may be truncation's or rounding's, the loop solves every
+later subproblem in full.
 """
 
 from dataclasses import dataclass, field, replace
@@ -53,9 +54,12 @@ from .errors import DegenerateChannel
 from .system_model import (BLOCKS, BidirectionalDesign, SecrecyReport,
                            TransmitDesign)
 
-#: Each subproblem is solved to this fraction of its starting stationarity
-#: residual until the outer stop rule first fires.
+#: Each subproblem is solved to this fraction of its starting duality gap
+#: until the outer stop rule first fires.
 INNER_REL_TOL = 0.1
+#: A solve's gap tolerance as a fraction of the outer change tolerance
+#: outer_tol * (1 + |f|).
+GAP_FRACTION = 0.1
 
 
 @dataclass(eq=False)
@@ -65,10 +69,12 @@ class BcdState:
     ``objective_trace`` holds the surrogate objective in nats at the start
     and after every outer iteration and is non-decreasing along the run.
     ``status`` ends as "Converged" when the stop rule passes on a
-    certified step (module docstring) whose solve converged, "Stalled"
-    when it passes on one whose solve did not converge (it hit its
-    iteration cap or rounding), or, when ``max_outer`` iterations ran
-    without passing the stop rule, "MaxOuter"; ``converged`` reads it.
+    certified step (module docstring), "Stalled" when it passes on a full
+    solve that hit its iteration cap, or, when ``max_outer`` iterations
+    ran without either, "MaxOuter".  A run whose full solves keep stopping
+    on rounding above the certifying level, each passing the change test,
+    is bounded only by ``max_outer`` and ends MaxOuter.  ``converged``
+    reads the status.
     ``extrapolations`` counts the accepted extrapolation steps.
     """
 
@@ -328,9 +334,10 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
 
     Each node's free blocks share the trace budget the design's type
     states (``design.budgets``).  Every point is scored by the surrogate
-    made tight there, the start included.  Each solve is passed the gap
-    tolerance ``outer_tol * (1 + |f|)`` at the step's starting objective
-    f, and the stop follows the policy of the module docstring.
+    made tight there, the start included.  Each solve's gap floor is the
+    larger of ``inner_tol`` and ``GAP_FRACTION * outer_tol * (1 + |f|)`` at
+    the step's starting objective f, and the stop follows the policy of
+    the module docstring.
     """
     if not free or not set(free) <= set(BLOCKS):
         raise ValueError(f"free blocks {sorted(free)} must be a nonempty "
@@ -345,11 +352,10 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
     for _ in range(max_outer):
         state.iterations += 1
         prob = _subproblem(params, ch, view, free, *aux, budgets)
-        gap_tol = outer_tol * (1.0 + abs(f_cur))
+        level = max(inner_tol, GAP_FRACTION * outer_tol * (1.0 + abs(f_cur)))
         point, inner_report = maxdet.solve(
             prob, {b: getattr(view, b) for b, _ in prob.variables},
-            max_iter=inner_max_iter, tol=inner_tol, rel_tol=rel_tol,
-            gap_tol=gap_tol)
+            max_iter=inner_max_iter, tol=level, rel_tol=rel_tol)
         state.inner_reports.append(inner_report)
         f_new, aux = _tight(params, ch, replace(view, **point))
         if prev_point is not None:
@@ -361,12 +367,16 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
         prev_point = point
         state.objective_trace.append(f_new)
         if abs(f_new - f_cur) < outer_tol * (1.0 + abs(f_new)):
-            if (inner_report.threshold <= inner_tol
-                    or inner_report.gap <= gap_tol):
-                solved = inner_report.status is maxdet.SolverStatus.CONVERGED
-                state.status = "Converged" if solved else "Stalled"
+            if inner_report.gap <= level:
+                state.status = "Converged"
                 break
-            # The step was small because its solve was truncated.
+            if (rel_tol == 0.0 and inner_report.status
+                    is maxdet.SolverStatus.MAX_ITER):
+                state.status = "Stalled"
+                break
+            # The step was small because its solve was truncated, or a
+            # full solve stopped on rounding: the next step's subproblem,
+            # made at new auxiliaries, starts over at unit steps.
             rel_tol = 0.0
         f_cur = f_new
     else:

@@ -137,14 +137,15 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig)
 class TrialRow:
     """One strategy on one trial.  ``iters`` counts outer iterations, and
     ``status`` is the first outer status of its runs that is not Converged:
-    Stalled (a run stopped on a step whose solve ran to inner_tol and did
-    not converge) or MaxOuter.  ``inner_iters`` counts the inner solver's
-    iterations and ``worst_inner`` is its worst status (Converged < MaxIter
-    < NumericalTrouble).  ``extrapolations`` counts the accepted
-    extrapolation steps, and ``final_residual`` and ``final_gap`` are the
-    largest stationarity residual and duality gap (in nats) a run's last
-    inner solve returned.  A failed row has status and worst_inner
-    NumericalTrouble, NaN bits and no iterations."""
+    Stalled (a run stopped on a full solve that hit its iteration cap) or
+    MaxOuter.  ``inner_iters`` counts the inner solver's iterations and
+    ``worst_inner`` is its worst status (Converged < MaxIter <
+    NumericalTrouble).  ``extrapolations`` counts the accepted
+    extrapolation steps, and ``final_gap`` is the largest duality gap (in
+    nats) a run's last inner solve returned.  A failed row has status and
+    worst_inner NumericalTrouble, NaN bits and no iterations.  Each field
+    is converted to its declared type on construction, so a numpy scalar
+    is stored, and written, as a plain number."""
 
     strategy: str
     sweep_value: float
@@ -156,8 +157,11 @@ class TrialRow:
     inner_iters: int = 0
     worst_inner: str = "Converged"
     extrapolations: int = 0
-    final_residual: float = 0.0
     final_gap: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            setattr(self, f.name, f.type(getattr(self, f.name)))
 
 
 @dataclass(eq=False)
@@ -276,8 +280,8 @@ class Dispatch(tuple):
     """A strategy's result on one channel, read off its runs' optimizer
     states.  It unpacks as (design, outer iterations, outer status): their
     sum and the first status that is not "Converged".  ``inner_iters``,
-    ``worst_inner``, ``extrapolations``, ``final_residual`` and ``final_gap``
-    total the states as the :class:`TrialRow` fields of those names do."""
+    ``worst_inner``, ``extrapolations`` and ``final_gap`` total the states
+    as the :class:`TrialRow` fields of those names do."""
 
     def __new__(cls, design, states):
         iters = sum(state.iterations for state in states)
@@ -292,7 +296,6 @@ class Dispatch(tuple):
         self.extrapolations = sum(state.extrapolations for state in states)
         last = [state.inner_reports[-1] for state in states
                 if state.inner_reports]
-        self.final_residual = max((r.residual for r in last), default=0.0)
         self.final_gap = max((r.gap for r in last), default=0.0)
         return self
 
@@ -364,7 +367,6 @@ def run_trial(cfg: ExperimentConfig, sweep_value, trial: int) -> list:
                              inner_iters=run.inner_iters,
                              worst_inner=run.worst_inner,
                              extrapolations=run.extrapolations,
-                             final_residual=run.final_residual,
                              final_gap=run.final_gap, **cell))
     return rows
 
@@ -423,14 +425,12 @@ def emit_results(res: ExperimentResult, outdir) -> None:
 
 def load_results(outdir) -> ExperimentResult:
     """Parse results written by :func:`emit_results`; each column is read
-    with its :class:`TrialRow` field's type."""
+    with its :class:`TrialRow` field's type, which the row converts to."""
     outdir = Path(outdir)
     with open(outdir / "metadata.json") as fh:
         meta = json.load(fh)
-    types = {f.name: f.type for f in fields(TrialRow)}
     with open(outdir / "trials.csv", newline="") as fh:
-        rows = [TrialRow(**{k: types[k](v) for k, v in rec.items()})
-                for rec in csv.DictReader(fh)]
+        rows = [TrialRow(**rec) for rec in csv.DictReader(fh)]
     return ExperimentResult(config_echo=meta["config"],
                             master_seed=meta["master_seed"],
                             trial_rows=rows, version=meta["version"])

@@ -79,7 +79,8 @@ class MaxDetProblem:
     of the value's shape, Hermitian up to rounding, contributing -tr(C V).
     ``constraints`` is a list of (variable-name tuple, budget) that names
     only declared variables and in which every variable appears in exactly
-    one group; a budget of ``np.inf`` leaves its group unbudgeted.
+    one group; a budget of ``np.inf`` leaves its group unbudgeted, which
+    :func:`project_feasible` accepts and :func:`solve` does not.
     """
 
     variables: list  # list of (name, dim)
@@ -112,18 +113,15 @@ class SolverStatus(str, Enum):
 
 @dataclass(eq=False)
 class SolverReport:
-    """``residual`` is the stationarity residual at the returned point,
-    ``first_residual`` the one at the projected start, and ``threshold``
-    the stopping level the residual was tested against.  ``gap`` bounds
-    the optimum less ``objective`` (:func:`_duality_gap`)."""
+    """``gap`` bounds the optimum less ``objective`` at the returned point
+    (:func:`_duality_gap`), and ``first_gap`` is the gap at the projected
+    start."""
 
     objective: float
     iterations: int
-    residual: float
     status: SolverStatus
-    first_residual: float
-    threshold: float
     gap: float
+    first_gap: float
     objective_trace: list = field(default_factory=list)
 
 
@@ -289,39 +287,24 @@ def _check_feasible(prob: MaxDetProblem, point: dict) -> None:
             raise InfeasibleStart("trace budget violated at the initial point")
 
 
-def _stationarity_residual(prob: MaxDetProblem, point: dict,
-                           grads: dict) -> tuple:
-    """Norm of the unit-step projected-gradient mapping, and the unit-step
-    projection of ``point + grads`` it is taken from."""
-    shifted = {name: point[name] + grads[name] for name, _ in prob.variables}
-    projected = project_feasible(prob, shifted)
-    sq = 0.0
-    for name, _ in prob.variables:
-        diff = point[name] - projected[name]
-        sq += linalg.inner(diff, diff)
-    return float(np.sqrt(sq)), projected
-
-
 def _duality_gap(prob: MaxDetProblem, point: dict, grads: dict) -> float:
     """Frank-Wolfe duality gap at a feasible point with gradients G_v,
     sum_g budget_g * max(0, max_{v in g} lambda_max(G_v)) - sum_v <G_v, V_v>:
     by concavity it bounds the optimum less the objective at ``point``, and
-    it is zero at a maximizer.  An unbudgeted group makes it +inf."""
-    if any(budget == np.inf for _, budget in prob.constraints):
-        return np.inf
+    it is zero at a maximizer."""
     gap = 0.0
     for group, budget in prob.constraints:
         top = max(float(linalg.eigvalsh(grads[name]).max())
                   for name in group)
         gap += budget * max(top, 0.0) - sum(
             linalg.inner(grads[name], point[name]) for name in group)
-    return gap
+    return float(gap)
 
 
 @linalg.guarded()
 def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
-          tol: float = 1e-6, rel_tol: float = 0.0,
-          gap_tol: float = 0.0) -> tuple[dict, SolverReport]:
+          tol: float = 1e-6,
+          rel_tol: float = 0.0) -> tuple[dict, SolverReport]:
     """Monotone scaled spectral projected gradient ascent.
 
     Each variable takes its own Barzilai-Borwein step, from its own
@@ -329,25 +312,26 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     the matching scaled metric (see :func:`project_feasible`), which keeps
     the projected direction an ascent direction for the Armijo search.
 
-    Stops once the Euclidean projected-gradient norm falls to
-    ``max(tol, rel_tol * first_residual)``, where ``first_residual`` is
-    that norm at the projected start; the default ``rel_tol=0`` solves to
-    the absolute ``tol``.  A relative stop suits callers that need only an
-    improving step, such as the block updates of :mod:`fdwiretap.bcd`.  A
-    positive ``gap_tol`` also stops it, converged, once the duality gap is
-    within it; the default 0 never does.  Returns the last accepted iterate
-    and a report carrying its objective, both residuals, the threshold used
-    and the gap.  That iterate is feasible without a final projection: it
+    Stops, converged, once the duality gap falls to ``max(tol, rel_tol *
+    first_gap)``, where ``first_gap`` is the gap at the projected start:
+    MAXDET's stop (Vandenberghe, Boyd & Wu 1998).  The gap bounds the
+    optimum less the objective, so ``tol`` is in the objective's units, and
+    the default ``rel_tol=0`` solves to it.  A relative stop suits callers
+    that need only an improving step, such as the block updates of
+    :mod:`fdwiretap.bcd`.  Every budget must be finite: an unbudgeted
+    group makes the gap +inf, and no solve could stop.  Returns the last
+    accepted iterate and a report carrying its objective and gap and the
+    first gap.  That iterate is feasible without a final projection: it
     lies on the segment between two feasible points, the previous iterate
     and a projected trial point.  Every accepted step increases the
     objective (an Armijo test on exact log-det increments), so the returned
-    objective is never below the objective at ``initial``.  Each term matrix
-    is factored once, at the projected start; an accepted step updates its
-    whitening factor, and the objective by the increment tested, in closed
-    form.  When every step is 1.0, as on each solve's first iteration, the
-    trial point is the point the stationarity test has just projected, and
-    that projection is reused for the trial.
+    objective is never below the objective at ``initial``.  Each term
+    matrix is factored once, at the projected start; an accepted step
+    updates its whitening factor, and the objective by the increment
+    tested, in closed form.
     """
+    if any(budget == np.inf for _, budget in prob.constraints):
+        raise ValueError("solve needs a finite budget for every group")
     _check_feasible(prob, initial)
     point = {name: linalg.hermitize(np.asarray(initial[name], complex))
              for name, _ in prob.variables}
@@ -358,36 +342,30 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
         raise InfeasibleStart("objective undefined at the initial point") from exc
     trace = [f_cur]
     steps = {name: 1.0 for name, _ in prob.variables}
-    residual, unit_proj = _stationarity_residual(prob, point, grads)
-    gap = _duality_gap(prob, point, grads)
-    first_residual = residual
-    threshold = max(tol, rel_tol * first_residual)
+    gap = first_gap = _duality_gap(prob, point, grads)
+    threshold = max(tol, rel_tol * first_gap)
     status = SolverStatus.CONVERGED
     iters = 0
-    while residual > threshold and not (gap_tol > 0.0 and gap <= gap_tol):
+    while gap > threshold:
         if iters == max_iter:
             status = SolverStatus.MAX_ITER
             break
         iters += 1
-        if all(alpha == 1.0 for alpha in steps.values()):
-            # point + 1.0 * grads is, in value, the point the residual test
-            # has just projected.
-            proj = unit_proj
-        else:
-            trial = {name: point[name] + steps[name] * grads[name]
-                     for name, _ in prob.variables}
-            proj = project_feasible(prob, trial, steps)
+        trial = {name: point[name] + steps[name] * grads[name]
+                 for name, _ in prob.variables}
+        proj = project_feasible(prob, trial, steps)
         direction = {name: proj[name] - point[name] for name, _ in prob.variables}
         slope = sum(linalg.inner(grads[name], direction[name])
                     for name, _ in prob.variables)
         if slope <= 0:
-            # The projected direction is not an ascent direction; the point
-            # is numerically stationary at this step scale.
-            steps = {name: max(alpha * 0.1, 1e-10)
-                     for name, alpha in steps.items()}
-            if max(steps.values()) <= 1e-10:
+            # In exact arithmetic the projected direction ascends, so this
+            # is rounding.  It does not shrink with the steps while the
+            # slope does, so retry at unit steps, where every solve starts;
+            # a point that does not ascend there is stationary to rounding.
+            if all(alpha == 1.0 for alpha in steps.values()):
                 status = SolverStatus.NUMERICAL_TROUBLE
                 break
+            steps = dict.fromkeys(steps, 1.0)
             continue
         # Each term matrix is affine along the segment: with W Y W^H = I and
         # W Yd W^H = U diag(mu) U^H, every halving's increment is exact, and
@@ -424,10 +402,8 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
             steps[name] = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-16 else 1.0
         point, grads, f_cur = new_point, new_grads, f_cur + gain
         trace.append(f_cur)
-        residual, unit_proj = _stationarity_residual(prob, point, grads)
         gap = _duality_gap(prob, point, grads)
-    report = SolverReport(objective=f_cur, iterations=iters,
-                          residual=residual, status=status,
-                          first_residual=first_residual, threshold=threshold,
-                          gap=gap, objective_trace=trace)
+    report = SolverReport(objective=float(f_cur), iterations=iters,
+                          status=status, gap=gap, first_gap=first_gap,
+                          objective_trace=trace)
     return point, report

@@ -172,65 +172,133 @@ def test_subproblem_objective_is_the_surrogate_up_to_a_constant(
     assert abs((sub[1] - sub[0]) - (sur[1] - sur[0])) <= 1e-9
 
 
-def certified(rep, inner_tol, gap_tol):
-    """A step's solve ran to inner_tol or ended on the duality gap."""
-    return rep.threshold <= inner_tol or rep.gap <= gap_tol
+def replay_stop_rule(state, outer_tol, inner_tol):
+    """Replays the stop rule along a run: for each step, whether its change
+    test passed, whether its solve was a full one (an earlier step passed
+    the change test) and whether the step was certified, its gap within
+    max(inner_tol, GAP_FRACTION * outer_tol (1 + |f|)) at its start."""
+    trace = state.objective_trace
+    full, steps = False, []
+    for i, rep in enumerate(state.inner_reports):
+        passes = abs(trace[i + 1] - trace[i]) < outer_tol * (
+            1.0 + abs(trace[i + 1]))
+        level = max(inner_tol,
+                    bcd.GAP_FRACTION * outer_tol * (1.0 + abs(trace[i])))
+        steps.append((passes, full, rep.gap <= level))
+        full = full or passes
+    return steps
 
 
 @pytest.mark.parametrize("outer_tol, inner_tol", [(1e-4, 1e-6),
                                                   (1e-3, 1e-4)])
 def test_convergence_is_declared_only_after_a_full_solve(outer_tol,
                                                          inner_tol):
-    """Replays the stop rule along each run: a step that passes it after an
-    uncertified solve (truncated, and its gap above outer_tol (1 + |f|)
-    at the step's start) does not stop the loop, and a converged run ends
-    on a certified step."""
+    """A step that passes the change test with its gap above the certifying
+    level, as a truncated solve's often is, does not stop the loop, which
+    solves in full from there; a converged run ends on a certified step."""
     p = small_params()
     guarded = 0
     for seed in range(6):
         state = bcd.optimize(p, draw_channels(p, seed), outer_tol=outer_tol,
                              inner_tol=inner_tol).state
-        trace = state.objective_trace
         assert state.status == "Converged"
-        for i, rep in enumerate(state.inner_reports):
-            passes = abs(trace[i + 1] - trace[i]) < outer_tol * (
-                1.0 + abs(trace[i + 1]))
-            full = certified(rep, inner_tol, outer_tol * (1.0 + abs(trace[i])))
-            assert (passes and full) == (i == state.iterations - 1), (seed, i)
-            guarded += passes and not full
+        steps = replay_stop_rule(state, outer_tol, inner_tol)
+        for i, (passes, _, certified) in enumerate(steps):
+            assert (passes and certified) == (i == state.iterations - 1), (
+                seed, i)
+            guarded += passes and not certified
     assert guarded > 0  # the rule did fire on uncertified solves
 
 
 def test_a_stop_on_an_unconverged_full_solve_is_stalled():
     """A CSI-perturbed desk channel at loose tolerances with five inner
-    iterations a solve: the stop rule passes on a step whose solve ran to
-    inner_tol but hit its iteration cap with its gap above the outer
-    tolerance, so the run stops there and reports Stalled, not Converged."""
+    iterations a solve: the stop rule passes on a full solve that hit its
+    iteration cap with its gap above the certifying level, so the run stops
+    there and reports Stalled, not Converged."""
     p = small_params()
     ch = perturb_csi(draw_channels(p, 10001), 0.1, 20001)
     state = bcd.optimize(p, ch, outer_tol=1e-3, inner_tol=1e-4,
                          inner_max_iter=5).state
-    last = state.inner_reports[-1]
     assert (state.status, state.converged, state.iterations) == (
-        "Stalled", False, 10)
-    assert last.threshold == 1e-4 and last.residual > 1e-4
-    assert last.gap > 1e-3 * (1.0 + abs(state.objective_trace[-2]))
-    assert last.status is maxdet.SolverStatus.MAX_ITER
+        "Stalled", False, 9)
+    assert replay_stop_rule(state, 1e-3, 1e-4)[-1] == (True, True, False)
+    assert state.inner_reports[-1].status is maxdet.SolverStatus.MAX_ITER
 
 
 def test_a_gap_certified_step_ends_the_run_converged():
-    """The channel above with the default inner cap: the last solve, run to
-    inner_tol, stops on its duality gap before its residual reaches
-    inner_tol, so the run ends Converged on a certified step."""
+    """A truncated step whose gap is already within the certifying level
+    is certified: on desk channel 53 at loose tolerances no earlier step
+    passes the change test, so the run ends Converged on a truncated solve
+    that stopped on its gap above inner_tol, with no full solve."""
     p = small_params()
-    ch = perturb_csi(draw_channels(p, 10001), 0.1, 20001)
-    state = bcd.optimize(p, ch, outer_tol=1e-3, inner_tol=1e-4).state
+    state = bcd.optimize(p, draw_channels(p, 53), outer_tol=1e-3,
+                         inner_tol=1e-4).state
     last = state.inner_reports[-1]
-    gap_tol = 1e-3 * (1.0 + abs(state.objective_trace[-2]))
+    level = bcd.GAP_FRACTION * 1e-3 * (1.0 + abs(state.objective_trace[-2]))
+    steps = replay_stop_rule(state, 1e-3, 1e-4)
     assert (state.status, state.iterations) == ("Converged", 9)
+    assert not any(passes for passes, _, _ in steps[:-1])
+    assert steps[-1] == (True, False, True)
     assert last.status is maxdet.SolverStatus.CONVERGED
-    assert last.residual > last.threshold == 1e-4
-    assert 0.0 < last.gap <= gap_tol
+    assert 1e-4 < last.gap <= level < bcd.INNER_REL_TOL * last.first_gap
+
+
+def test_a_full_solve_stopped_by_rounding_does_not_end_the_run():
+    """Optimal-HD on desk channel 0 at outer 1e-8 and inner 1e-9: a full
+    solve stops on rounding with its gap above the certifying level while
+    the change test passes.  The run goes on, and a later step certifies."""
+    p = small_params()
+    state = bcd.optimize(p, draw_channels(p, 0), outer_tol=1e-8,
+                         inner_tol=1e-9, max_outer=300,
+                         optimize_w=False).state
+    steps = replay_stop_rule(state, 1e-8, 1e-9)
+    rounded = [i for i, (passes, full, certified) in enumerate(steps)
+               if passes and full and not certified
+               and state.inner_reports[i].status
+               is maxdet.SolverStatus.NUMERICAL_TROUBLE]
+    assert state.status == "Converged"
+    assert rounded and rounded[-1] < state.iterations - 1
+
+
+def test_a_run_whose_full_solves_stop_on_rounding_ends_at_max_outer(
+        monkeypatch):
+    """A full solve stopped by rounding above the certifying level neither
+    certifies nor stalls a run, so a run whose every full solve does so is
+    bounded by max_outer alone: it runs exactly max_outer steps, passing
+    the change test on each full one, and ends MaxOuter."""
+    p = small_params()
+    solve = maxdet.solve
+
+    def floored(prob, initial, **kw):
+        point, rep = solve(prob, initial, **kw)
+        if kw["rel_tol"] == 0.0:
+            rep = replace(rep, gap=1.0,
+                          status=maxdet.SolverStatus.NUMERICAL_TROUBLE)
+        return point, rep
+
+    monkeypatch.setattr(maxdet, "solve", floored)
+    state = bcd.optimize(p, draw_channels(p, 0), outer_tol=1e-4,
+                         inner_tol=1e-6, max_outer=40).state
+    steps = replay_stop_rule(state, 1e-4, 1e-6)
+    full = [passes for passes, full, _ in steps if full]
+    assert (state.status, state.converged, state.iterations) == (
+        "MaxOuter", False, 40)
+    assert len(full) > 1 and all(full)
+
+
+def test_a_rounding_floor_run_converges_where_the_residual_rule_did():
+    """Optimal-FD on the desk system at outer 1e-8 and inner 1e-9, where
+    the gap of a full solve meets the rounding of its projected slope.
+    Every run ends Converged, and its sum rate is within 1e-7 of the one
+    the stationarity-residual rule gave."""
+    p = small_params()
+    want = [4.31035984811203, 3.7156582390361517, 4.3337747287040305,
+            7.449498163378173]
+    for seed, bits in enumerate(want):
+        result = bcd.optimize(p, draw_channels(p, seed), outer_tol=1e-8,
+                              inner_tol=1e-9, max_outer=300)
+        assert result.state.status == "Converged", seed
+        assert abs(result.report.I_sum - bits) <= 1e-7, seed
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -92,12 +92,13 @@ def test_run_numerical_failure_exits_3(tmp_path, monkeypatch):
 
 
 def test_a_budget_below_float_resolution_exits_3(tmp_path):
-    """At x_max_db -200 the solver's water level cannot be resolved, so
+    """At w_max_db -200 the solver's water level cannot be resolved, so
     Optimal-FD's row reads NumericalTrouble and the run exits 3, with no
-    traceback."""
+    traceback.  (At x_max_db -200 the duality gap of the start is already
+    within tolerance, so no solve projects a trial point.)"""
     cfg = write_config(tmp_path, CONFIG.replace(
         "strategies: [Equal-FD, Equal-HD]", "strategies: [Optimal-FD]\n"
-        "x_max_db: -200").replace("trials: 2", "trials: 1"))
+        "w_max_db: -200").replace("trials: 2", "trials: 1"))
     outdir = tmp_path / "out"
     result = CliRunner().invoke(cli.main, ["run", cfg, "-o", str(outdir)])
     assert result.exit_code == 3, result.output

@@ -387,7 +387,7 @@ def test_both_hd_no_jam_bits_on_fixed_seed():
     ch = draw_channels(p, 3)
     design, iters, status = strategy_dispatch("Both-HD/No-Jam", p, ch, OPTS)
     bits = harness._evaluate("Both-HD/No-Jam", p, design, ch)
-    assert abs(bits - 4.921492999256835) <= 1e-12
+    assert abs(bits - 4.921632896109921) <= 1e-12
     assert (iters, status) == (8, "Converged")
 
 
@@ -519,6 +519,26 @@ def test_emit_load_round_trip(tmp_path, monkeypatch):
                 == (tmp_path / "again" / name).read_bytes()), name
 
 
+def test_a_row_of_numpy_scalars_round_trips(tmp_path):
+    """A row built from numpy scalars holds the built-in type of each
+    field, so its CSV reads back: a float64 is written as its float repr,
+    not as np.float64(...)."""
+    row = TrialRow(np.str_("Optimal-FD"), sweep_value=np.float64(-10.0),
+                   trial=np.int64(3), seed=np.uint64(2 ** 63 + 5),
+                   bits=np.float64(1.25), iters=np.int64(7),
+                   status="Converged", inner_iters=np.int64(40),
+                   extrapolations=np.int64(2), final_gap=np.float64(2.5e-05))
+    for f in fields(TrialRow):
+        assert type(getattr(row, f.name)) is f.type, f.name
+    res = ExperimentResult(config_echo={"sweep_param": "W_max_db"},
+                           master_seed=0, trial_rows=[row])
+    emit_results(res, tmp_path)
+    assert "np." not in (tmp_path / "trials.csv").read_text()
+    (back,) = load_results(tmp_path).trial_rows
+    assert [getattr(back, f.name) for f in fields(TrialRow)] == [
+        getattr(row, f.name) for f in fields(TrialRow)]
+
+
 def test_emit_into_a_file_names_the_directory(tmp_path):
     blocked = tmp_path / "results"
     blocked.write_text("not a directory")
@@ -534,7 +554,7 @@ def test_rows_carry_inner_solver_totals(tmp_path):
     p = SystemParams.from_db(**DESK)
     ch = draw_channels(p, 2)
     for opts, worst in ((OPTS, "Converged"),
-                        (dict(OPTS, inner_max_iter=8), "MaxIter")):
+                        (dict(OPTS, inner_max_iter=5), "MaxIter")):
         run = strategy_dispatch("Both-HD/No-Jam", p, ch, opts)
         assert run.worst_inner == worst
         hd = harness._half_duplex(p)
@@ -561,11 +581,11 @@ def test_rows_carry_inner_solver_totals(tmp_path):
             assert row.inner_iters > 0 and row.worst_inner == "MaxIter"
 
 
-def test_rows_carry_extrapolations_and_final_residual(tmp_path):
+def test_rows_carry_extrapolations_and_final_gap(tmp_path):
     """extrapolations sums the accepted extrapolation steps of a row's
-    optimizer runs, and final_residual and final_gap are the largest
-    residual and duality gap of a run's last inner solve, which is
-    certified; all three survive the CSV round trip."""
+    optimizer runs, and final_gap is the largest duality gap of a run's
+    last inner solve, which converged within its gap tolerance; both
+    survive the CSV round trip."""
     p = SystemParams.from_db(**DESK)
     ch = draw_channels(p, 2)
     run = strategy_dispatch("Both-HD/No-Jam", p, ch, OPTS)
@@ -577,27 +597,23 @@ def test_rows_carry_extrapolations_and_final_residual(tmp_path):
         states.append(bcd.optimize_bidirectional(
             hd, ch, init=init, free={"X_a", "X_b"} - {silent}, **OPTS).state)
     assert run.extrapolations == sum(s.extrapolations for s in states)
-    assert run.final_residual == max(s.inner_reports[-1].residual
-                                     for s in states)
     assert run.final_gap == max(s.inner_reports[-1].gap for s in states)
     for state in states:
-        last = state.inner_reports[-1]
-        gap_tol = OPTS["outer_tol"] * (1.0 + abs(state.objective_trace[-2]))
+        level = max(OPTS["inner_tol"], bcd.GAP_FRACTION * OPTS["outer_tol"]
+                    * (1.0 + abs(state.objective_trace[-2])))
         assert state.converged
-        assert last.threshold <= OPTS["inner_tol"] or last.gap <= gap_tol
+        assert state.inner_reports[-1].gap <= level
     cfg = desk_config(strategies=["Optimal-FD", "Equal-FD"], trials=3)
     res = run_experiment(cfg)
     emit_results(res, tmp_path)
     loaded = load_results(tmp_path).trial_rows
-    assert [(r.extrapolations, r.final_residual, r.final_gap)
-            for r in loaded] == [(r.extrapolations, r.final_residual,
-                                  r.final_gap) for r in res.trial_rows]
+    assert [(r.extrapolations, r.final_gap) for r in loaded] == [
+        (r.extrapolations, r.final_gap) for r in res.trial_rows]
     for row in res.trial_rows:
         if row.strategy == "Equal-FD":
-            assert (row.extrapolations, row.final_residual,
-                    row.final_gap) == (0, 0.0, 0.0)
+            assert (row.extrapolations, row.final_gap) == (0, 0.0)
         else:
-            assert row.final_residual > 0.0 and row.final_gap > 0.0
+            assert row.final_gap > 0.0
     assert sum(r.extrapolations for r in res.trial_rows) > 0
 
 
@@ -636,46 +652,46 @@ GOLDEN_CONFIGS = {
 GOLDEN_ROWS = {
     "desk": [
         ("'Optimal-FD'", '0.0', '0', '10211351229921619241',
-         '4.87136899282128', '11', "'Converged'", '54', "'Converged'", '11',
-         '3.577395285228092e-05', '2.161860440177965e-05'),
+         '4.8713935719224395', '13', "'Converged'", '53', "'Converged'", '12',
+         '3.642117124302846e-05'),
         ("'Optimal-HD'", '0.0', '0', '10211351229921619241',
-         '3.0922720981644938', '6', "'Converged'", '22', "'Converged'", '11',
-         '9.925827967406576e-05', '8.373497511016126e-05'),
+         '3.0922776666104053', '6', "'Converged'", '20', "'Converged'", '11',
+         '1.6363738311042653e-06'),
         ("'Equal-FD'", '0.0', '0', '10211351229921619241',
          '1.2206021632660642', '0', "'Converged'", '0', "'Converged'", '0',
-         '0.0', '0.0'),
+         '0.0'),
         ("'Equal-HD'", '0.0', '0', '10211351229921619241', '0.0', '0',
-         "'Converged'", '0', "'Converged'", '0', '0.0', '0.0'),
-        ("'Optimal-FD'", '0.0', '1', '4611984770295761986', '3.52449489863616',
-         '18', "'Converged'", '97', "'Converged'", '23',
-         '0.0004016412518059872', '0.00034035942882107775'),
-        ("'Optimal-HD'", '0.0', '1', '4611984770295761986', '2.7208614019064',
-         '6', "'Converged'", '30', "'Converged'", '7', '0.000247347498296339',
-         '0.000282503856915195'),
+         "'Converged'", '0', "'Converged'", '0', '0.0'),
+        ("'Optimal-FD'", '0.0', '1', '4611984770295761986',
+         '3.5234371164817992', '18', "'Converged'", '88', "'Converged'", '21',
+         '1.3858495278941396e-05'),
+        ("'Optimal-HD'", '0.0', '1', '4611984770295761986',
+         '2.7208825516815875', '6', "'Converged'", '27', "'Converged'", '7',
+         '9.201547027437584e-06'),
         ("'Equal-FD'", '0.0', '1', '4611984770295761986', '0.2561858892399047',
-         '0', "'Converged'", '0', "'Converged'", '0', '0.0', '0.0'),
+         '0', "'Converged'", '0', "'Converged'", '0', '0.0'),
         ("'Equal-HD'", '0.0', '1', '4611984770295761986', '1.4320314111998451',
-         '0', "'Converged'", '0', "'Converged'", '0', '0.0', '0.0'),
+         '0', "'Converged'", '0', "'Converged'", '0', '0.0'),
         ("'Optimal-FD'", '0.0', '2', '11582411237681416467',
-         '5.955730898238492', '9', "'Converged'", '60', "'Converged'", '9',
-         '0.0003442773387621232', '0.00013503469271132496'),
+         '5.955940694462662', '9', "'Converged'", '43', "'Converged'", '9',
+         '2.811805131924805e-06'),
         ("'Optimal-HD'", '0.0', '2', '11582411237681416467',
-         '4.595256330758021', '6', "'Converged'", '21', "'Converged'", '7',
-         '0.0002447253461678538', '6.677907517715909e-05'),
+         '4.595262260114094', '6', "'Converged'", '17', "'Converged'", '6',
+         '1.2548862448280573e-05'),
         ("'Equal-FD'", '0.0', '2', '11582411237681416467',
          '1.5118095907426068', '0', "'Converged'", '0', "'Converged'", '0',
-         '0.0', '0.0'),
+         '0.0'),
         ("'Equal-HD'", '0.0', '2', '11582411237681416467',
          '1.5933034791845597', '0', "'Converged'", '0', "'Converged'", '0',
-         '0.0', '0.0'),
+         '0.0'),
     ],
     "wideband": [
         ("'Optimal-FD'", '0.0', '0', '10211351229921619241',
-         '10.056110168386974', '3', "'Converged'", '23', "'Converged'", '1',
-         '0.043159086457973846', '0.022200722274209134'),
-        ("'Optimal-FD'", '0.0', '1', '4611984770295761986',
-         '7.662721867055126', '5', "'Converged'", '39', "'Converged'", '4',
-         '0.07106965639488669', '0.05308315408920425'),
+         '10.060640790640496', '4', "'Converged'", '17', "'Converged'", '1',
+         '0.0021114315168419273'),
+        ("'Optimal-FD'", '0.0', '1', '4611984770295761986', '7.69959874139703',
+         '6', "'Converged'", '34', "'Converged'", '5',
+         '0.0012894601156992896'),
     ],
 }
 

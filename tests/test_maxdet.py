@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +8,8 @@ from fdwiretap.errors import (FdWiretapError, InfeasibleStart,
                               NonPositiveDefinite)
 from fdwiretap.maxdet import (Congruence, LogDetTerm, MaxDetProblem,
                               SolverStatus, _clip_to_budget, _eval_state,
-                              _logdet_increment, _stationarity_residual,
-                              _term_matrix, project_feasible, solve)
+                              _logdet_increment, _term_matrix,
+                              project_feasible, solve)
 from fdwiretap.system_model import (BidirectionalDesign, ReceiveDistortion,
                                     TraceCorrelation, TransmitDesign,
                                     TransmitDistortion)
@@ -377,15 +375,15 @@ def test_a_solve_factors_each_term_once(monkeypatch):
 
 def test_carried_factor_gives_the_fresh_gradient():
     """The factor carried to the returned point still whitens its term
-    matrices: the reported residual and objective are those of a fresh
+    matrices: the reported gap and objective are those of a fresh
     factorization there."""
     for seed in range(3):
         base = random_two_term_problem(seed)
         for prob in (base, shared_budget(base)):
             point, rep = solve(prob, stack_start(), tol=1e-10)
             f, grads, _ = _eval_state(prob, point)
-            assert rep.residual == pytest.approx(
-                _stationarity_residual(prob, point, grads)[0], rel=1e-6)
+            assert rep.gap == pytest.approx(
+                maxdet._duality_gap(prob, point, grads), rel=1e-6)
             assert rep.objective == pytest.approx(f, rel=0, abs=1e-12)
 
 
@@ -627,11 +625,9 @@ def test_one_variable_groups_take_the_unit_weight_level_bit_for_bit():
             project_feasible(prob, {"v": m}, steps)["v"], want)
 
 
-def test_the_first_trial_reuses_the_unit_step_projection(monkeypatch):
-    """Every solve starts with unit steps, so its first trial point is the
-    point the residual test has just projected.  A fresh projection of
-    every trial would take one at the start, one per residual test and one
-    per iteration; a solve takes one fewer."""
+def test_a_solve_projects_once_per_iteration(monkeypatch):
+    """The stop test takes no projection: a solve projects its start and
+    then one trial point per iteration."""
     calls = []
     project = maxdet.project_feasible
     monkeypatch.setattr(maxdet, "project_feasible",
@@ -642,8 +638,7 @@ def test_the_first_trial_reuses_the_unit_step_projection(monkeypatch):
             calls.clear()
             _, rep = solve(prob, stack_start())
             assert rep.iterations > 10
-            residual_tests = len(rep.objective_trace)
-            assert len(calls) == 1 + residual_tests + rep.iterations - 1
+            assert len(calls) == 1 + rep.iterations
 
 
 def bisect_level(vals, budget, weights):
@@ -768,7 +763,7 @@ def test_zero_rel_tol_is_the_absolute_solve():
     for name in ("v", "w"):
         np.testing.assert_array_equal(p_rel[name], p_abs[name])
     assert r_rel.objective_trace == r_abs.objective_trace
-    assert r_rel.threshold == 1e-6
+    assert r_rel.gap <= 1e-6
     assert (r_rel.objective, r_rel.iterations) == (13.76862065954079, 21)
 
 
@@ -776,17 +771,17 @@ def test_rel_tol_stops_at_the_first_iterate_below_its_threshold():
     for seed in range(4):
         prob = random_two_term_problem(seed)
         _, rep = solve(prob, stack_start(), tol=1e-12, rel_tol=0.05)
+        threshold = 0.05 * rep.first_gap
         assert rep.status == SolverStatus.CONVERGED
-        assert rep.threshold == 0.05 * rep.first_residual
-        assert rep.residual <= rep.threshold
+        assert rep.gap <= threshold
         # Every earlier iterate, reached by capping the iterations, is
         # above the threshold.
         for k in range(rep.iterations):
             _, early = solve(prob, stack_start(), tol=1e-12, max_iter=k)
-            assert early.residual > rep.threshold, (seed, k)
+            assert early.gap > threshold, (seed, k)
 
 
-def test_first_residual_is_taken_at_the_projected_start():
+def test_first_gap_is_taken_at_the_projected_start():
     prob = random_two_term_problem(5)
     rng = np.random.default_rng(13)
     g = random_stack(rng, 3, 2, 2)
@@ -797,9 +792,8 @@ def test_first_residual_is_taken_at_the_projected_start():
     projected = project_feasible(prob, {name: linalg.hermitize(m)
                                         for name, m in start.items()})
     _, grads, _ = _eval_state(prob, projected)
-    assert rep.first_residual == _stationarity_residual(prob, projected,
-                                                        grads)[0]
-    assert rep.threshold == max(1e-6, 0.1 * rep.first_residual)
+    assert rep.first_gap == maxdet._duality_gap(prob, projected, grads)
+    assert rep.iterations > 0 and rep.gap <= 0.1 * rep.first_gap
 
 
 # --- duality-gap certificate -------------------------------------------------
@@ -851,29 +845,21 @@ def test_the_gap_bounds_the_shortfall_at_every_iterate(monkeypatch, n, free):
 
 
 def test_a_gap_stop_ends_at_the_first_certified_iterate():
-    """With a positive gap_tol the solve stops, as converged, at the first
-    iterate whose gap is within it; every earlier iterate's gap is above
-    it."""
+    """The solve stops, as converged, at the first iterate whose gap is
+    within tol; every earlier iterate's gap is above it."""
     prob, start = bcd_subproblem(2, {"X_a", "W_b"}, 1)
-    _, rep = solve(prob, start, tol=1e-10, gap_tol=1e-3)
+    _, rep = solve(prob, start, tol=1e-3)
     assert rep.status == SolverStatus.CONVERGED
-    assert rep.gap <= 1e-3 and rep.residual > rep.threshold
+    assert rep.iterations > 0 and rep.gap <= 1e-3
     for k in range(rep.iterations):
         _, early = solve(prob, start, tol=1e-10, max_iter=k)
         assert early.gap > 1e-3, k
 
 
 def test_an_unbudgeted_group_never_certifies():
-    """A budget of np.inf makes the gap +inf, with no NaN and no warning,
-    even at the optimum where the gradient vanishes, so no gap_tol stops
-    the solve."""
+    """The duality gap bounds the shortfall only on a bounded feasible set;
+    an unbudgeted group would make every gap +inf, so no solve could stop.
+    solve rejects a budget of np.inf before it takes a step."""
     prob = scalar_problem(2.0, 0.5, budget=np.inf)
-    start = {"x": 0.1 * np.eye(1, dtype=complex)}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        p_gap, r_gap = solve(prob, start, gap_tol=1e300)
-        p_res, r_res = solve(prob, start)
-    assert r_gap.gap == np.inf and r_res.gap == np.inf
-    assert abs(p_res["x"][0, 0].real - 1.5) < 1e-6
-    assert r_gap.objective_trace == r_res.objective_trace
-    np.testing.assert_array_equal(p_gap["x"], p_res["x"])
+    with pytest.raises(ValueError, match="finite budget"):
+        solve(prob, {"x": 0.1 * np.eye(1, dtype=complex)})
