@@ -332,19 +332,22 @@ def _run(params: SystemParams, ch: ChannelRealization, init, free,
     nonempty subset of :data:`BLOCKS`, of a copy of ``init`` with the
     closed-form auxiliary updates, and report the result's secrecy rates.
 
-    Each node's free blocks share the trace budget the design's type
-    states (``design.budgets``).  Every point is scored by the surrogate
-    made tight there, the start included.  Each solve's gap floor is the
-    larger of ``inner_tol`` and ``GAP_FRACTION * outer_tol * (1 + |f|)`` at
-    the step's starting objective f, and the stop follows the policy of
-    the module docstring.
+    Each node's free blocks share what its present fixed blocks leave of
+    the trace budget the design's type states (``design.budgets``).  Every
+    point is scored by the surrogate made tight there, the start included.
+    Each solve's gap floor is the larger of ``inner_tol`` and
+    ``GAP_FRACTION * outer_tol * (1 + |f|)`` at the step's starting
+    objective f, and the stop follows the policy of the module docstring.
     """
     if not free or not set(free) <= set(BLOCKS):
         raise ValueError(f"free blocks {sorted(free)} must be a nonempty "
                          f"subset of {BLOCKS}")
     design = init.copy()
-    budgets = design.budgets(params)
     view = design.nodes().sent(free)
+    budgets = design.budgets(params)
+    for b in BLOCKS:
+        if b not in free and getattr(view, b) is not None:
+            budgets[view.NODES[b]] -= linalg.real_trace(getattr(view, b))
     f_cur, aux = _tight(params, ch, view)
     state = BcdState(objective_trace=[f_cur])
     prev_point = None
@@ -411,9 +414,9 @@ def optimize_bidirectional(params: SystemParams, ch: ChannelRealization,
     of :data:`BLOCKS`, of a two-node design, by default the uniform one, or
     a one-directional design, whose X and W are X_a and W_b.
 
-    Each node's blocks share the budget the design's type states.  Frozen
-    blocks keep their initial value, so a zero information block silences
-    its direction.
+    Each node's blocks, free and frozen, share the budget the design's type
+    states.  Frozen blocks keep their initial value, so a zero information
+    block silences its direction.
     """
     return _run(params, ch, init or init_uniform_bidirectional(params), free,
                 outer_tol, max_outer, inner_tol, inner_max_iter)

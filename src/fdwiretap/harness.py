@@ -53,12 +53,13 @@ SOLVER_OPTIONS = ("outer_tol", "max_outer", "inner_tol", "inner_max_iter")
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Everything needed to reproduce an experiment.  Its numbers pass
+    """Everything needed to reproduce an experiment.  ``strategies`` names
+    each strategy once, and at least one.  Its numbers pass
     :func:`~fdwiretap.channel.require`: ``trials`` >= 1, ``master_seed`` and
     the :data:`SOLVER_OPTIONS` >= 0, and no sweep value is NaN."""
 
     params: SystemParams
-    strategies: list
+    strategies: list = field(default_factory=list)
     trials: int = 20
     master_seed: int = 0
     sweep_param: str = "none"
@@ -85,6 +86,10 @@ class ExperimentConfig:
                 f"sweep_param '{self.sweep_param}' not in {tuple(SWEEPS)}")
         for name in self.strategies:
             _strategy(name)  # raises UnknownStrategy
+        names = self.strategies
+        if not names or len(set(names)) < len(names):
+            raise ConfigError(f"strategies {names!r}: name at least one "
+                              f"strategy, and none twice")
         if not self.sweep_values:
             raise ConfigError("sweep_values must not be empty")
         for value in self.sweep_values:
@@ -108,8 +113,6 @@ class ExperimentConfig:
         unknown = set(raw) - set(_CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unrecognized config keys: {sorted(unknown)}")
-        if "strategies" not in raw:
-            raise ConfigError("strategies: at least one strategy is required")
         return cls(params=params, **raw)
 
     @classmethod
@@ -221,8 +224,8 @@ def _half_duplex(params: SystemParams) -> SystemParams:
 class Strategy:
     """A strategy is data: its starting design and its optimizer runs.
 
-    The start is ``design.uniform(params, start)``: the named blocks spend
-    their node's whole budget evenly and the others are zero
+    The start is ``design.uniform(params, start)``: a node's named blocks
+    share its budget evenly and the others are zero
     (:meth:`~fdwiretap.system_model.Design.uniform`).  The design type sets
     the budgets: X_max and W_max for a one-directional ``TransmitDesign``,
     whose X and W are the two-node blocks 'X_a' and 'W_b', or P_A_max and
@@ -268,7 +271,7 @@ STRATEGY_TABLE = {
 def _strategy(name: str) -> Strategy:
     try:
         return STRATEGY_TABLE[name]
-    except KeyError:
+    except (KeyError, TypeError):  # a TypeError for an unhashable name
         raise UnknownStrategy(f"unknown strategy '{name}'") from None
 
 

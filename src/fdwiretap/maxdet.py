@@ -78,9 +78,8 @@ class MaxDetProblem:
     a stack of them.  ``linear_terms`` maps variable names to coefficients C
     of the value's shape, Hermitian up to rounding, contributing -tr(C V).
     ``constraints`` is a list of (variable-name tuple, budget) that names
-    only declared variables and in which every variable appears in exactly
-    one group; a budget of ``np.inf`` leaves its group unbudgeted, which
-    :func:`project_feasible` accepts and :func:`solve` does not.
+    only declared variables, in which every variable appears in exactly one
+    group and every budget is positive and finite.
     """
 
     variables: list  # list of (name, dim)
@@ -101,8 +100,8 @@ class MaxDetProblem:
             if name not in names:
                 raise ValueError(f"a constraint group names an undeclared "
                                  f"variable {name!r}")
-        if any(budget <= 0 for _, budget in self.constraints):
-            raise ValueError("budgets must be strictly positive")
+        if not all(0 < budget < np.inf for _, budget in self.constraints):
+            raise ValueError("budgets must be strictly positive and finite")
 
 
 class SolverStatus(str, Enum):
@@ -246,9 +245,9 @@ def project_feasible(prob: MaxDetProblem, point: dict,
     the projection to an eigenvalue problem per variable plus a joint
     water-level clip per constraint group, whose eigenvalues are weighted
     by their variable's step over the group's largest step.  A variable
-    alone in its group, budgeted or not, projects the same for any step:
-    its weights are all 1.0, so its level is taken unweighted, with no
-    weight vector and no sort by ratio.
+    alone in its group projects the same for any step: its weights are all
+    1.0, so its level is taken unweighted, with no weight vector and no
+    sort by ratio.
     """
     if steps is None:
         steps = {name: 1.0 for name, _ in prob.variables}
@@ -318,20 +317,16 @@ def solve(prob: MaxDetProblem, initial: dict, max_iter: int = 200,
     optimum less the objective, so ``tol`` is in the objective's units, and
     the default ``rel_tol=0`` solves to it.  A relative stop suits callers
     that need only an improving step, such as the block updates of
-    :mod:`fdwiretap.bcd`.  Every budget must be finite: an unbudgeted
-    group makes the gap +inf, and no solve could stop.  Returns the last
-    accepted iterate and a report carrying its objective and gap and the
-    first gap.  That iterate is feasible without a final projection: it
-    lies on the segment between two feasible points, the previous iterate
-    and a projected trial point.  Every accepted step increases the
-    objective (an Armijo test on exact log-det increments), so the returned
-    objective is never below the objective at ``initial``.  Each term
-    matrix is factored once, at the projected start; an accepted step
-    updates its whitening factor, and the objective by the increment
-    tested, in closed form.
+    :mod:`fdwiretap.bcd`.  Returns the last accepted iterate and a report
+    carrying its objective and gap and the first gap.  That iterate is
+    feasible without a final projection: it lies on the segment between two
+    feasible points, the previous iterate and a projected trial point.
+    Every accepted step increases the objective (an Armijo test on exact
+    log-det increments), so the returned objective is never below the
+    objective at ``initial``.  Each term matrix is factored once, at the
+    projected start; an accepted step updates its whitening factor, and the
+    objective by the increment tested, in closed form.
     """
-    if any(budget == np.inf for _, budget in prob.constraints):
-        raise ValueError("solve needs a finite budget for every group")
     _check_feasible(prob, initial)
     point = {name: linalg.hermitize(np.asarray(initial[name], complex))
              for name, _ in prob.variables}

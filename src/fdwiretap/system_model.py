@@ -57,15 +57,16 @@ class Design:
     @classmethod
     def uniform(cls, params: SystemParams, blocks):
         """The design whose named blocks (two-node names, :data:`BLOCKS`)
-        each spend their node's whole budget as budget/(N M) I on every
-        subcarrier; every other block is zero.  A block the design type
-        does not have is a ValueError."""
+        share their node's budget evenly: each of a node's k named blocks is
+        budget/(k N M) I on every subcarrier, and every other block is zero.
+        A block the design type does not have is a ValueError."""
         design, budgets = cls.zeros(params), cls.budgets(params)
-        for block in blocks:
+        nodes = [BidirectionalDesign.NODES.get(block) for block in blocks]
+        for block, node in zip(blocks, nodes):
             m = getattr(design.nodes(), block, None)
             if m is None:
                 raise ValueError(f"{cls.__name__} has no block {block!r}")
-            dim, power = m.shape[-1], budgets[BidirectionalDesign.NODES[block]]
+            dim, power = m.shape[-1], budgets[node] / nodes.count(node)
             m[:] = power / (params.N * dim) * np.eye(dim, dtype=complex)
         return design
 

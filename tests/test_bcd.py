@@ -647,6 +647,38 @@ def test_bidirectional_jamming_flags_respected():
     assert np.any(res2.design.W_b)
 
 
+def test_free_blocks_share_what_the_fixed_blocks_of_their_node_leave():
+    """Bob splits his budget between a free X_b and a fixed W_b: the run
+    gives X_b only what W_b leaves, so the returned design passes
+    validate, with Bob at his budget."""
+    p = small_params(p_b_max_db=10.0)
+    ch = draw_channels(p, 1)
+    init = BidirectionalDesign.uniform(p, ("X_a", "X_b", "W_b"))
+    init.validate(p)
+    res = bcd.optimize_bidirectional(p, ch, init=init, free={"X_a", "X_b"})
+    np.testing.assert_array_equal(res.design.W_b, init.W_b)
+    res.design.validate(p)
+    bob = linalg.real_trace(res.design.X_b) + linalg.real_trace(res.design.W_b)
+    assert bob <= p.P_B_max + 1e-6
+
+
+def test_fixed_blocks_over_their_node_budget_fail_before_any_solve(
+        monkeypatch):
+    """Fixed blocks that spend more than their node's budget leave its free
+    block no positive budget: the first subproblem refuses it, and no
+    solve runs."""
+    def no_solve(*args, **kwargs):
+        raise AssertionError("maxdet.solve called")
+
+    monkeypatch.setattr(maxdet, "solve", no_solve)
+    p = small_params()
+    init = BidirectionalDesign.uniform(p, ("X_a", "X_b"))
+    init.W_b = 2.0 * init.X_b
+    with pytest.raises(ValueError, match="strictly positive"):
+        bcd.optimize_bidirectional(p, draw_channels(p, 1), init=init,
+                                   free={"X_a", "X_b"})
+
+
 def test_free_blocks_outside_the_two_node_names_are_rejected():
     p = small_params()
     ch = draw_channels(p, 17)

@@ -271,6 +271,11 @@ WATERFILL = ("waterfill", "--alpha", "2,1", "--beta", "0.5,0.2")
     call("waterfill-budget-text", "waterfill", "--alpha", "1", "--beta", "0",
          "--budget", "abc", "-o", "OUT", field="--budget"),
     call("run-missing-config", "run", "NOCFG", "-o", "OUT", field="NOCFG"),
+    *(call(f"run-strategies-{name}", "run", "CFG", "-o", "OUT",
+           edit=("strategies: [Equal-FD, Equal-HD]", f"strategies: {value}"),
+           field="strategies")
+      for name, value in (("empty", "[]"),
+                          ("repeated", "[Equal-FD, Equal-FD]"))),
 ])
 def test_exit_codes(tmp_path, args, edit, code, field):
     """Exit 0 on a valid call; exit 2 on a config that is not valid YAML

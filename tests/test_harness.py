@@ -1,4 +1,5 @@
 import pickle
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -44,8 +45,25 @@ def test_config_rejects_unknown_strategy():
 
 def test_config_requires_strategies():
     raw = dict(DESK, trials=2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"strategies \[\]"):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("strategies", [
+    [], ["Equal-FD", "Equal-FD"], ["Equal-FD", "Optimal-FD", "Equal-FD"]],
+    ids=["empty", "repeated", "repeated-apart"])
+def test_config_rejects_an_empty_or_repeated_strategy_list(strategies):
+    """A run with no strategy writes nothing, and a repeated strategy
+    writes its rows twice and shrinks its cell's standard error; both are
+    refused at load, naming the list."""
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"strategies {strategies!r}")):
+        desk_config(strategies=strategies)
+
+
+def test_config_rejects_an_unhashable_strategy_name():
+    with pytest.raises(UnknownStrategy, match="unknown strategy"):
+        desk_config(strategies=[["Equal-FD"]])
 
 
 def test_config_rejects_bad_trials_and_sweep():
@@ -638,12 +656,16 @@ def test_empty_rows_emit_header_only(tmp_path):
 
 # --- golden rows --------------------------------------------------------------
 
-#: The benchmark's desk and wideband workloads (perfbench/workloads), inlined.
+#: The benchmark's workloads (perfbench/workloads), inlined.
 GOLDEN_CONFIGS = {
     "desk": dict(DESK, strategies=["Optimal-FD", "Optimal-HD", "Equal-FD",
                                    "Equal-HD"]),
     "wideband": dict(DESK, N=4, strategies=["Optimal-FD"], outer_tol=1e-2,
                      inner_tol=1e-3),
+    "bidirectional": dict(DESK, p_a_max_db=10.0, p_b_max_db=10.0,
+                          x_max_db=10.0, w_max_db=10.0,
+                          strategies=["Both-FD/Both-Jam", "Both-HD/No-Jam"],
+                          **OPTS),
 }
 #: The repr of every TrialRow field, in field order, of the first trials at
 #: master seed 1802, the benchmark's standing experiment.  The optimizer
@@ -692,6 +714,20 @@ GOLDEN_ROWS = {
         ("'Optimal-FD'", '0.0', '1', '4611984770295761986', '7.69959874139703',
          '6', "'Converged'", '34', "'Converged'", '5',
          '0.0012894601156992896'),
+    ],
+    "bidirectional": [
+        ("'Both-FD/Both-Jam'", '0.0', '0', '10211351229921619241',
+         '8.244944546343511', '17', "'Converged'", '120', "'Converged'", '19',
+         '0.0005860852477957978'),
+        ("'Both-HD/No-Jam'", '0.0', '0', '10211351229921619241',
+         '2.4747490543311375', '27', "'Converged'", '98', "'Converged'", '72',
+         '0.0003099835274138485'),
+        ("'Both-FD/Both-Jam'", '0.0', '1', '4611984770295761986',
+         '10.28907383526796', '13', "'Converged'", '95', "'Converged'", '13',
+         '0.0007052211947687348'),
+        ("'Both-HD/No-Jam'", '0.0', '1', '4611984770295761986',
+         '5.44470634257989', '13', "'Converged'", '59', "'Converged'", '31',
+         '8.627883996581431e-05'),
     ],
 }
 

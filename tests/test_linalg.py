@@ -24,10 +24,11 @@ def random_hermitian(rng, dim):
 
 
 def clip_psd(m):
-    """Projection onto the PSD cone: that of a variable in an unbudgeted
-    group."""
+    """Projection onto the PSD cone: that of a variable whose budget is
+    above the trace of its clipped eigenvalues, so that it does not bind."""
+    budget = 1.0 + np.linalg.eigvalsh(m).clip(0.0).sum()
     prob = maxdet.MaxDetProblem(variables=[("v", m.shape[-1])],
-                                constraints=[(("v",), np.inf)])
+                                constraints=[(("v",), budget)])
     return maxdet.project_feasible(prob, {"v": m})["v"]
 
 

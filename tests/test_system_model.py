@@ -182,6 +182,19 @@ def test_a_uniform_block_the_design_lacks_is_a_value_error(block):
         TransmitDesign.uniform(small_params(), ("X_a", block))
 
 
+def test_a_uniform_start_splits_a_node_budget_among_its_named_blocks():
+    """Two named blocks of one node share its budget: each is
+    P_B_max/(2 N M) I on every subcarrier, so the start passes validate."""
+    p = small_params()
+    d = BidirectionalDesign.uniform(p, ("X_b", "W_b"))
+    share = p.P_B_max / (2 * p.N * p.M_bt) * np.eye(p.M_bt)
+    for block in ("X_b", "W_b"):
+        np.testing.assert_array_equal(
+            getattr(d, block), np.broadcast_to(share, d.X_b.shape))
+    assert not np.any(d.X_a) and not np.any(d.W_a)
+    d.validate(p)
+
+
 @pytest.mark.parametrize("where", [np.s_[0], np.s_[0, 1, 1]],
                          ids=["matrix", "diagonal-entry"])
 @pytest.mark.parametrize("make, block", [
