@@ -13,7 +13,9 @@ One optimizer serves the one-directional and the two-node system.  It
 works on the two-node design of :mod:`fdwiretap.system_model`, one rate
 direction (a->b, b->a) at a time: each active direction owns its receiver
 log-det term, its auxiliary pair (Q, T) and its surrogate constants, and
-Eve's log-det term counts once per active direction.  The free blocks,
+Eve's log-det term counts once per active direction.  The auxiliaries
+and the surrogate read the direction's covariances from
+:func:`fdwiretap.system_model.direction_covariances`.  The free blocks,
 whole (N, M, M) stacks, are the subproblem's variables, and its terms
 apply the operators :mod:`fdwiretap.system_model` defines, so the
 subproblem's size does not grow with N.  A block that is neither free
@@ -106,14 +108,11 @@ def update_auxiliaries(params: SystemParams, ch: ChannelRealization,
     Returns (Q, T), each a dict from the direction's link name ('ab', 'ba')
     to an (N, M, M) stack.  A one-directional design has only 'ab'.
     """
-    nodes = design.nodes()
-    se = system_model.sigma_eve(params, ch, nodes)
     aux_q, aux_t = {}, {}
-    for tx, rx in nodes.active():
-        aux_q[tx + rx] = linalg.psd_inverse(
-            system_model.sigma_node_bidirectional(params, ch, nodes, rx))
-        aux_t[tx + rx] = linalg.psd_inverse(
-            system_model.with_signal(params, ch, nodes, tx, "e", se))
+    for (tx, rx), (s_rx, _, _, leaked) in system_model.direction_covariances(
+            params, ch, design):
+        aux_q[tx + rx] = linalg.psd_inverse(s_rx)
+        aux_t[tx + rx] = linalg.psd_inverse(leaked)
     return aux_q, aux_t
 
 
@@ -124,15 +123,11 @@ def surrogate_objective(params: SystemParams, ch: ChannelRealization,
     With the auxiliaries at their closed-form optimum this equals the
     unclamped secrecy objective exactly.
     """
-    nodes = design.nodes()
-    se = system_model.sigma_eve(params, ch, nodes)
     total = 0.0
-    for tx, rx in nodes.active():
+    for (tx, rx), (s_rx, received, s_e, leaked) in (
+            system_model.direction_covariances(params, ch, design)):
         q, t = aux_q[tx + rx], aux_t[tx + rx]
-        s_rx = system_model.sigma_node_bidirectional(params, ch, nodes, rx)
-        received = system_model.with_signal(params, ch, nodes, tx, rx, s_rx)
-        leaked = system_model.with_signal(params, ch, nodes, tx, "e", se)
-        total += linalg.logdet(received).sum() + linalg.logdet(se).sum()
+        total += linalg.logdet(received).sum() + linalg.logdet(s_e).sum()
         total -= linalg.inner(q, s_rx) + linalg.inner(t, leaked)
         total += (linalg.logdet(q).sum() + linalg.logdet(t).sum()
                   + _dim_sum(q) + _dim_sum(t))

@@ -17,8 +17,10 @@ Each receiver's covariance is defined once, here, as a noise floor plus a
 list of (block, operator) pairs whose operators act on whole (N, M, M)
 block stacks (:func:`interference`, :func:`signal`).  Evaluation applies
 them to the design's blocks; the optimizer hands the same pairs to its
-concave subproblem.  Rates are reported in bits/s/Hz (base-2 logs); the
-optimizer works in nats internally.
+concave subproblem.  One pass, :func:`direction_covariances`, builds each
+active direction's four covariance stacks, which the reported rates and
+the optimizer's auxiliaries and surrogate all read.  Rates are reported in
+bits/s/Hz (base-2 logs); the optimizer works in nats internally.
 """
 
 import functools
@@ -316,13 +318,6 @@ def covariance(params: SystemParams, design, rx: str,
     return out
 
 
-def with_signal(params: SystemParams, ch: ChannelRealization, design,
-                tx: str, rx: str, sigma: np.ndarray) -> np.ndarray:
-    """``sigma`` plus :func:`signal`'s pair for ``tx``, ``rx`` applied."""
-    block, op = signal(params, ch, tx, rx)
-    return sigma + op.apply(getattr(design.nodes(), block))
-
-
 def sigma_node_bidirectional(params: SystemParams, ch: ChannelRealization,
                              design, node: str) -> np.ndarray:
     """Interference-plus-noise covariance stack at node 'a' or 'b'.
@@ -347,9 +342,21 @@ def sigma_eve(params: SystemParams, ch: ChannelRealization,
                       interference(params, ch, design, "e"))
 
 
-def _rate_bits(total: np.ndarray, noise_cov: np.ndarray) -> np.ndarray:
-    """Per-subcarrier log2 |total| - log2 |noise_cov|."""
-    return (linalg.logdet(total) - linalg.logdet(noise_cov)) / LN2
+def direction_covariances(params: SystemParams, ch: ChannelRealization,
+                          design) -> list:
+    """((tx, rx), (Sigma_rx, Sigma_rx + signal, Sigma_e, Sigma_e + leak))
+    for every active rate direction tx->rx, the receiver's and Eve's
+    covariances without and with tx's signal; one Sigma_e serves all."""
+    nodes = design.nodes()
+    s_e = sigma_eve(params, ch, nodes)
+    out = []
+    for tx, rx in nodes.active():
+        s_rx = sigma_node_bidirectional(params, ch, nodes, rx)
+        block, to_rx = signal(params, ch, tx, rx)
+        x, to_e = getattr(nodes, block), signal(params, ch, tx, "e")[1]
+        out.append(((tx, rx), (s_rx, s_rx + to_rx.apply(x), s_e,
+                               s_e + to_e.apply(x))))
+    return out
 
 
 def secrecy_rates(params: SystemParams, ch: ChannelRealization,
@@ -359,14 +366,11 @@ def secrecy_rates(params: SystemParams, ch: ChannelRealization,
     are left out (:meth:`BidirectionalDesign.sent`)."""
     nodes = design.nodes()
     _check_shapes(params, nodes)  # before an all-zero block is left out
-    nodes = nodes.sent()
-    se = sigma_eve(params, ch, nodes)
     legit, leak = {}, {}
-    for tx, rx in nodes.active():
-        s_rx = sigma_node_bidirectional(params, ch, nodes, rx)
-        legit[tx] = _rate_bits(with_signal(params, ch, nodes, tx, rx, s_rx),
-                               s_rx)
-        leak[tx] = _rate_bits(with_signal(params, ch, nodes, tx, "e", se), se)
+    for (tx, _), (s_rx, received, s_e, leaked) in direction_covariances(
+            params, ch, nodes.sent()):
+        legit[tx] = (linalg.logdet(received) - linalg.logdet(s_rx)) / LN2
+        leak[tx] = (linalg.logdet(leaked) - linalg.logdet(s_e)) / LN2
     i_sec = np.sum([np.maximum(legit[tx] - leak[tx], 0.0) for tx in legit]
                    or [np.zeros(params.N)], axis=0)
     return SecrecyReport(I_ab=legit.get("a"), I_ae=leak.get("a"), I_sec=i_sec,

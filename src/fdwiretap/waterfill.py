@@ -4,7 +4,8 @@ With a fixed jamming design the per-subcarrier secrecy contribution is
 f_n(x) = log((1 + alpha_n x) / (1 + beta_n x)), concave and increasing for
 alpha_n > beta_n and nonpositive otherwise.  The KKT conditions give a
 closed-form power for each water level lambda, and a bisection on lambda
-inside its analytic bounds meets the total power budget.
+inside its analytic bounds meets the total power budget; the closed form's
+level-free parts are built once per bisection.
 """
 
 from dataclasses import dataclass, field
@@ -94,16 +95,29 @@ def closed_form_power(water_level: float, alpha, beta):
     """
     if water_level <= 0:
         raise ValueError("water level must be positive")
-    # Roots of alpha*beta x^2 + (alpha+beta) x + 1 - (alpha-beta)/lambda = 0.
-    a2 = alpha * beta
+    return _power(water_level, _quadratic(alpha, beta))
+
+
+def _quadratic(alpha, beta) -> tuple:
+    """The level-free parts of alpha*beta x^2 + (alpha+beta) x + 1 -
+    (alpha-beta)/lambda = 0, whose root is the closed-form power: alpha +
+    beta, its square, 4 alpha beta, alpha - beta, and the mask of the
+    subcarriers that can carry power (alpha > beta and alpha > 0)."""
     b2 = alpha + beta
-    c2 = 1.0 - (alpha - beta) / water_level
-    active = (alpha > beta) & (alpha > 0) & (c2 < 0.0)
-    # Lanes outside ``active`` may take the root of a negative discriminant
-    # or divide by zero; they are masked out.
+    return b2, b2 * b2, 4.0 * (alpha * beta), alpha - beta, (
+        (alpha > beta) & (alpha > 0))
+
+
+def _power(water_level: float, quadratic: tuple):
+    """:func:`closed_form_power` at a positive level, from the parts
+    :func:`_quadratic` built once for the gains."""
+    b2, b2_sq, a2_4, gap, positive = quadratic
+    c2 = 1.0 - gap / water_level
+    # Lanes outside ``positive & (c2 < 0)`` may take the root of a negative
+    # discriminant or divide by zero; they are masked out.
     with np.errstate(invalid="ignore", divide="ignore"):
-        x = -2.0 * c2 / (b2 + np.sqrt(b2 * b2 - 4.0 * a2 * c2))
-    return np.where(active, x, 0.0)[()]
+        x = -2.0 * c2 / (b2 + np.sqrt(b2_sq - a2_4 * c2))
+    return np.where(positive & (c2 < 0.0), x, 0.0)[()]
 
 
 def full_budget_slope_bound(gains: SubcarrierGains) -> float:
@@ -149,8 +163,9 @@ def waterfill(gains: SubcarrierGains) -> Allocation:
         # and the zero-power slope (upper bound); guard the closed form's
         # 1/lambda against a nonpositive lower endpoint.
         lam = lo = max(lam_full, 1e-12 * lam_zero)
+        quadratic = _quadratic(gains.alpha, gains.beta)
         for _ in range(1 + 500):
-            x = closed_form_power(lam, gains.alpha, gains.beta)
+            x = _power(lam, quadratic)
             residual = gains.X_max - x.sum()
             if residual < 0.0:
                 lo = lam

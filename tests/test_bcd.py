@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -573,6 +574,52 @@ def test_single_antenna_optimum_matches_the_closed_form(optimize_w):
                     p, ch, res.design)
                 worst = max(worst, (gap, (kappa_db, n, seed)))
     assert worst[0] <= 1e-7, worst
+
+
+def global_optimum(params, ch, points=31):
+    """The single-antenna global optimum, as (nats, W), up to the grid.
+
+    At M_a = M_bt = 1, :func:`waterfill.waterfill` gives the optimal X for
+    any fixed W, so the best water-filling objective over a triangular grid
+    of W on its simplex {W_n >= 0, sum_n W_n <= W_max}, ``points`` a side,
+    is the global optimum of the unclamped objective at the grid's
+    resolution.
+    """
+    step = params.W_max / (points - 1)
+    best = (-np.inf, None)
+    for counts in itertools.product(range(points), repeat=params.N):
+        if sum(counts) < points:
+            w = (step * np.array(counts, complex))[:, None, None]
+            objective = waterfill.waterfill(
+                waterfill.gains_from_system(params, ch, w)).objective
+            if objective > best[0]:
+                best = objective, w
+    return best
+
+
+def test_the_zero_jamming_start_reaches_the_single_antenna_global_optimum():
+    """At M_a = M_bt = 1, N = 2 and -10 dB residual SI, Optimal-FD's start
+    (no jamming) run tight ends within 1e-6 nats of the grid optimum of
+    :func:`global_optimum` on channels 8000-8029.  The starts with uniform
+    jamming and the beam start are only reported: they can end on X = 0."""
+    p = SystemParams.from_db(M_a=1, M_bt=1, M_br=2, M_e=2, N=2,
+                             kappa_db=-10.0, beta_db=-10.0)
+    tight = dict(outer_tol=1e-8, inner_tol=1e-9, max_outer=1000)
+    short = {"uniform with jamming": 0, "beam": 0}
+    for seed in range(8000, 8030):
+        ch = draw_channels(p, seed)
+        best, _ = global_optimum(p, ch)
+        res = bcd.optimize(p, ch, **tight)
+        f = system_model.unclamped_objective_nats(p, ch, res.design)
+        assert f >= best - 1e-6, (seed, f, best)
+        for name, init in (("uniform with jamming",
+                             bcd.init_uniform(p, with_jamming=True)),
+                           ("beam", bcd.init_optimal_beam(p, ch))):
+            res = bcd.optimize(p, ch, init=init, **tight)
+            short[name] += bool(system_model.unclamped_objective_nats(
+                p, ch, res.design) < best - 1e-3)
+    print(f"starts more than 1e-3 nats below the global optimum, of 30: "
+          f"{short}")
 
 
 # --- bidirectional ---------------------------------------------------------

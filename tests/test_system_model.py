@@ -567,3 +567,47 @@ def test_params_and_channel_mappings_cannot_be_rebound():
     with pytest.raises(TypeError):
         copy.H["ab"] = 2 * copy.H["ab"]
     assert not copy.H["ab"].flags.writeable
+
+
+@pytest.mark.parametrize("two_node", [False, True],
+                         ids=["one-directional", "two-node"])
+def test_rates_and_auxiliaries_read_one_pass_of_direction_covariances(
+        two_node):
+    """``direction_covariances`` gives each active direction tx->rx the
+    stacks (Sigma_rx, Sigma_rx + signal, Sigma_e, Sigma_e + leak), with one
+    Sigma_e shared by both directions of a two-node design; the
+    auxiliaries Q, T are the inverses of Sigma_rx and Sigma_e + leak, and
+    the reported rates the log-det differences, bit for bit."""
+    p = small_params(p_a_max_db=10.0, p_b_max_db=10.0)
+    ch = draw_channels(p, 31)
+    d = (BidirectionalDesign.uniform(p, system_model.BLOCKS) if two_node
+         else random_design(p, 7))
+    covs = system_model.direction_covariances(p, ch, d)
+    assert [link for link, _ in covs] == (
+        [("a", "b"), ("b", "a")] if two_node else [("a", "b")])
+    nodes = d.nodes()
+    for (tx, rx), (s_rx, received, s_e, leaked) in covs:
+        assert s_e is covs[0][1][2]
+        np.testing.assert_array_equal(s_rx,
+                                      sigma_node_bidirectional(p, ch, d, rx))
+        np.testing.assert_array_equal(s_e, sigma_eve(p, ch, d))
+        x = getattr(nodes, f"X_{tx}")
+        for cov, base, to in ((received, s_rx, rx), (leaked, s_e, "e")):
+            h = ch.H[tx + to]
+            np.testing.assert_allclose(
+                cov, base + h @ x @ h.conj().swapaxes(-1, -2), rtol=1e-13)
+    aux_q, aux_t = bcd.update_auxiliaries(p, ch, d)
+    assert aux_q.keys() == aux_t.keys() == {tx + rx for (tx, rx), _ in covs}
+    rep = secrecy_rates(p, ch, d)
+    for (tx, rx), (s_rx, received, s_e, leaked) in covs:
+        np.testing.assert_array_equal(aux_q[tx + rx], linalg.psd_inverse(s_rx))
+        np.testing.assert_array_equal(aux_t[tx + rx],
+                                      linalg.psd_inverse(leaked))
+        legit, leak = (rep.I_ab, rep.I_ae) if tx == "a" else (rep.I_ba,
+                                                               rep.I_be)
+        np.testing.assert_array_equal(legit, (linalg.logdet(received)
+                                              - linalg.logdet(s_rx))
+                                      / system_model.LN2)
+        np.testing.assert_array_equal(leak, (linalg.logdet(leaked)
+                                             - linalg.logdet(s_e))
+                                      / system_model.LN2)

@@ -258,14 +258,14 @@ def test_bisection_ends_on_the_feasible_endpoint(monkeypatch):
     tolerance between adjacent water levels, so all 500 bisection steps
     run and the upper endpoint, the last level whose powers fit the
     budget, is returned with the budget flagged as not met."""
-    calls = []
+    calls, power = [], waterfill_module._power
 
     def counted(*args):
-        x = closed_form_power(*args)
+        x = power(*args)
         calls.append((args[0], x.sum()))
         return x
 
-    monkeypatch.setattr(waterfill_module, "closed_form_power", counted)
+    monkeypatch.setattr(waterfill_module, "_power", counted)
     gains = SubcarrierGains(alpha=np.full(2, 1e-10), beta=np.zeros(2),
                             X_max=1.0)
     alloc = waterfill(gains)
@@ -274,3 +274,19 @@ def test_bisection_ends_on_the_feasible_endpoint(monkeypatch):
     assert alloc.water_level == fits[-1]
     assert 0.0 < gains.X_max - alloc.X.sum() < 1e-5
     assert not alloc.budget_active
+
+
+def test_waterfill_keeps_its_bits_on_a_fixed_gain_set():
+    """X, the water level and the objective on a fixed gain set, with
+    dominated, zero-gain and unpowered subcarriers, pinned bit for bit
+    (float.hex): regrouping the closed form's arithmetic shows here."""
+    gains = SubcarrierGains(alpha=np.array([2.5, 0.75, 4.0, 0.3, 1.2, 0.0]),
+                            beta=np.array([0.5, 1.0, 0.25, 0.0, 1.1, 0.2]),
+                            X_max=3.0)
+    alloc = waterfill(gains)
+    assert [float(x).hex() for x in alloc.X] == [
+        "0x1.31b99d229097dp+0", "0x0.0p+0", "0x1.ce4662714b93dp+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"]
+    assert float(alloc.water_level).hex() == "0x1.41bc59955cd5cp-2"
+    assert alloc.objective.hex() == "0x1.530e292ad41b1p+1"
+    assert alloc.budget_active
